@@ -82,26 +82,6 @@ let landscape_config total seed =
    leaving stdout to the figures.  [--log-json] switches the same stream
    to JSONL. *)
 
-(* Durable plain-file checkpoint: write the whole payload under a
-   temporary name, then rename into place — a crash mid-write can never
-   leave a half-written checkpoint behind, and I/O failures come back as
-   a clean [Error] instead of an uncaught exception. *)
-let write_checkpoint path json =
-  let tmp = path ^ ".tmp" in
-  match
-    Out_channel.with_open_text tmp (fun oc ->
-        Out_channel.output_string oc (Report.Json.to_string ~pretty:true json);
-        Out_channel.output_char oc '\n');
-    Sys.rename tmp path
-  with
-  | () -> Ok ()
-  | exception Sys_error msg -> Error msg
-
-let read_checkpoint path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | data -> Report.Json.parse data
-  | exception Sys_error msg -> Error msg
-
 let print_landscape t findings =
   print_string (Experiments.Landscape.summary t);
   print_newline ();
@@ -202,12 +182,8 @@ let run_stream_scan chain faults telemetry stream_batch batch_size domains =
   | None -> ());
   if outputs_failed then 1 else 0
 
-let run_scan ~deprecated chain faults telemetry journal_path journal_fsync
-    findings batch_size domains checkpoint_path resume_path max_batches
-    retry_skipped stream =
-  if deprecated then
-    prerr_endline
-      "warning: `proxion landscape` is a deprecated alias; use `proxion scan`";
+let run_scan chain faults telemetry journal_path journal_fsync findings
+    batch_size domains max_batches retry_skipped stream =
   match (batch_size, domains, Faults_spec.validate faults) with
   | Some b, _, _ when b <= 0 ->
       prerr_endline "error: --batch-size must be positive";
@@ -218,21 +194,12 @@ let run_scan ~deprecated chain faults telemetry journal_path journal_fsync
   | _, _, Error e ->
       prerr_endline ("error: " ^ e);
       1
-  | _ when journal_path <> None && resume_path <> None ->
-      prerr_endline
-        "error: --journal recovers its own state; pass either --journal or \
-         --resume, not both";
-      1
   | _ when (match stream with Some s -> s <= 0 | None -> false) ->
       prerr_endline "error: --stream must be positive";
       1
-  | _
-    when stream <> None
-         && (journal_path <> None || resume_path <> None
-           || checkpoint_path <> None || max_batches <> None) ->
+  | _ when stream <> None && (journal_path <> None || max_batches <> None) ->
       prerr_endline
-        "error: --stream is not checkpointable; drop \
-         --journal/--resume/--checkpoint/--max-batches";
+        "error: --stream is not checkpointable; drop --journal/--max-batches";
       1
   | _ when stream <> None && (findings > 0 || retry_skipped) ->
       prerr_endline
@@ -302,8 +269,8 @@ let run_scan ~deprecated chain faults telemetry journal_path journal_fsync
     Ok t
   in
   let analyzer =
-    match (journal, resume_path) with
-    | Some (j, recovery), _ -> (
+    match journal with
+    | Some (j, recovery) -> (
         match recovery.Resilience.Journal.rec_state with
         | Some text ->
             let committed = recovery.Resilience.Journal.rec_committed in
@@ -343,16 +310,7 @@ let run_scan ~deprecated chain faults telemetry journal_path journal_fsync
                   (if dropped = 1 then "" else "s"));
             restore_from (Resilience.Journal.path j) text
         | None -> fresh ())
-    | None, Some path ->
-        Result.bind (read_checkpoint path) (fun json ->
-            match
-              Proxion.Analyzer.restore ?batch_size ?domains ~resilience
-                ~chain:chain_ ~source json
-            with
-            | Ok t -> Ok t
-            | Error e ->
-                Error (Printf.sprintf "cannot resume from %s: %s" path e))
-    | None, None -> fresh ()
+    | None -> fresh ()
   in
   match analyzer with
   | Error e ->
@@ -406,27 +364,13 @@ let run_scan ~deprecated chain faults telemetry journal_path journal_fsync
           let outputs_failed =
             not (Telemetry_spec.write_outputs telemetry ~registry ~trace)
           in
-          let checkpoint_failed =
-            match checkpoint_path with
-            | None -> false
-            | Some path -> (
-                match
-                  write_checkpoint path (Proxion.Analyzer.checkpoint analyzer)
-                with
-                | Ok () -> false
-                | Error e ->
-                    prerr_endline ("error: cannot write checkpoint: " ^ e);
-                    true)
-          in
-          if checkpoint_failed || outputs_failed then 1
+          if outputs_failed then 1
           else if Proxion.Analyzer.pending analyzer > 0 then begin
             Printf.eprintf "stopped with %d contracts pending%s\n%!"
               (Proxion.Analyzer.pending analyzer)
-              (match (checkpoint_path, journal_path) with
-              | Some p, _ -> Printf.sprintf "; resume with --resume %s" p
-              | None, Some p -> Printf.sprintf "; resume with --journal %s" p
-              | None, None ->
-                  " (pass --checkpoint or --journal to make this resumable)");
+              (match journal_path with
+              | Some p -> Printf.sprintf "; resume with --journal %s" p
+              | None -> " (pass --journal to make this resumable)");
             0
           end
           else begin
@@ -439,7 +383,7 @@ let run_scan ~deprecated chain faults telemetry journal_path journal_fsync
             print_landscape t findings
           end)
 
-let scan_term ~deprecated =
+let scan_cmd =
   let findings_arg =
     Arg.(
       value & opt int 0
@@ -452,8 +396,8 @@ let scan_term ~deprecated =
       & opt (some int) None
       & info [ "batch-size" ] ~docv:"N"
           ~doc:
-            "Contracts per scheduler batch (default 32; on --resume, \
-             overrides the checkpointed value).")
+            "Contracts per scheduler batch (default 32; when --journal \
+             resumes, overrides the journaled value).")
   in
   let domains_arg =
     Arg.(
@@ -461,25 +405,9 @@ let scan_term ~deprecated =
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Worker domains per batch (default 1 = sequential; on \
-             --resume, overrides the checkpointed value).  Output is \
+            "Worker domains per batch (default 1 = sequential; when \
+             --journal resumes, overrides the journaled value).  Output is \
              byte-identical for every value.")
-  in
-  let checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:"Write the engine state to $(docv) when this run stops.")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Resume from a checkpoint written by --checkpoint (same \
-             --total and --seed so the landscape regenerates identically).")
   in
   let max_batches_arg =
     Arg.(
@@ -488,7 +416,7 @@ let scan_term ~deprecated =
       & info [ "max-batches" ] ~docv:"N"
           ~doc:
             "Stop after $(docv) batches, leaving the rest queued (pair \
-             with --checkpoint).")
+             with --journal to resume later).")
   in
   let retry_skipped_arg =
     Arg.(
@@ -520,23 +448,16 @@ let scan_term ~deprecated =
              --total.  Prints an incremental summary; byte-identical at \
              any --domains.")
   in
-  Term.(
-    const (run_scan ~deprecated)
-    $ Chain_spec.term () $ Faults_spec.term $ Telemetry_spec.term
-    $ journal_arg $ Journal_spec.fsync_term $ findings_arg $ batch_size_arg
-    $ domains_arg $ checkpoint_arg $ resume_arg $ max_batches_arg
-    $ retry_skipped_arg $ stream_arg)
-
-let scan_cmd =
   let doc =
     "Generate a synthetic landscape, run the full pipeline through the \
      staged engine, and print the section-7 figures and tables."
   in
-  Cmd.v (Cmd.info "scan" ~doc) (scan_term ~deprecated:false)
-
-let landscape_cmd =
-  let doc = "Deprecated alias of $(b,scan)." in
-  Cmd.v (Cmd.info "landscape" ~doc) (scan_term ~deprecated:true)
+  Cmd.v (Cmd.info "scan" ~doc)
+    Term.(
+      const run_scan $ Chain_spec.term () $ Faults_spec.term
+      $ Telemetry_spec.term $ journal_arg $ Journal_spec.fsync_term
+      $ findings_arg $ batch_size_arg $ domains_arg $ max_batches_arg
+      $ retry_skipped_arg $ stream_arg)
 
 (* --- serve: the resident analysis daemon --------------------------------- *)
 
@@ -1118,8 +1039,8 @@ let run_bench chain host clients requests workers attackers hostile_seed
 let bench_cmd =
   let doc =
     "Self-host a daemon over a synthetic landscape and drive it with \
-     concurrent load-generator clients (see bench/ for the full \
-     BENCH_serve.json sweeps)."
+     concurrent load-generator clients.  The measured daemon figures \
+     come from proxbench's watch workload (proxbench/README.md)."
   in
   let clients_arg =
     Arg.(
@@ -1408,7 +1329,6 @@ let () =
           [
             analyze_cmd;
             scan_cmd;
-            landscape_cmd;
             serve_cmd;
             query_cmd;
             top_cmd;

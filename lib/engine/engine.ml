@@ -1046,37 +1046,18 @@ let skip_record_of_json ~item_of_json entry =
       sk_class = cls;
     }
 
-(* A version-2 checkpoint (no "failures" table) reconstructs the failure
-   counters from the dead-letter list itself: every record represents at
-   least one failed attempt of its subject. *)
-let failures_of_json ~skipped json =
-  match field "failures" json with
-  | Error _ ->
-      Ok
-        (List.map (fun r -> (r.sk_subject, r.sk_attempts)) skipped
-        |> List.fold_left
-             (fun acc (s, n) ->
-               let prev =
-                 Option.value ~default:0 (List.assoc_opt s acc)
-               in
-               (s, prev + max 1 n) :: List.remove_assoc s acc)
-             [])
-  | Ok v ->
-      let* entries = as_list "failures" v in
-      map_result
-        (fun entry ->
-          let* subject =
-            Result.bind (field "subject" entry) (as_string "subject")
-          in
-          let* count = Result.bind (field "count" entry) (as_int "count") in
-          Ok (subject, count))
-        entries
+let failure_of_json entry =
+  let* subject = Result.bind (field "subject" entry) (as_string "subject") in
+  let* count = Result.bind (field "count" entry) (as_int "count") in
+  Ok (subject, count)
 
 let restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
     ~subject ~process ~item_of_json ~res_of_json json =
   let* version = Result.bind (field "version" json) (as_int "version") in
-  if version <> checkpoint_version && version <> 2 then
-    Error (Printf.sprintf "checkpoint: unsupported version %d" version)
+  if version <> checkpoint_version then
+    Error
+      (Printf.sprintf "checkpoint: unsupported version %d (want %d)" version
+         checkpoint_version)
   else
     let* saved_bsize =
       Result.bind (field "batch_size" json) (as_int "batch_size")
@@ -1088,7 +1069,10 @@ let restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
     let* results = map_result res_of_json results_json in
     let* skipped_json = Result.bind (field "skipped" json) (as_list "skipped") in
     let* skipped = map_result (skip_record_of_json ~item_of_json) skipped_json in
-    let* failures = failures_of_json ~skipped json in
+    let* failures_json =
+      Result.bind (field "failures" json) (as_list "failures")
+    in
+    let* failures = map_result failure_of_json failures_json in
     let extra =
       match field "extra" json with Ok v -> v | Error _ -> Json.Null
     in
@@ -1104,13 +1088,6 @@ let restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
     t.batches <- batches;
     List.iter (fun (s, n) -> Hashtbl.replace t.fail_counts s n) failures;
     Ok (t, extra)
-
-(* [restore] under its hardening-contract name: total over arbitrary JSON,
-   every malformed shape comes back as [Error _], never an exception. *)
-let of_json ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
-    ~subject ~process ~item_of_json ~res_of_json json =
-  restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
-    ~subject ~process ~item_of_json ~res_of_json json
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: event-stream adapters for the obs layer                   *)

@@ -375,10 +375,9 @@ val stage_totals_table : ('item, 'res) t -> string
 (** {1 Checkpointing} *)
 
 val checkpoint_version : int
-(** Current checkpoint format version (3: version 2's classified
-    dead-letter records plus the per-subject failure counters backing the
-    attempt ceiling).  {!restore} also accepts version 2, reconstructing
-    the counters from the dead-letter list. *)
+(** Checkpoint format version (3: classified dead-letter records plus the
+    per-subject failure counters backing the attempt ceiling).  {!restore}
+    refuses every other version. *)
 
 val checkpoint :
   item_to_json:('item -> Report.Json.t) ->
@@ -408,29 +407,15 @@ val restore :
   res_of_json:(Report.Json.t -> ('res, string) result) ->
   Report.Json.t ->
   (('item, 'res) t * Report.Json.t, string) result
-(** Rebuild an engine from a {!checkpoint} value (version 2 or 3);
-    returns it together with the [extra] payload ([Report.Json.Null] when
-    absent).  [batch_size] overrides the checkpointed one when given;
-    [domains], [key], [crash_plan] and [attempt_ceiling] configure the
-    resumed engine exactly as in {!create}. *)
+(** Rebuild an engine from a version-3 {!checkpoint} value; returns it
+    together with the [extra] payload ([Report.Json.Null] when absent).
+    [batch_size] overrides the checkpointed one when given; [domains],
+    [key], [crash_plan] and [attempt_ceiling] configure the resumed
+    engine exactly as in {!create}.
 
-val of_json :
-  ?batch_size:int ->
-  ?domains:int ->
-  ?key:('item -> string) ->
-  ?crash_plan:crash_plan ->
-  ?attempt_ceiling:int ->
-  ?clock:Obs.Clock.t ->
-  subject:('item -> string) ->
-  process:(('item, 'res) ctx -> 'item -> ('res, skip_reason) result) ->
-  item_of_json:(Report.Json.t -> ('item, string) result) ->
-  res_of_json:(Report.Json.t -> ('res, string) result) ->
-  Report.Json.t ->
-  (('item, 'res) t * Report.Json.t, string) result
-(** {!restore} under its hardening-contract name: total over arbitrary
-    JSON input.  Every truncation or corruption of a checkpoint —
-    missing fields, wrong types, unknown stage/class names, unsupported
-    versions — comes back as [Error _]; no input makes it raise.
+    Total over arbitrary JSON input: every truncation or corruption of a
+    checkpoint — missing fields, wrong types, unknown stage/class names,
+    other versions — comes back as [Error _]; no input makes it raise.
     (Caller-supplied [item_of_json]/[res_of_json] must uphold the same
     contract for their fragments.) *)
 

@@ -36,5 +36,5 @@ module Memo : sig
   (** Hit/miss counters of {e this} domain's table. *)
 
   val reset : unit -> unit
-  (** Clear this domain's table and counters (bench harness use). *)
+  (** Clear this domain's table and counters (benchmark use). *)
 end

@@ -6,12 +6,11 @@
      at any instant leaves a file recovery can truncate back to a commit. *)
 
 let magic = "PXJRNL02"
-let legacy_magic = "PXJRNL01"
 let magic_len = String.length magic
 
 (* The v2 header records the durability mode the journal was written
    under: magic, then one byte — 'S' when commits fsync to stable
-   storage, 'U' when they do not.  v1 files (bare magic) still open. *)
+   storage, 'U' when they do not. *)
 let header_len = magic_len + 1
 let durability_byte fsync = if fsync then 'S' else 'U'
 let header fsync = magic ^ String.make 1 (durability_byte fsync)
@@ -98,7 +97,7 @@ type recovery = {
   rec_state : string option;
   rec_committed : int;
   rec_dropped_bytes : int;
-  rec_durable : bool option;
+  rec_durable : bool;
 }
 
 let path t = t.j_path
@@ -147,7 +146,7 @@ let open_journal ?(fsync = true) ?(compact_bytes = 64 * 1024 * 1024) path =
             rec_state = None;
             rec_committed = 0;
             rec_dropped_bytes = 0;
-            rec_durable = Some fsync;
+            rec_durable = fsync;
           } )
       end
       else begin
@@ -156,13 +155,11 @@ let open_journal ?(fsync = true) ?(compact_bytes = 64 * 1024 * 1024) path =
         let start, durable =
           if file_len >= header_len && String.sub data 0 magic_len = magic then
             match data.[magic_len] with
-            | 'S' -> (header_len, Some true)
-            | 'U' -> (header_len, Some false)
+            | 'S' -> (header_len, true)
+            | 'U' -> (header_len, false)
             | _ -> fail (path ^ ": not a journal (bad durability byte)")
-          else if
-            file_len >= String.length legacy_magic
-            && String.sub data 0 (String.length legacy_magic) = legacy_magic
-          then (String.length legacy_magic, None)
+          else if String.starts_with ~prefix:"PXJRNL01" data then
+            fail (path ^ ": unsupported journal format v1 (PXJRNL01)")
           else fail (path ^ ": not a journal (bad magic)")
         in
         let state, valid_end, committed = scan ~start data in
@@ -207,8 +204,8 @@ let compact t =
       let fd =
         Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
       in
-      (* Compaction rewrites the header too, so a legacy v1 journal is
-         upgraded (and the recorded durability refreshed) in place. *)
+      (* Compaction rewrites the header too, refreshing the recorded
+         durability in place. *)
       let hdr = Bytes.of_string (header t.j_fsync) in
       let body =
         match t.j_committed with

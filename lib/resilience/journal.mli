@@ -12,8 +12,8 @@
     durability byte — ['S'] when commits are [fsync]ed to stable
     storage, ['U'] when they are not, so an operator inspecting a
     recovered file knows what crash-safety the writer promised — then
-    frames.  Legacy v1 files (["PXJRNL01"], no durability byte) still
-    open, and compaction upgrades them in place.  Each frame is a
+    frames.  A v1 file (["PXJRNL01"], no durability byte) is refused
+    with an [Error] naming the format.  Each frame is a
     1-byte kind (['R'] record, ['C'] commit), a 4-byte big-endian payload
     length, a 4-byte big-endian CRC32 (IEEE 802.3 polynomial) of the
     payload, and the payload bytes; commit frames have an empty payload.
@@ -41,10 +41,9 @@ type recovery = {
   rec_dropped_bytes : int;
       (** Torn or uncommitted tail bytes truncated away — the work the
           crash cost, bounded by one batch when commits follow batches. *)
-  rec_durable : bool option;
-      (** The durability mode recorded in the file's header: [Some true]
-          when the writer [fsync]ed commits, [Some false] when it did
-          not, [None] for a legacy v1 file that predates the record.
+  rec_durable : bool;
+      (** The durability mode recorded in the file's header: [true]
+          when the writer [fsync]ed commits, [false] when it did not.
           Informational — the [fsync] argument of {!open_journal}
           governs this handle regardless. *)
 }

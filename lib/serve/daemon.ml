@@ -1147,6 +1147,22 @@ let handle_traced ?deadline t payload =
             Some (Obs.Trace.start_span ~cat:"request" ?parent_ctx ~ctx tr meth)
       in
       let finish ~ok response =
+        (* One ceiling for both directions: a response too large to frame
+           becomes a structured error for this request id, so the
+           connection survives and the error is counted and logged. *)
+        let ok, response =
+          let n = String.length response in
+          if n <= t.cfg.Config.max_frame then (ok, response)
+          else
+            ( false,
+              Wire.response_error ~id
+                {
+                  Wire.code = Wire.err_oversized;
+                  message =
+                    Printf.sprintf "response of %d bytes exceeds limit %d" n
+                      t.cfg.Config.max_frame;
+                } )
+        in
         (match sp with
         | None -> ()
         | Some sp ->
@@ -1307,7 +1323,7 @@ let serve_connection t fd =
         let elapsed = Obs.Clock.now clock -. t0 in
         let down = Atomic.fetch_and_add t.inflight (-1) - 1 in
         Metrics.set t.registry t.fams.m_inflight (float_of_int down);
-        (try Wire.write_frame fd response
+        (try Wire.write_frame ~max_frame:t.cfg.Config.max_frame fd response
          with Unix.Unix_error _ -> closed := true);
         (try
            observe_request t meth ~trace_id

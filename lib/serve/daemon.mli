@@ -59,7 +59,9 @@ module Config : sig
     port : int;  (** 0 picks an ephemeral port (see {!val-port}). *)
     backlog : int;
     workers : int;  (** Worker domains serving connections. *)
-    max_frame : int;  (** Per-frame byte ceiling. *)
+    max_frame : int;
+        (** Per-frame byte ceiling, for requests read and responses
+            written alike. *)
     max_conns : int;
         (** Open-connection cap; excess connections are shed at accept
             with {!Wire.err_overloaded} (default 64). *)
@@ -213,7 +215,8 @@ val handle : ?deadline:float -> t -> string -> string option * string
     not parse far enough to name one).  [deadline] is an absolute time
     on the config clock bounding the handler; past it the response is
     {!Wire.err_deadline_exceeded} (multi-step [advance] requests check
-    between steps — completed steps stay committed). *)
+    between steps — completed steps stay committed).  A response larger
+    than [max_frame] is replaced by {!Wire.err_oversized}. *)
 
 val handle_traced :
   ?deadline:float -> t -> string -> string option * string option * string

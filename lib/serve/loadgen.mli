@@ -1,7 +1,6 @@
-(** The concurrent-client load generator behind [proxion bench] and the
-    BENCH_serve.json sweeps: N client domains each fire a deterministic
-    mix of queries over their own connection and record per-request
-    wall-clock latency.
+(** The concurrent-client load generator behind [proxion bench]: N
+    client domains each fire a deterministic mix of queries over their
+    own connection and record per-request wall-clock latency.
 
     {b Hostile mode.}  {!run_hostile} additionally spawns seeded
     misbehaving clients — slowloris writers, half-open fragments,

@@ -40,8 +40,8 @@ let rec write_all fd s sent n =
     | k -> write_all fd s (sent + k) n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s sent n
 
-let write_frame fd payload =
-  let s = encode_frame payload in
+let write_frame ?max_frame fd payload =
+  let s = encode_frame ?max_frame payload in
   write_all fd s 0 (String.length s)
 
 (* Read exactly [n] bytes; [got] counts what arrived before EOF.

@@ -4,7 +4,10 @@
     by that many bytes of UTF-8 JSON.  A frame longer than the
     negotiated maximum ({!default_max_frame} unless the server was
     configured otherwise) is a protocol violation — the server answers
-    with {!err_oversized} and closes the connection.
+    with {!err_oversized} and closes the connection.  The same ceiling
+    bounds responses: one that would exceed it is replaced by an
+    {!err_oversized} error carrying the request's [id], and the
+    connection stays open.
 
     Requests: [{"proxion_rpc": 1, "id": <int>, "method": <string>,
     "params": <object>}].  Responses echo the [id] and carry either
@@ -36,10 +39,10 @@ type read_error =
 
 val read_error_to_string : read_error -> string
 
-val write_frame : Unix.file_descr -> string -> unit
+val write_frame : ?max_frame:int -> Unix.file_descr -> string -> unit
 (** Write one frame, handling short writes and retrying [EINTR].
     Raises [Unix.Unix_error] on I/O failure and [Invalid_argument] on
-    oversized payloads. *)
+    payloads above [max_frame] (default {!default_max_frame}). *)
 
 val read_frame :
   ?max_frame:int ->
@@ -85,7 +88,7 @@ val err_unknown_address : int
 (** 1000: address not in the store. *)
 
 val err_oversized : int
-(** 1001: frame above the size limit. *)
+(** 1001: request or response frame above the size limit. *)
 
 val err_overloaded : int
 (** 1002: the daemon shed this connection or request — admission cap,

@@ -98,8 +98,7 @@ let test_journal_header_records_durability () =
   let path = fresh_path () in
   (* A fresh journal stamps its durability mode into the header. *)
   let j, r = ok (Journal.open_journal ~fsync:false path) in
-  check_b "fresh unsynced journal reports its mode" true
-    (r.Journal.rec_durable = Some false);
+  check_b "fresh unsynced journal reports its mode" false r.Journal.rec_durable;
   ok (Journal.checkpoint j "state");
   Journal.close j;
   let data = read_file path in
@@ -108,31 +107,22 @@ let test_journal_header_records_durability () =
   (* The recorded mode is what the writer promised, not what the reader
      asks for: reopening with fsync on still reports the file's mode. *)
   let j2, r2 = ok (Journal.open_journal ~fsync:true path) in
-  check_b "recorded mode survives reopen" true
-    (r2.Journal.rec_durable = Some false);
+  check_b "recorded mode survives reopen" false r2.Journal.rec_durable;
   check_b "state recovered under the v2 header" true
     (r2.Journal.rec_state = Some "state");
   Journal.close j2;
-  (* Legacy v1 files (bare magic, no durability byte) still open, and
-     report no recorded mode. *)
+  (* A v1 file (bare magic, no durability byte) is refused with an
+     error naming the format, and left as it was. *)
   let v1 = "PXJRNL01" ^ String.sub data 9 (String.length data - 9) in
   write_file path v1;
-  let j3, r3 = ok (Journal.open_journal ~fsync:false path) in
-  check_b "legacy v1 journal accepted" true (r3.Journal.rec_state = Some "state");
-  check_b "legacy v1 journal has no recorded mode" true
-    (r3.Journal.rec_durable = None);
-  (* Compaction upgrades the header in place. *)
-  ok (Journal.compact j3);
-  Journal.close j3;
-  let upgraded = read_file path in
-  check_s "compaction upgrades legacy files to v2" "PXJRNL02"
-    (String.sub upgraded 0 8);
-  let j4, r4 = ok (Journal.open_journal ~fsync:false path) in
-  Journal.close j4;
-  check_b "upgraded journal keeps its state" true
-    (r4.Journal.rec_state = Some "state");
-  check_b "upgraded journal records the compactor's mode" true
-    (r4.Journal.rec_durable = Some false);
+  (match Journal.open_journal ~fsync:false path with
+  | Ok (j3, _) ->
+      Journal.close j3;
+      Alcotest.fail "v1 journal accepted"
+  | Error e ->
+      check_b "the refusal names the v1 format" true
+        (contains ~needle:"PXJRNL01" e));
+  check_s "the refused file is untouched" v1 (read_file path);
   remove path
 
 let test_journal_uncommitted_tail_dropped () =
@@ -505,7 +495,7 @@ let test_engine_attempt_ceiling () =
     (Engine.requeue_transients restored)
 
 (* ------------------------------------------------------------------ *)
-(* Engine.of_json hardening                                            *)
+(* Engine.restore hardening                                           *)
 (* ------------------------------------------------------------------ *)
 
 let hardening_subject = string_of_int
@@ -519,8 +509,8 @@ let hardening_res_of_json = function
   | Report.Json.String s -> Ok s
   | _ -> Error "not a string"
 
-let hardening_of_json json =
-  Engine.of_json ~subject:hardening_subject ~process:hardening_process
+let hardening_restore json =
+  Engine.restore ~subject:hardening_subject ~process:hardening_process
     ~item_of_json:hardening_item_of_json ~res_of_json:hardening_res_of_json
     json
 
@@ -551,10 +541,10 @@ let test_of_json_truncation_sweep () =
     match Report.Json.parse (String.sub text 0 len) with
     | Error _ -> ()
     | Ok json -> (
-        match hardening_of_json json with
+        match hardening_restore json with
         | Ok _ | Error _ -> ()
         | exception e ->
-            Alcotest.failf "of_json raised at truncation %d: %s" len
+            Alcotest.failf "restore raised at truncation %d: %s" len
               (Printexc.to_string e))
   done;
   (* structural truncations: drop each top-level field, then null each
@@ -578,13 +568,12 @@ let test_of_json_truncation_sweep () =
       in
       List.iter
         (fun (label, json) ->
-          match hardening_of_json json with
-          | Ok _ when victim = "extra" || victim = "failures" ->
-              () (* the only optional fields *)
+          match hardening_restore json with
+          | Ok _ when victim = "extra" -> () (* the only optional field *)
           | Ok _ -> Alcotest.failf "checkpoint without %S accepted (%s)" victim label
           | Error _ -> ()
           | exception e ->
-              Alcotest.failf "of_json raised on %s %S: %s" label victim
+              Alcotest.failf "restore raised on %s %S: %s" label victim
                 (Printexc.to_string e))
         [ ("dropped", dropped); ("nulled", nulled) ])
     kvs;
@@ -592,7 +581,7 @@ let test_of_json_truncation_sweep () =
   (match Report.Json.parse text with
   | Error e -> Alcotest.failf "valid checkpoint failed to parse: %s" e
   | Ok json -> (
-      match hardening_of_json json with
+      match hardening_restore json with
       | Ok (t, extra) ->
           check_s "extra payload survives" "opaque"
             (match extra with Report.Json.String s -> s | _ -> "?");
@@ -610,10 +599,10 @@ let test_of_json_corruption_sweep () =
         match Report.Json.parse (Bytes.to_string b) with
         | Error _ -> ()
         | Ok json -> (
-            match hardening_of_json json with
+            match hardening_restore json with
             | Ok _ | Error _ -> ()
             | exception e ->
-                Alcotest.failf "of_json raised on '%c' at %d: %s" replacement i
+                Alcotest.failf "restore raised on '%c' at %d: %s" replacement i
                   (Printexc.to_string e))
       end
     done
@@ -625,11 +614,11 @@ let test_of_json_corruption_sweep () =
   (* structurally valid garbage is rejected, never thrown *)
   List.iter
     (fun json ->
-      match hardening_of_json json with
+      match hardening_restore json with
       | Ok _ -> Alcotest.fail "garbage checkpoint accepted"
       | Error _ -> ()
       | exception e ->
-          Alcotest.failf "of_json raised on garbage: %s" (Printexc.to_string e))
+          Alcotest.failf "restore raised on garbage: %s" (Printexc.to_string e))
     [
       Report.Json.Null;
       Report.Json.Int 3;
@@ -639,7 +628,7 @@ let test_of_json_corruption_sweep () =
       Report.Json.List [ Report.Json.Int 1 ];
     ]
 
-let test_of_json_accepts_version_2 () =
+let test_restore_refuses_version_2 () =
   let v3 = hardening_checkpoint () in
   let v2 =
     match v3 with
@@ -653,14 +642,11 @@ let test_of_json_accepts_version_2 () =
              kvs)
     | _ -> Alcotest.fail "checkpoint is not an object"
   in
-  match hardening_of_json v2 with
-  | Error e -> Alcotest.failf "version 2 rejected: %s" e
-  | Ok (t, _) ->
-      check_i "v2 failure counters rebuilt from the dead-letter list" 1
-        (Engine.failure_count t "2");
-      check_i "v2 dead letter retained" 1 (List.length (Engine.skipped t));
-      Engine.run t;
-      check_i "v2 checkpoint resumes" 0 (Engine.pending t)
+  match hardening_restore v2 with
+  | Ok _ -> Alcotest.fail "version-2 checkpoint accepted"
+  | Error e ->
+      check_b "the refusal names the version" true
+        (contains ~needle:"unsupported version 2" e)
 
 (* ------------------------------------------------------------------ *)
 (* Full-pipeline crash determinism                                     *)
@@ -894,8 +880,8 @@ let suite =
       test_of_json_truncation_sweep;
     Alcotest.test_case "of_json never raises on corrupted checkpoints" `Quick
       test_of_json_corruption_sweep;
-    Alcotest.test_case "of_json still accepts version-2 checkpoints" `Quick
-      test_of_json_accepts_version_2;
+    Alcotest.test_case "restore refuses version-2 checkpoints" `Quick
+      test_restore_refuses_version_2;
     Alcotest.test_case "pipeline crash runs are worker-count independent"
       `Quick test_pipeline_crash_determinism;
     Alcotest.test_case "pipeline crash requeue recovers fault-free figures"

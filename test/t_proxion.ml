@@ -285,7 +285,27 @@ let test_algorithm1_recovers_history () =
     (Printf.sprintf "api calls %d << height %d" r.Logic_resolve.api_calls
        (Chain.height chain))
     true
-    (r.Logic_resolve.api_calls < Chain.height chain / 10)
+    (r.Logic_resolve.api_calls < Chain.height chain / 10);
+  (* Archive calls for a 3-upgrade history grow with the log of the
+     height (the naive scan reads every block): these are the figures
+     EXPERIMENTS.md cites. *)
+  let calls_at height =
+    let c = Chain.create () in
+    let proxy = Chain.install_contract c ~runtime:"\x00" () in
+    let step = height / 4 in
+    List.iteri
+      (fun i logic ->
+        Chain.advance_blocks c (step * i);
+        Chain.set_storage_direct c proxy U256.zero (U256.of_int logic))
+      [ 0x100; 0x200; 0x300 ];
+    Chain.advance_blocks c (height - Chain.height c);
+    (Logic_resolve.resolve_slot c proxy ~slot:U256.zero).Logic_resolve.api_calls
+  in
+  List.iter
+    (fun (height, calls) ->
+      check_i (Printf.sprintf "archive calls at %d blocks" height) calls
+        (calls_at height))
+    [ (1_000, 51); (100_000, 93); (15_000_000, 135) ]
 
 let test_algorithm1_static_slot () =
   let chain = Chain.create () in

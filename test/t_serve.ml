@@ -604,6 +604,56 @@ let test_sigpipe_mid_reply () =
       Serve.Client.close c);
   Daemon.stop d
 
+(* A response above the frame ceiling is answered with a structured 1001
+   error carrying the request id, counted and access-logged like any
+   other error, and the connection keeps serving. *)
+let test_oversized_response () =
+  with_json_log @@ fun log read_log ->
+  let config =
+    Serve.Config.(daemon_config |> with_workers 1 |> with_max_frame 1024)
+  in
+  let d, _ = make_daemon ~config ~log () in
+  start_daemon d;
+  let fd = connect_raw (Daemon.port d) in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let call id meth =
+    Wire.write_frame fd (Wire.request_to_string ~id ~meth ~params:[] ());
+    match Wire.read_frame fd with
+    | Error e -> Alcotest.failf "%s: %s" meth (Wire.read_error_to_string e)
+    | Ok payload -> (
+        match Wire.response_of_string payload with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "%s response: %s" meth e)
+  in
+  let r = call 7 "report" in
+  check_b "the error carries the request id" true (r.Wire.rs_id = Json.Int 7);
+  (match r.Wire.rs_result with
+  | Error e -> check_i "report answered with 1001" Wire.err_oversized e.Wire.code
+  | Ok _ -> Alcotest.fail "a report above the ceiling was sent whole");
+  (match (call 8 "get_status").Wire.rs_result with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "get_status after 1001: %s" e.Wire.message);
+  Unix.close fd;
+  let reg = Daemon.registry d in
+  Daemon.stop d;
+  (match Obs.Metrics.find reg "proxion_serve_errors_total" with
+  | None -> Alcotest.fail "error counter family missing"
+  | Some fam ->
+      check_b "the 1001 is a request error" true
+        (Obs.Metrics.value ~labels:[ ("method", "report") ] reg fam = Some 1.0));
+  let failed_report line =
+    match Json.parse line with
+    | Ok (Json.Obj kvs) -> (
+        match (List.assoc_opt "msg" kvs, List.assoc_opt "fields" kvs) with
+        | Some (Json.String "request"), Some (Json.Obj fs) ->
+            List.assoc_opt "method" fs = Some (Json.String "report")
+            && List.assoc_opt "ok" fs = Some (Json.Bool false)
+        | _ -> false)
+    | _ -> false
+  in
+  check_b "the 1001 has an access-log line" true
+    (List.exists failed_report (String.split_on_char '\n' (read_log ())))
+
 let test_admission_shed () =
   with_json_log @@ fun log read_log ->
   let config =
@@ -1151,6 +1201,8 @@ let suite =
       test_concurrent_clients;
     Alcotest.test_case "EPIPE mid-reply does not kill the daemon" `Quick
       test_sigpipe_mid_reply;
+    Alcotest.test_case "oversized response answered with 1001" `Quick
+      test_oversized_response;
     Alcotest.test_case "admission control sheds past max_conns" `Quick
       test_admission_shed;
     Alcotest.test_case "idle deadline cuts a slowloris writer" `Quick

@@ -26,7 +26,7 @@ while IFS= read -r -d '' f; do
     echo "check_format: ${f} is not formatted" >&2
     status=1
   fi
-done < <(find lib bin bench test examples \( -name '*.ml' -o -name '*.mli' \) -print0)
+done < <(find lib bin test examples \( -name '*.ml' -o -name '*.mli' \) -print0)
 
 if [ "${status}" -ne 0 ]; then
   echo "check_format: run 'dune fmt' (or ocamlformat -i) and retry" >&2

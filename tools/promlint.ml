@@ -1,5 +1,5 @@
 (* Validate a Prometheus text exposition file (as written by
-   `proxion landscape --metrics-out` or the daemon's `metrics` method):
+   `proxion scan --metrics-out` or the daemon's `metrics` method):
    name syntax, TYPE coverage, duplicate series, histogram bucket
    consistency, and `# EXEMPLAR` comment lines (name/labels must
    re-parse, the id must be 16 lowercase hex, the family must be a
