@@ -26,7 +26,6 @@ type contract_meta = {
   cm_address : Address.t;
   cm_deploy_height : int;
   cm_creator : Address.t;
-  cm_code_hash : string;
 }
 
 type slot_key = { sk_addr : Address.t; sk_slot : U256.t }
@@ -56,6 +55,10 @@ type t = {
   (* (height, value) change lists per slot, most recent first. *)
   history : (int * U256.t) list ref Slot_tbl.t;
   contracts : (Address.t, contract_meta) Hashtbl.t;
+  (* (code, Keccak-256 of that code) per registered contract.  A read
+     trusts the hash only while the account still holds that very string
+     (physical equality), so no code change can make it stale. *)
+  code_hashes : (Address.t, string * string) Hashtbl.t;
   mutable contract_order : contract_meta list; (* reverse deployment order *)
   tx_index : (Address.t, tx_record list ref) Hashtbl.t;
   mutable txs : tx_record list; (* reverse order *)
@@ -78,6 +81,7 @@ let create ?(block = Host.default_block) () =
     base_block = block;
     history = Slot_tbl.create 1024;
     contracts = Hashtbl.create 1024;
+    code_hashes = Hashtbl.create 1024;
     contract_order = [];
     tx_index = Hashtbl.create 1024;
     txs = [];
@@ -145,14 +149,13 @@ let record_slot t key value =
   end
 
 let register_contract t ~address ~creator =
+  let code = t.state.Host.get_code address in
+  (match Hashtbl.find_opt t.code_hashes address with
+  | Some (stored, _) when stored == code -> ()
+  | _ -> Hashtbl.replace t.code_hashes address (code, Keccak.digest code));
   if not (Hashtbl.mem t.contracts address) then begin
     let meta =
-      {
-        cm_address = address;
-        cm_deploy_height = t.head;
-        cm_creator = creator;
-        cm_code_hash = Keccak.digest (t.state.Host.get_code address);
-      }
+      { cm_address = address; cm_deploy_height = t.head; cm_creator = creator }
     in
     Hashtbl.replace t.contracts address meta;
     t.contract_order <- meta :: t.contract_order
@@ -383,6 +386,7 @@ let forget_contract t addr =
   if Hashtbl.mem t.contracts addr && not (Hashtbl.mem t.dropped addr) then begin
     t.admin.Host.commit ();
     t.admin.Host.drop_account addr;
+    Hashtbl.remove t.code_hashes addr;
     Hashtbl.replace t.dropped addr ();
     if Hashtbl.length t.dropped >= sweep_threshold then compact t
   end
@@ -420,6 +424,7 @@ let rewind_to t ~height =
       (fun a ->
         t.admin.Host.drop_account a;
         Hashtbl.remove t.contracts a;
+        Hashtbl.remove t.code_hashes a;
         Hashtbl.remove t.dropped a)
       orphaned;
     t.contract_order <-
@@ -504,6 +509,13 @@ let storage_change_heights t addr slot =
 (* ------------------------------------------------------------------ *)
 
 let code_at t addr = t.state.Host.get_code addr
+
+let code_hash t addr =
+  let code = code_at t addr in
+  match Hashtbl.find_opt t.code_hashes addr with
+  | Some (stored, hash) when stored == code -> hash
+  | _ -> Keccak.digest code
+
 let contract_meta t addr = Hashtbl.find_opt t.contracts addr
 let all_contracts t = List.rev t.contract_order
 

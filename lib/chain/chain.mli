@@ -39,7 +39,6 @@ type contract_meta = {
   cm_address : Evm.Address.t;
   cm_deploy_height : int;
   cm_creator : Evm.Address.t;
-  cm_code_hash : string;  (** Keccak-256 of the runtime bytecode. *)
 }
 
 val create : ?block:Evm.Host.block_info -> unit -> t
@@ -53,9 +52,9 @@ val fund : t -> Evm.Address.t -> U256.t -> unit
 (** Credit an externally-owned account (faucet). *)
 
 val worker_view : t -> t
-(** A share-safe view for one analysis worker: the history, contract and
-    transaction indexes are shared with the original (they must not be
-    mutated while views are live), state writes go into a private
+(** A share-safe view for one analysis worker: the history, contract,
+    code-hash and transaction indexes are shared with the original (they
+    must not be mutated while views are live), state writes go into a private
     {!Evm.Host.overlay}, and the view carries its own API-call counter
     starting at zero.  {!get_storage_at} / {!host_at_head} /
     {!transactions_of} behave identically to the original chain; the
@@ -109,11 +108,12 @@ val set_storage_direct : t -> Evm.Address.t -> U256.t -> U256.t -> unit
     (the dataset stream marks those as pinned). *)
 
 val forget_contract : t -> Evm.Address.t -> unit
-(** Free a contract's account (code + storage) immediately and queue its
-    secondary-index entries (slot history, metadata, transaction lists) for
-    an amortized bulk sweep.  Until the sweep runs, {!contract_meta} and
-    {!all_contracts} may still list the address while {!code_at} already
-    returns [""].  No-op for unknown or already-evicted addresses. *)
+(** Free a contract's account (code + storage) and its {!code_hash}
+    entry immediately, and queue its secondary-index entries (slot
+    history, metadata, transaction lists) for an amortized bulk sweep.
+    Until the sweep runs, {!contract_meta} and {!all_contracts} may still
+    list the address while {!code_at} already returns [""].  No-op for
+    unknown or already-evicted addresses. *)
 
 val compact : t -> unit
 (** Run the index sweep now instead of waiting for the eviction threshold —
@@ -168,6 +168,17 @@ val storage_change_heights : t -> Evm.Address.t -> U256.t -> int list
 (** {1 Contract and transaction indexes} *)
 
 val code_at : t -> Evm.Address.t -> string
+
+val code_hash : t -> Evm.Address.t -> string
+(** EXTCODEHASH-style (EIP-1052) identity of the code at an address:
+    always [Keccak.digest (code_at t a)], including the digest of [""] for
+    an address with no code (where EXTCODEHASH would give zero for an
+    absent account).  Registering a contract hashes its code once and
+    keeps the hash beside the code string it hashed; a read returns that
+    hash only while {!code_at} still yields the very same string, and
+    re-hashes otherwise, so SELFDESTRUCT, a rewind or an eviction can
+    never make it stale.  Worker views share the table read-only. *)
+
 val contract_meta : t -> Evm.Address.t -> contract_meta option
 val all_contracts : t -> contract_meta list
 (** In deployment order. *)

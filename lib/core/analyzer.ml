@@ -143,9 +143,10 @@ let config t = t.cfg
 let engine t = t.engine
 
 (* The dedup caches are shared across workers; chains grouped by bytecode
-   hash (see [group_key]) guarantee all accesses to any given key happen
-   in input order, and this lock makes the table mutations themselves
-   safe.  Sequential runs skip the lock entirely. *)
+   hash (the engine key, [Chain.code_hash], which also keys both caches)
+   guarantee all accesses to any given key happen in input order, and
+   this lock makes the table mutations themselves safe.  Sequential runs
+   skip the lock entirely. *)
 let with_caches t f =
   if not t.par then f ()
   else begin
@@ -235,8 +236,8 @@ let analyze_pair t env ctx ~proxy_addr ~logic_addr =
       (Address.to_hex logic_addr)
   in
   let key =
-    ( Keccak.digest (Chain.code_at env.e_chain proxy_addr),
-      Keccak.digest (Chain.code_at env.e_chain logic_addr) )
+    ( Chain.code_hash env.e_chain proxy_addr,
+      Chain.code_hash env.e_chain logic_addr )
   in
   let cached =
     if t.cfg.Config.dedup then
@@ -296,7 +297,7 @@ let analyze_contract t env ctx addr =
   let subject = Address.to_hex addr in
   let stage s f = timed ctx env ~stage:s ~subject f in
   let code = Chain.code_at env.e_chain addr in
-  let code_hash = Keccak.digest code in
+  let code_hash = Chain.code_hash env.e_chain addr in
   (* Stage 1: bytecode-hash dedup lookup. *)
   let hit =
     stage Engine.Dedup_check (fun () ->
@@ -365,11 +366,6 @@ let analyze_contract t env ctx addr =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Chains of same-bytecode items run sequentially on one worker; this is
-   the key that makes shared-cache hits replay in input order (the dedup
-   and pair caches are keyed by exactly this hash). *)
-let group_key chain addr = Keccak.digest (Chain.code_at chain addr)
 
 (* One logical archive connection per item.  The salt derives from the
    subject address alone, so the fault/jitter stream a contract sees is a
@@ -715,7 +711,7 @@ let create ?(config = Config.default)
     ?attempt_ceiling ~chain ~source () =
   make_with_engine ~config ~resilience ~chain ~source (fun ~process ->
       Engine.create ~batch_size:config.Config.batch_size
-        ~domains:config.Config.domains ~key:(group_key chain) ?crash_plan
+        ~domains:config.Config.domains ~key:(Chain.code_hash chain) ?crash_plan
         ?attempt_ceiling ~subject:Address.to_hex ~process ())
 
 (* ------------------------------------------------------------------ *)
@@ -1007,7 +1003,7 @@ let restore ?batch_size ?domains
   in
   let* engine, extra =
     Engine.restore ?batch_size ~domains:config.Config.domains
-      ~key:(group_key chain) ?crash_plan ?attempt_ceiling
+      ~key:(Chain.code_hash chain) ?crash_plan ?attempt_ceiling
       ~subject:Address.to_hex ~process ~item_of_json:address_of_json
       ~res_of_json:Serialize.contract_report_of_json json
   in

@@ -1,9 +1,9 @@
-let group_by_code_hash ~code_of addresses =
+let group_by_code_hash ~hash_of addresses =
   let table = Hashtbl.create 64 in
   let order = ref [] in
   List.iter
     (fun addr ->
-      let hash = Keccak.digest (code_of addr) in
+      let hash = hash_of addr in
       match Hashtbl.find_opt table hash with
       | Some bucket -> bucket := addr :: !bucket
       | None ->
@@ -14,10 +14,7 @@ let group_by_code_hash ~code_of addresses =
     (fun hash -> (hash, List.rev !(Hashtbl.find table hash)))
     !order
 
-let duplicate_distribution ~code_of addresses =
-  group_by_code_hash ~code_of addresses
+let duplicate_distribution ~hash_of addresses =
+  group_by_code_hash ~hash_of addresses
   |> List.map (fun (_, group) -> List.length group)
   |> List.sort (fun a b -> compare b a)
-
-let unique_count ~code_of addresses =
-  List.length (group_by_code_hash ~code_of addresses)

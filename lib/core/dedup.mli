@@ -7,15 +7,15 @@
     Figure 5. *)
 
 val group_by_code_hash :
-  code_of:(Evm.Address.t -> string) ->
+  hash_of:(Evm.Address.t -> string) ->
   Evm.Address.t list ->
   (string * Evm.Address.t list) list
-(** Groups addresses by Keccak-256 of their runtime code, in first-seen
-    order; each group lists addresses in input order. *)
+(** Groups addresses by the Keccak-256 of their runtime code, as
+    [hash_of] gives it ([Chain.code_hash chain], the one source of code
+    identity), in first-seen order; each group lists addresses in input
+    order. *)
 
 val duplicate_distribution :
-  code_of:(Evm.Address.t -> string) -> Evm.Address.t list -> int list
+  hash_of:(Evm.Address.t -> string) -> Evm.Address.t list -> int list
 (** Clone counts per unique bytecode, sorted descending — the series
     Figure 5 plots on a log axis. *)
-
-val unique_count : code_of:(Evm.Address.t -> string) -> Evm.Address.t list -> int

@@ -173,7 +173,9 @@ let fig5 t =
       t.report.Pipeline.contracts
     |> List.sort_uniq Address.compare
   in
-  let dist addrs = Proxion.Dedup.duplicate_distribution ~code_of:(Chain.code_at chain) addrs in
+  let dist addrs =
+    Proxion.Dedup.duplicate_distribution ~hash_of:(Chain.code_hash chain) addrs
+  in
   let proxy_dist = dist proxies in
   let logic_dist = dist logics in
   let top n l = List.filteri (fun i _ -> i < n) l in

@@ -19,6 +19,12 @@ val selector : string -> string
 val selector_hex : string -> string
 (** 0x-prefixed hex form of {!selector}. *)
 
+val permutations : unit -> int
+(** Keccak-f permutations run so far on {e this} domain, one per absorbed
+    136-byte block: a deterministic work counter for tests that pin how
+    much a pass hashes.  The count is per domain ([Domain.DLS]), like
+    {!Memo}'s. *)
+
 (** Memoized selector hashing for the analysis hot path.
 
     The collision stages hash the same few hundred function prototypes over

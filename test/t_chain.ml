@@ -17,7 +17,9 @@ let test_install_and_meta () =
   | None -> Alcotest.fail "meta missing"
   | Some m ->
       check_i "deploy height" 0 m.Chain.cm_deploy_height;
-      check_b "code hash" true (m.Chain.cm_code_hash = Keccak.digest stop_runtime));
+      check_b "code hash" true
+        (Chain.code_hash chain m.Chain.cm_address
+        = Keccak.digest stop_runtime));
   check_b "code readable" true (Chain.code_at chain a = stop_runtime)
 
 let test_storage_history () =
@@ -361,6 +363,214 @@ let test_rpc_eth_call () =
   (* eth_call leaves no transaction behind. *)
   check_i "no extra tx" 2 (List.length (Chain.all_transactions chain))
 
+(* ------------------------------------------------------------------ *)
+(* Code hashes (EXTCODEHASH-style accessor)                             *)
+(* ------------------------------------------------------------------ *)
+
+module Asm = Evm.Asm
+module Op = Evm.Opcode
+
+(* Init code returning [runtime] (a few bytes: the whole init must fit
+   one 32-byte word when a factory embeds it). *)
+let init_returning runtime =
+  let n = String.length runtime in
+  Asm.assemble
+    [
+      Asm.Push runtime;
+      Asm.Push_int 0;
+      Asm.Op Op.MSTORE;
+      Asm.Push_int n;
+      Asm.Push_int (32 - n);
+      Asm.Op Op.RETURN;
+    ]
+
+(* SSTORE [k] at slot 0: each [k] is a distinct runtime. *)
+let storing_runtime k =
+  Asm.assemble
+    [ Asm.Push_int k; Asm.Push_int 0; Asm.Op Op.SSTORE; Asm.Op Op.STOP ]
+
+let selfdestruct_runtime =
+  Asm.assemble [ Asm.Op Op.CALLER; Asm.Op Op.SELFDESTRUCT ]
+
+(* Init code that CREATEs and then CREATE2s (with [salt]) [child_init],
+   at most 31 bytes, and leaves a one-byte STOP runtime (memory byte 0). *)
+let factory_init ~salt child_init =
+  let n = String.length child_init in
+  Asm.assemble
+    [
+      Asm.Push child_init;
+      Asm.Push_int 0;
+      Asm.Op Op.MSTORE;
+      Asm.Push_int n;
+      Asm.Push_int (32 - n);
+      Asm.Push_int 0;
+      Asm.Op Op.CREATE;
+      Asm.Op Op.POP;
+      Asm.Push_int salt;
+      Asm.Push_int n;
+      Asm.Push_int (32 - n);
+      Asm.Push_int 0;
+      Asm.Op Op.CREATE2;
+      Asm.Op Op.POP;
+      Asm.Push_int 1;
+      Asm.Push_int 0;
+      Asm.Op Op.RETURN;
+    ]
+
+let test_code_hash_once () =
+  let chain = Chain.create () in
+  let a = Chain.install_contract chain ~runtime:(storing_runtime 1) () in
+  let view = Chain.worker_view chain in
+  let expected = Keccak.digest (storing_runtime 1) in
+  let before = Keccak.permutations () in
+  check_b "chain" true (Chain.code_hash chain a = expected);
+  check_b "worker view" true (Chain.code_hash view a = expected);
+  check_i "reads hash nothing: the hash was taken at registration" 0
+    (Keccak.permutations () - before);
+  check_b "an address with no code" true
+    (Chain.code_hash chain alice = Keccak.digest "")
+
+(* Transitions the code-hash invariant must survive. *)
+type step =
+  | Install of int  (** Install a pool runtime. *)
+  | Deploy_factory of int
+      (** CREATE and CREATE2 children with a pool runtime. *)
+  | Call of int
+      (** Call a touched address (the SELFDESTRUCT runtime empties it). *)
+  | Forget of int  (** [forget_contract] a touched address, then [compact]. *)
+  | Rewind_remine of int
+      (** Rewind 1-4 blocks, then install a runtime never used before: the
+          installer nonce rewinds, so it can land on an orphaned address. *)
+
+let runtime_pool =
+  [| stop_runtime; storing_runtime 1; storing_runtime 2; selfdestruct_runtime |]
+
+let print_step = function
+  | Install r -> Printf.sprintf "Install %d" r
+  | Deploy_factory r -> Printf.sprintf "Deploy_factory %d" r
+  | Call k -> Printf.sprintf "Call %d" k
+  | Forget k -> Printf.sprintf "Forget %d" k
+  | Rewind_remine d -> Printf.sprintf "Rewind_remine %d" d
+
+let steps_arb =
+  let pool = Array.length runtime_pool - 1 in
+  QCheck.make
+    ~print:(fun steps -> String.concat "; " (List.map print_step steps))
+    QCheck.Gen.(
+      list_size (int_range 1 20)
+        (frequency
+           [
+             (3, map (fun r -> Install r) (int_bound pool));
+             (2, map (fun r -> Deploy_factory r) (int_bound pool));
+             (3, map (fun k -> Call k) (int_bound 63));
+             (1, map (fun k -> Forget k) (int_bound 63));
+             (1, map (fun d -> Rewind_remine d) (int_range 1 4));
+           ]))
+
+(* [Chain.code_hash c a = Keccak.digest (Chain.code_at c a)] for every
+   address ever touched, on the chain and on a worker view (also after a
+   write to the view's overlay), after every step. *)
+let qcheck_code_hash_invariant =
+  QCheck.Test.make ~name:"code_hash = digest code_at after every transition"
+    ~count:150 steps_arb (fun steps ->
+      let chain = Chain.create () in
+      let touched = ref [ alice ] in
+      let touch a =
+        if not (List.exists (Evm.Address.equal a) !touched) then
+          touched := a :: !touched
+      in
+      let pick k = List.nth !touched (k mod List.length !touched) in
+      let fresh = ref 0 in
+      let check where c =
+        List.iter
+          (fun a ->
+            if Chain.code_hash c a <> Keccak.digest (Chain.code_at c a) then
+              QCheck.Test.fail_reportf "%s: stale code hash at %s" where
+                (Evm.Address.to_hex a))
+          !touched
+      in
+      List.iteri
+        (fun i step ->
+          (match step with
+          | Install r ->
+              touch (Chain.install_contract chain ~runtime:runtime_pool.(r) ())
+          | Deploy_factory r -> (
+              let init_code =
+                factory_init ~salt:i (init_returning runtime_pool.(r))
+              in
+              let known = List.length (Chain.all_contracts chain) in
+              match Chain.deploy chain ~from:alice ~init_code () with
+              | Ok a ->
+                  let added = List.length (Chain.all_contracts chain) - known in
+                  if added <> 3 then
+                    QCheck.Test.fail_reportf "factory registered %d contracts"
+                      added;
+                  touch a
+              | Error e -> QCheck.Test.fail_reportf "factory deploy: %s" e)
+          | Call k -> ignore (Chain.call chain ~from:alice ~to_:(pick k) ())
+          | Forget k ->
+              Chain.forget_contract chain (pick k);
+              Chain.compact chain
+          | Rewind_remine d ->
+              let height = max 0 (Chain.height chain - d) in
+              ignore (Chain.rewind_to chain ~height);
+              incr fresh;
+              touch
+                (Chain.install_contract chain
+                   ~runtime:(storing_runtime (100 + !fresh))
+                   ()));
+          List.iter
+            (fun m -> touch m.Chain.cm_address)
+            (Chain.all_contracts chain);
+          let where = Printf.sprintf "after step %d (%s)" i (print_step step) in
+          check where chain;
+          let view = Chain.worker_view chain in
+          check (where ^ ", worker view") view;
+          (Chain.host_at_head view).Evm.Host.create_account (pick i)
+            ~code:"\x5b\x00";
+          check (where ^ ", worker view after an overlay write") view;
+          check (where ^ ", chain after the view's write") chain)
+        steps;
+      true)
+
+(* Pinned, and not mainnet's rule: [Host.selfdestruct] keeps the account's
+   nonce (and storage), where pre-Cancun mainnet deletes the account.  So
+   a CREATE2 redeploy at the address of a destroyed contract, the
+   metamorphic-contract pattern, fails with a create collision. *)
+let test_create2_redeploy_after_selfdestruct () =
+  let chain = Chain.create () in
+  (* The constructor stores 5 at slot 0, then returns the runtime. *)
+  let init_code =
+    Asm.assemble [ Asm.Push_int 5; Asm.Push_int 0; Asm.Op Op.SSTORE ]
+    ^ init_returning selfdestruct_runtime
+  in
+  let create2 () =
+    Evm.Interp.create ~salt:(Some (U256.of_int 7)) (Chain.host_at_head chain)
+      ~caller:alice ~value:U256.zero ~init_code ~gas:1_000_000
+  in
+  let child =
+    match (create2 ()).Evm.Interp.created with
+    | Some a -> a
+    | None -> Alcotest.fail "first CREATE2 created nothing"
+  in
+  check_b "child deployed" true
+    (Chain.code_at chain child = selfdestruct_runtime);
+  ignore (Chain.call chain ~from:alice ~to_:child ());
+  check_b "SELFDESTRUCT empties the code" true (Chain.code_at chain child = "");
+  check_b "code hash follows" true
+    (Chain.code_hash chain child = Keccak.digest "");
+  let host = Chain.host_at_head chain in
+  check_i "the nonce is kept" 1 (host.Evm.Host.get_nonce child);
+  check_u "the storage is kept" (U256.of_int 5)
+    (host.Evm.Host.get_storage child slot0);
+  match (create2 ()).Evm.Interp.status with
+  | Evm.Interp.Failed e ->
+      Alcotest.(check string)
+        "redeploy refused"
+        ("create collision at " ^ Evm.Address.to_hex child)
+        (Evm.Interp.error_to_string e)
+  | _ -> Alcotest.fail "the CREATE2 redeploy succeeded"
+
 let suite =
   [
     Alcotest.test_case "install and meta" `Quick test_install_and_meta;
@@ -378,4 +588,9 @@ let suite =
     Alcotest.test_case "internal call indexing" `Quick test_internal_call_indexing;
     Alcotest.test_case "height advances" `Quick test_height_advances;
     Alcotest.test_case "block timestamps advance" `Quick test_block_timestamps_advance;
+    Alcotest.test_case "code hash taken once at registration" `Quick
+      test_code_hash_once;
+    QCheck_alcotest.to_alcotest qcheck_code_hash_invariant;
+    Alcotest.test_case "CREATE2 redeploy after SELFDESTRUCT collides" `Quick
+      test_create2_redeploy_after_selfdestruct;
   ]

@@ -710,12 +710,13 @@ let test_dedup_grouping () =
   let a2 = Chain.install_contract chain ~runtime:code () in
   let b = Chain.install_contract chain ~runtime:"\x00" () in
   let groups =
-    Dedup.group_by_code_hash ~code_of:(Chain.code_at chain) [ a1; a2; b ]
+    Dedup.group_by_code_hash ~hash_of:(Chain.code_hash chain) [ a1; a2; b ]
   in
   check_i "two unique codes" 2 (List.length groups);
   Alcotest.(check (list int))
     "distribution" [ 2; 1 ]
-    (Dedup.duplicate_distribution ~code_of:(Chain.code_at chain) [ a1; a2; b ])
+    (Dedup.duplicate_distribution ~hash_of:(Chain.code_hash chain)
+       [ a1; a2; b ])
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)

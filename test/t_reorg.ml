@@ -211,7 +211,7 @@ let test_rewind_remine_identity () =
         (fun (m : Chain.contract_meta) ->
           ( Evm.Address.to_hex m.Chain.cm_address,
             m.Chain.cm_deploy_height,
-            m.Chain.cm_code_hash,
+            Chain.code_hash chain m.Chain.cm_address,
             Chain.code_at chain m.Chain.cm_address ))
         (Chain.all_contracts chain) )
   in

@@ -25,4 +25,5 @@ let () =
       ("crash", T_crash.suite);
       ("serve", T_serve.suite);
       ("reorg", T_reorg.suite);
+      ("ratchet", T_ratchet.suite);
     ]
