@@ -243,10 +243,15 @@ let run_scan chain faults telemetry journal_path journal_fsync findings
       prerr_endline ("error: " ^ e);
       1
   | Ok journal ->
+  (* A journal binds to the landscape it was written for: checkpoints
+     carry its fingerprint, and a resume refuses another landscape's. *)
+  let landscape =
+    Option.map (fun _ -> Dataset.Generate.fingerprint land_) journal_path
+  in
   let restore_from what text =
     match
       Result.bind (Report.Json.parse text)
-        (Proxion.Analyzer.restore ?batch_size ?domains ~resilience
+        (Proxion.Analyzer.restore ?landscape ?batch_size ?domains ~resilience
            ~chain:chain_ ~source)
     with
     | Ok t -> Ok t
@@ -326,7 +331,8 @@ let run_scan chain faults telemetry journal_path journal_fsync findings
           Proxion.Analyzer.subscribe analyzer (function
             | Engine.Batch_finished _ -> (
                 let text =
-                  Report.Json.to_string (Proxion.Analyzer.checkpoint analyzer)
+                  Report.Json.to_string
+                    (Proxion.Analyzer.checkpoint ?landscape analyzer)
                 in
                 match Resilience.Journal.checkpoint j text with
                 | Ok () ->

@@ -879,7 +879,7 @@ let sorted_entries tbl =
   List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let checkpoint t =
+let checkpoint ?landscape t =
   let extra =
     Json.Obj
       [
@@ -899,9 +899,14 @@ let checkpoint t =
                (sorted_entries t.pair_cache)) );
       ]
   in
-  Engine.checkpoint
-    ~item_to_json:(fun a -> Json.String (Address.to_hex a))
-    ~res_to_json:Serialize.contract_report_to_json ~extra t.engine
+  let json =
+    Engine.checkpoint
+      ~item_to_json:(fun a -> Json.String (Address.to_hex a))
+      ~res_to_json:Serialize.contract_report_to_json ~extra t.engine
+  in
+  match landscape with
+  | None -> json
+  | Some landscape -> Report.Schema.stamp ~landscape json
 
 let ( let* ) = Result.bind
 
@@ -969,9 +974,14 @@ let address_of_json = function
       | _ -> Error ("checkpoint: bad queued address " ^ s))
   | _ -> Error "checkpoint: queue entries must be strings"
 
-let restore ?batch_size ?domains
+let restore ?landscape ?batch_size ?domains
     ?(resilience = Resilience.Transport.default_config) ?crash_plan
     ?attempt_ceiling ~chain ~source json =
+  let* json =
+    match landscape with
+    | None -> Ok json
+    | Some landscape -> Report.Schema.check ~landscape json
+  in
   (* The config governs resume semantics, so it comes from the checkpoint
      (batch_size and domains optionally overridden — the worker count is
      an execution parameter, not analysis state, and any value resumes to

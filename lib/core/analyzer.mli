@@ -158,10 +158,14 @@ val refresh_head : t -> unit
 
 (** {1 Checkpointing} *)
 
-val checkpoint : t -> Report.Json.t
-(** Serialize queue + dedup caches + completed reports + counters. *)
+val checkpoint : ?landscape:string -> t -> Report.Json.t
+(** Serialize queue + dedup caches + completed reports + counters.  With
+    [landscape] (the fingerprint of the landscape being analyzed, e.g.
+    [Dataset.Generate.fingerprint]) the document is schema-stamped with
+    it. *)
 
 val restore :
+  ?landscape:string ->
   ?batch_size:int ->
   ?domains:int ->
   ?resilience:Resilience.Transport.config ->
@@ -172,7 +176,9 @@ val restore :
   Report.Json.t ->
   (t, string) result
 (** Rebuild from a {!checkpoint} against the same chain and source
-    oracle.  [batch_size] and [domains] override the checkpointed
+    oracle.  With [landscape], a checkpoint stamped for another landscape
+    (or not stamped at all) is refused with an [Error] naming both
+    fingerprints.  [batch_size] and [domains] override the checkpointed
     configuration; changing [domains] never changes the resumed run's
     output, only its wall-clock time.  [resilience], [crash_plan] and
     [attempt_ceiling] apply to the resumed run only — they are execution

@@ -748,6 +748,21 @@ let generate (config : config) =
     config;
   }
 
+let fingerprint t =
+  let b = Buffer.create (64 + (52 * List.length t.labels)) in
+  (* The config first: populations whose contracts coincide (-n 400 and
+     -n 401 deploy the same 460) still scale their figures differently. *)
+  let c = t.config in
+  Buffer.add_string b
+    (Printf.sprintf "%d %d %h %h %h %d;" c.total c.seed c.storage_boost
+       c.function_injection_share c.broken_rate c.chain_id);
+  List.iter
+    (fun l ->
+      Buffer.add_string b l.l_address;
+      Buffer.add_string b (Chain.code_hash t.chain l.l_address))
+    t.labels;
+  Keccak.digest_hex (Buffer.contents b)
+
 let label_of t addr =
   List.find_opt (fun l -> Address.equal l.l_address addr) t.labels
 

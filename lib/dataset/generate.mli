@@ -75,6 +75,15 @@ type t = {
 
 val generate : config -> t
 
+val fingerprint : t -> string
+(** The landscape's identity: 0x-prefixed hex Keccak-256 over its
+    generation config, then every label's address and its code's
+    {!Chain.code_hash}, in deployment order.  Journals stamp it on what
+    they commit and refuse to resume against a landscape whose
+    fingerprint differs.  Advances neither add labels nor touch generated
+    code, so an advanced landscape keeps the fingerprint it was generated
+    with. *)
+
 (** {1 Streaming generation}
 
     The generator is internally a resumable cursor over the deployment

@@ -7,25 +7,48 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* True when [s] holds a byte JSON strings must escape: a quote, a
+   backslash or a control character. *)
+let needs_escape s =
+  let rec go i =
+    i < String.length s
+    && (match String.unsafe_get s i with
+       | '"' | '\\' -> true
+       | c -> Char.code c < 0x20 || go (i + 1))
+  in
+  go 0
+
+(* A string that needs no escaping is appended as it is. *)
+let add_escaped buf s =
+  if not (needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+(* Pretty output indents from one run of spaces instead of building a
+   fresh string per line. *)
+let spaces = String.make 256 ' '
+
+let rec add_indent buf n =
+  if n > 0 then begin
+    let k = min n (String.length spaces) in
+    Buffer.add_substring buf spaces 0 k;
+    add_indent buf (n - k)
+  end
 
 let to_string ?(pretty = true) value =
   let buf = Buffer.create 256 in
-  let indent n = if pretty then Buffer.add_string buf (String.make (2 * n) ' ') in
+  let indent n = if pretty then add_indent buf (2 * n) in
   let newline () = if pretty then Buffer.add_char buf '\n' in
   let rec emit depth = function
     | Null -> Buffer.add_string buf "null"
@@ -43,7 +66,7 @@ let to_string ?(pretty = true) value =
           else Buffer.add_string buf (Printf.sprintf "%.17g" f)
     | String s ->
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
+        add_escaped buf s;
         Buffer.add_char buf '"'
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
@@ -73,7 +96,7 @@ let to_string ?(pretty = true) value =
             end;
             indent (depth + 1);
             Buffer.add_char buf '"';
-            Buffer.add_string buf (escape key);
+            add_escaped buf key;
             Buffer.add_string buf "\": ";
             emit (depth + 1) v)
           fields;

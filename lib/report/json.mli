@@ -11,12 +11,12 @@ type t =
   | Obj of (string * t) list
 
 val to_string : ?pretty:bool -> t -> string
-(** Serialize.  [pretty] (default true) indents with two spaces. *)
-
-val escape : string -> string
-(** JSON string escaping (quotes, backslashes, control characters). *)
+(** Serialize.  [pretty] (default true) indents with two spaces.
+    Strings escape quotes, backslashes and control characters ([\n],
+    [\r], [\t], otherwise [\u00XX]); every other byte is copied as it
+    is. *)
 
 val parse : string -> (t, string) result
 (** Recursive-descent JSON parsing (objects, arrays, strings with the
-    escapes {!escape} emits, integers, floats, booleans, null).  Numbers
+    escapes {!to_string} emits, integers, floats, booleans, null).  Numbers
     without a fraction or exponent parse as [Int]. *)

@@ -18,18 +18,22 @@ val version_key : string
 val kind_key : string
 (** The field name, ["kind"]. *)
 
-val stamp : ?kind:string -> Json.t -> Json.t
-(** Prefix an object with [schema_version] (and [kind] when given).
-    Existing [schema_version]/[kind] fields are replaced.  Non-object
-    payloads are wrapped as [{schema_version; kind?; payload}]. *)
+val stamp : ?kind:string -> ?landscape:string -> Json.t -> Json.t
+(** Prefix an object with [schema_version] (and [kind] and [landscape],
+    the fingerprint of the landscape a journaled document was computed
+    over, when given).  Existing [schema_version]/[kind]/[landscape]
+    fields are replaced.  Non-object payloads are wrapped as
+    [{schema_version; kind?; landscape?; payload}]. *)
 
 val version_of : Json.t -> int option
 (** The document's [schema_version], when present and an integer. *)
 
 val kind_of : Json.t -> string option
 
-val check : ?kind:string -> Json.t -> (Json.t, string) result
+val check :
+  ?kind:string -> ?landscape:string -> Json.t -> (Json.t, string) result
 (** Validate that the document carries the current {!version} (and the
-    expected [kind] when given); returns the document unchanged.  A
-    missing, non-integer, or mismatched version is an [Error] naming
-    what was found. *)
+    expected [kind] and [landscape] when given); returns the document
+    unchanged.  A missing, non-integer, or mismatched version is an
+    [Error] naming what was found; a landscape mismatch names both
+    fingerprints. *)

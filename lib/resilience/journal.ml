@@ -54,30 +54,29 @@ let u32 s off = Int32.to_int (String.get_int32_be s off) land 0xFFFFFFFF
 
 (* Walk the frames of [data], stopping at the first sign of damage: a
    truncated header, an unknown kind, a payload running past EOF, a CRC
-   mismatch, or a non-empty commit.  Returns the last payload a commit
-   covers, the offset just past that commit, and how many record frames
-   the commit retains. *)
+   mismatch, or a non-empty commit.  Returns the record payloads commits
+   cover, newest first, and the offset just past the last commit. *)
 let scan ~start data =
   let file_len = String.length data in
-  let rec go pos last_record state end_ok count_ok records =
-    if pos + frame_header_len > file_len then (state, end_ok, count_ok)
+  let rec go pos pending committed end_ok =
+    if pos + frame_header_len > file_len then (committed, end_ok)
     else
       let kind = data.[pos] in
-      if kind <> 'R' && kind <> 'C' then (state, end_ok, count_ok)
+      if kind <> 'R' && kind <> 'C' then (committed, end_ok)
       else
         let len = u32 data (pos + 1) in
         let crc = u32 data (pos + 5) in
-        if len > file_len - pos - frame_header_len then (state, end_ok, count_ok)
+        if len > file_len - pos - frame_header_len then (committed, end_ok)
         else
           let payload = String.sub data (pos + frame_header_len) len in
           let next = pos + frame_header_len + len in
-          if crc32 payload <> crc then (state, end_ok, count_ok)
+          if crc32 payload <> crc then (committed, end_ok)
           else if kind = 'C' then
-            if len <> 0 then (state, end_ok, count_ok)
-            else go next last_record last_record next records records
-          else go next (Some payload) state end_ok count_ok (records + 1)
+            if len <> 0 then (committed, end_ok)
+            else go next [] (pending @ committed) next
+          else go next (payload :: pending) committed end_ok
   in
-  go start None None start 0 0
+  go start [] [] start
 
 (* ------------------------------------------------------------------ *)
 (* The store                                                           *)
@@ -95,6 +94,7 @@ type t = {
 
 type recovery = {
   rec_state : string option;
+  rec_records : string list;
   rec_committed : int;
   rec_dropped_bytes : int;
   rec_durable : bool;
@@ -144,6 +144,7 @@ let open_journal ?(fsync = true) ?(compact_bytes = 64 * 1024 * 1024) path =
         ( t,
           {
             rec_state = None;
+            rec_records = [];
             rec_committed = 0;
             rec_dropped_bytes = 0;
             rec_durable = fsync;
@@ -162,7 +163,8 @@ let open_journal ?(fsync = true) ?(compact_bytes = 64 * 1024 * 1024) path =
             fail (path ^ ": unsupported journal format v1 (PXJRNL01)")
           else fail (path ^ ": not a journal (bad magic)")
         in
-        let state, valid_end, committed = scan ~start data in
+        let newest_first, valid_end = scan ~start data in
+        let state = match newest_first with [] -> None | r :: _ -> Some r in
         let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
         if valid_end < file_len then Unix.ftruncate fd valid_end;
         ignore (Unix.lseek fd valid_end Unix.SEEK_SET);
@@ -181,7 +183,8 @@ let open_journal ?(fsync = true) ?(compact_bytes = 64 * 1024 * 1024) path =
         ( t,
           {
             rec_state = state;
-            rec_committed = committed;
+            rec_records = List.rev newest_first;
+            rec_committed = List.length newest_first;
             rec_dropped_bytes = file_len - valid_end;
             rec_durable = durable;
           } )
@@ -194,11 +197,11 @@ let append t payload =
       t.j_size <- t.j_size + Bytes.length b;
       t.j_last <- Some payload)
 
-(* Compaction: the whole committed state fits in one record, so rewrite
-   the journal as magic + record + commit in a temporary file and rename
-   it over the original — readers and crashes see either the old journal
-   or the new one, never a torn middle. *)
-let compact t =
+(* Compaction: the caller's payload holds the whole committed state, so
+   rewrite the journal as magic + record + commit in a temporary file and
+   rename it over the original — readers and crashes see either the old
+   journal or the new one, never a torn middle. *)
+let compact t payload =
   guard (fun () ->
       let tmp = t.j_path ^ ".tmp" in
       let fd =
@@ -206,12 +209,11 @@ let compact t =
       in
       (* Compaction rewrites the header too, refreshing the recorded
          durability in place. *)
-      let hdr = Bytes.of_string (header t.j_fsync) in
       let body =
-        match t.j_committed with
-        | None -> hdr
-        | Some s ->
-            Bytes.concat Bytes.empty [ hdr; frame 'R' s; frame 'C' "" ]
+        Bytes.concat Bytes.empty
+          [
+            Bytes.of_string (header t.j_fsync); frame 'R' payload; frame 'C' "";
+          ]
       in
       write_all fd body;
       if t.j_fsync then Unix.fsync fd;
@@ -222,7 +224,8 @@ let compact t =
       ignore (Unix.lseek fd 0 Unix.SEEK_END);
       t.j_fd <- fd;
       t.j_size <- Bytes.length body;
-      t.j_last <- t.j_committed)
+      t.j_last <- Some payload;
+      t.j_committed <- Some payload)
 
 let commit t =
   guard (fun () ->
@@ -231,11 +234,15 @@ let commit t =
       t.j_size <- t.j_size + Bytes.length b;
       sync t;
       t.j_committed <- t.j_last)
+
+let compaction_due t = t.j_size > t.j_compact
+
+let checkpoint t payload =
+  Result.bind (append t payload) (fun () -> commit t)
   |> Result.map (fun () ->
-         if t.j_size > t.j_compact then
+         if compaction_due t then
            (* Best-effort: a failed auto-compaction leaves a valid (if
               large) journal behind, so it does not fail the commit. *)
-           ignore (compact t))
+           ignore (compact t payload))
 
-let checkpoint t payload = Result.bind (append t payload) (fun () -> commit t)
 let close t = try Unix.close t.j_fd with Unix.Unix_error _ -> ()

@@ -5,8 +5,10 @@
     {e commit} marker written at batch boundaries.  A process killed at
     any instant — mid-frame, mid-commit, mid-compaction — loses at most
     the work since the last commit: {!open_journal} scans the file,
-    truncates the torn or uncommitted tail, and hands back the last
-    payload a commit covered.
+    truncates the torn or uncommitted tail, and hands back every record
+    payload a commit covered since the last compaction.  A caller whose
+    records each hold its whole state reads only the newest; one that
+    journals a base followed by deltas folds them all, in order.
 
     On-disk layout: an 8-byte magic (["PXJRNL02"]) followed by one
     durability byte — ['S'] when commits are [fsync]ed to stable
@@ -24,9 +26,9 @@
 
     Appends go through a single [write] on an open descriptor and are
     optionally [fsync]ed at commit; {!compact} rewrites the journal as
-    one record + commit under a temporary name and atomically
-    [Sys.rename]s it into place, so the journal never grows without
-    bound and is never observable in a half-rewritten state.
+    one caller-supplied record + commit under a temporary name and
+    atomically [Sys.rename]s it into place, so the journal never grows
+    without bound and is never observable in a half-rewritten state.
 
     All failures (I/O errors, foreign files, corrupt magic) are returned
     as [Error message]; nothing in this module raises on bad input. *)
@@ -36,7 +38,10 @@ type t
 (** What {!open_journal} found in an existing file. *)
 type recovery = {
   rec_state : string option;
-      (** The last committed payload, [None] for a fresh/empty journal. *)
+      (** The newest committed payload, [None] for a fresh/empty journal. *)
+  rec_records : string list;
+      (** Every committed payload since the last compaction, oldest
+          first; {!rec_state} is its last element. *)
   rec_committed : int;  (** Committed record frames retained. *)
   rec_dropped_bytes : int;
       (** Torn or uncommitted tail bytes truncated away — the work the
@@ -53,27 +58,31 @@ val open_journal :
 (** Open (creating if absent) the journal at a path, running recovery
     first.  [fsync] (default [true]) forces commits to stable storage —
     turn it off only for tests.  [compact_bytes] (default 64 MiB) is the
-    size past which a {!commit} triggers automatic {!compact}ion. *)
+    size past which {!compaction_due} holds. *)
 
 val append : t -> string -> (unit, string) result
 (** Append one record frame.  Invisible to recovery until {!commit}. *)
 
 val commit : t -> (unit, string) result
 (** Write a commit marker ([fsync]ing when enabled): every record
-    appended so far becomes the recovery state.  May auto-compact. *)
+    appended so far becomes part of the recovery state.  Never compacts;
+    a caller that journals deltas checks {!compaction_due} after it. *)
 
 val checkpoint : t -> string -> (unit, string) result
-(** [append] + [commit] — the once-per-batch call sites use. *)
+(** [append] + [commit], for journals whose every record is the whole
+    state: past [compact_bytes] it then compacts to this same payload. *)
+
+val compaction_due : t -> bool
+(** The file has grown past [compact_bytes]. *)
+
+val compact : t -> string -> (unit, string) result
+(** Rewrite the journal as magic + one record holding the given payload
+    (+ commit) via a temporary file and an atomic rename; the payload
+    must hold the whole committed state.  A crash during compaction
+    leaves either the old or the new journal intact, never a mix. *)
 
 val last_committed : t -> string option
-(** The payload recovery would currently return. *)
+(** The payload {!open_journal} would currently return as [rec_state]. *)
 
 val path : t -> string
-
-val compact : t -> (unit, string) result
-(** Rewrite the journal as magic + one record holding {!last_committed}
-    (+ commit) via a temporary file and an atomic rename.  A crash
-    during compaction leaves either the old or the new journal intact,
-    never a mix. *)
-
 val close : t -> unit

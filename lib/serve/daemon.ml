@@ -9,6 +9,7 @@ module Journal = Resilience.Journal
 module Metrics = Obs.Metrics
 
 let snapshot_kind = "proxion.serve.snapshot"
+let delta_kind = "proxion.serve.delta"
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                        *)
@@ -148,13 +149,17 @@ type families = {
   m_draining : Metrics.family;
 }
 
+(* The open journal and the fingerprint of the landscape its base
+   snapshots are stamped with. *)
+type journal = { jr : Journal.t; jr_landscape : string }
+
 type t = {
   cfg : Config.t;
   landscape : Generate.t;
   analyzer : Analyzer.t;
   store : Store.t;
   advancer : Advance.t;
-  journal : Journal.t option;
+  journal : journal option;
   registry : Metrics.t;
   log : Obs.Log.t option;
   trace : Obs.Trace.t option;
@@ -264,49 +269,94 @@ let subscribe_counters daemon_counters analyzer =
             steps0 + timing.Engine.t_steps )
     | _ -> ())
 
+(* Move the analyzer's results into the store; returns the entries
+   upserted, in drain order. *)
 let drain_into_store t =
-  let results = Analyzer.drain_results t.analyzer in
-  List.iter
-    (fun (r : Analysis.contract_report) ->
-      let key = Address.to_hex r.Analysis.r_address in
-      let api, steps =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt t.counters key)
-      in
-      Store.upsert t.store
+  let entries =
+    List.map
+      (fun (r : Analysis.contract_report) ->
+        let key = Address.to_hex r.Analysis.r_address in
+        let api, steps =
+          Option.value ~default:(0, 0) (Hashtbl.find_opt t.counters key)
+        in
         { Store.e_report = r; e_api_calls = api; e_steps = steps })
-    results;
+      (Analyzer.drain_results t.analyzer)
+  in
+  List.iter (Store.upsert t.store) entries;
   Hashtbl.reset t.counters;
-  List.length results
+  entries
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots                                                            *)
+(* Journal: a base snapshot, then one delta per advance                 *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot_json t =
-  Report.Schema.stamp ~kind:snapshot_kind
-    (Json.Obj
-       [
-         ("advances", Json.Int (Advance.applied t.advancer));
-         ("height", Json.Int (Chain.height t.landscape.Generate.chain));
-         ("analyzer", Analyzer.checkpoint t.analyzer);
-         ( "entries",
-           Json.List (List.map Store.entry_to_json (Store.entries t.store)) );
-       ])
+(* The whole state: written at a cold start and by compaction. *)
+let base_payload t ~landscape =
+  Json.to_string ~pretty:false
+    (Report.Schema.stamp ~kind:snapshot_kind ~landscape
+       (Json.Obj
+          [
+            ("advances", Json.Int (Advance.applied t.advancer));
+            ("height", Json.Int (Chain.height t.landscape.Generate.chain));
+            ("analyzer", Analyzer.checkpoint t.analyzer);
+            ( "entries",
+              Json.List (List.map Store.entry_to_json (Store.entries t.store))
+            );
+          ]))
 
-let commit_snapshot t =
+(* What one advance changed: the orphans it removed, the entries it
+   upserted in drain order, and the analyzer as it now stands. *)
+let delta_payload t ~removed ~upserted =
+  Json.to_string ~pretty:false
+    (Report.Schema.stamp ~kind:delta_kind
+       (Json.Obj
+          [
+            ("advance", Json.Int (Advance.applied t.advancer));
+            ("height", Json.Int (Chain.height t.landscape.Generate.chain));
+            ( "removed",
+              Json.List
+                (List.map (fun a -> Json.String (Address.to_hex a)) removed) );
+            ("upserted", Json.List (List.map Store.entry_to_json upserted));
+            ("analyzer", Analyzer.checkpoint t.analyzer);
+          ]))
+
+let note_commit t ~kind payload =
+  Obs.Flight.record t.flight "journal_commit"
+    ~fields:
+      [
+        ("kind", Json.String kind);
+        ("advances", Json.Int (Advance.applied t.advancer));
+        ("bytes", Json.Int (String.length payload));
+      ]
+
+let commit_base t =
   match t.journal with
   | None -> ()
-  | Some j -> (
-      let payload = Json.to_string ~pretty:false (snapshot_json t) in
-      match Journal.checkpoint j payload with
-      | Ok () ->
-          Obs.Flight.record t.flight "journal_commit"
-            ~fields:
-              [
-                ("advances", Json.Int (Advance.applied t.advancer));
-                ("bytes", Json.Int (String.length payload));
-              ]
+  | Some { jr; jr_landscape } -> (
+      let payload = base_payload t ~landscape:jr_landscape in
+      match Journal.checkpoint jr payload with
+      | Ok () -> note_commit t ~kind:"base" payload
       | Error e -> failwith ("journal checkpoint failed: " ^ e))
+
+(* Past the journal's size threshold, compaction rewrites it as a fresh
+   base built from live state.  Best-effort: a failed compaction leaves
+   a valid (if large) journal behind. *)
+let commit_delta t ~removed ~upserted =
+  match t.journal with
+  | None -> ()
+  | Some { jr; jr_landscape } ->
+      let payload = delta_payload t ~removed ~upserted in
+      (match
+         Result.bind (Journal.append jr payload) (fun () -> Journal.commit jr)
+       with
+      | Ok () -> note_commit t ~kind:"delta" payload
+      | Error e -> failwith ("journal checkpoint failed: " ^ e));
+      if Journal.compaction_due jr then begin
+        let base = base_payload t ~landscape:jr_landscape in
+        match Journal.compact jr base with
+        | Ok () -> note_commit t ~kind:"base" base
+        | Error _ -> ()
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -371,40 +421,104 @@ let make_metrics registry =
 
 let ( let* ) = Result.bind
 
-let parse_snapshot payload =
-  let* json = Json.parse payload in
-  let* json = Report.Schema.check ~kind:snapshot_kind json in
-  let get name =
-    match json with
-    | Json.Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "snapshot: missing %S" name))
-    | _ -> Error "snapshot: expected an object"
-  in
-  let int name =
-    match get name with
-    | Ok (Json.Int n) -> Ok n
-    | Ok _ -> Error (Printf.sprintf "snapshot: bad %S" name)
-    | Error e -> Error e
-  in
-  let* advances = int "advances" in
-  let* height = int "height" in
-  let* analyzer = get "analyzer" in
-  let* entries =
-    match get "entries" with
-    | Ok (Json.List l) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | e :: rest ->
-              let* entry = Store.entry_of_json e in
-              go (entry :: acc) rest
-        in
-        go [] l
-    | Ok _ -> Error "snapshot: bad \"entries\""
-    | Error e -> Error e
-  in
-  Ok (advances, height, analyzer, entries)
+let field what name = function
+  | Json.Obj kvs -> (
+      match List.assoc_opt name kvs with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "%s: missing %S" what name))
+  | _ -> Error (what ^ ": expected an object")
+
+let int_field what name json =
+  match field what name json with
+  | Ok (Json.Int n) -> Ok n
+  | Ok _ -> Error (Printf.sprintf "%s: bad %S" what name)
+  | Error e -> Error e
+
+let list_field what name of_json json =
+  match field what name json with
+  | Ok (Json.List l) ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | x :: rest ->
+            let* v = of_json x in
+            go (v :: acc) rest
+      in
+      go [] l
+  | Ok _ -> Error (Printf.sprintf "%s: bad %S" what name)
+  | Error e -> Error e
+
+let address_of_json = function
+  | Json.String s -> (
+      match Hexutil.of_hex_opt s with
+      | Some b when String.length b = 20 -> Ok b
+      | _ -> Error ("journal delta: bad address " ^ s))
+  | _ -> Error "journal delta: address is not a string"
+
+(* The journaled state a warm start restores. *)
+type recovered = {
+  rv_advances : int;
+  rv_height : int;
+  rv_analyzer : Json.t;  (** from the newest record *)
+  rv_store : Store.t;
+}
+
+(* Fold the deltas onto the base in order.  The base must carry this
+   landscape's fingerprint, and each delta must be the advance after the
+   state it lands on. *)
+let fold_journal ~landscape records =
+  match records with
+  | [] -> Ok None
+  | base :: deltas ->
+      let* base =
+        Result.bind (Json.parse base)
+          (Report.Schema.check ~kind:snapshot_kind ~landscape)
+      in
+      let* advances = int_field "snapshot" "advances" base in
+      let* height = int_field "snapshot" "height" base in
+      let* analyzer = field "snapshot" "analyzer" base in
+      let* entries = list_field "snapshot" "entries" Store.entry_of_json base in
+      let store = Store.create () in
+      List.iter (Store.upsert store) entries;
+      let rec fold (rv : recovered) = function
+        | [] -> Ok (Some rv)
+        | delta :: rest ->
+            let* d =
+              Result.bind (Json.parse delta)
+                (Report.Schema.check ~kind:delta_kind)
+            in
+            let* index = int_field "delta" "advance" d in
+            if index <> rv.rv_advances + 1 then
+              Error
+                (Printf.sprintf
+                   "journal delta for advance %d follows advance %d (a gap \
+                    in the journal)"
+                   index rv.rv_advances)
+            else
+              let* height = int_field "delta" "height" d in
+              let* analyzer = field "delta" "analyzer" d in
+              let* removed = list_field "delta" "removed" address_of_json d in
+              let* upserted =
+                list_field "delta" "upserted" Store.entry_of_json d
+              in
+              List.iter (fun a -> ignore (Store.remove store a)) removed;
+              List.iter (Store.upsert store) upserted;
+              fold
+                {
+                  rv with
+                  rv_advances = index;
+                  rv_height = height;
+                  rv_analyzer = analyzer;
+                }
+                rest
+      in
+      fold
+        {
+          rv_advances = advances;
+          rv_height = height;
+          rv_analyzer = analyzer;
+          rv_store = store;
+        }
+        deltas
 
 (* Breaker flips and quorum quarantines reach the flight recorder
    straight from the transport layer, whatever worker domain produced
@@ -449,13 +563,22 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
   let* journal_and_state =
     match config.Config.journal with
     | None -> Ok (None, None)
-    | Some path ->
+    | Some path -> (
+        (* Fingerprint the landscape before any advance touches it. *)
+        let landscape_fp = Generate.fingerprint landscape in
         let* j, recovery =
           Journal.open_journal ~fsync:config.Config.journal_fsync path
         in
-        Ok (Some j, recovery.Journal.rec_state)
+        match
+          fold_journal ~landscape:landscape_fp recovery.Journal.rec_records
+        with
+        | Ok recovered ->
+            Ok (Some { jr = j; jr_landscape = landscape_fp }, recovered)
+        | Error e ->
+            Journal.close j;
+            Error (path ^ ": " ^ e))
   in
-  let journal, rec_state = journal_and_state in
+  let journal, recovered = journal_and_state in
   let fams = make_metrics registry in
   let finish analyzer store was_recovered =
     let t =
@@ -500,13 +623,18 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
     Metrics.set registry fams.m_draining 0.0;
     t
   in
-  match rec_state with
-  | Some payload ->
+  match recovered with
+  | Some
+      {
+        rv_advances = advances;
+        rv_height = height;
+        rv_analyzer;
+        rv_store = store;
+      } -> (
       (* Warm start: replay the scripted advances onto the regenerated
          landscape — capturing any seeded reorgs they carry, so the
-         rollback history survives a crash — then restore analyzer and
-         store from the snapshot, no re-analysis. *)
-      let* advances, height, analyzer_json, entries = parse_snapshot payload in
+         rollback history survives a crash — then restore the analyzer
+         and the folded store, no re-analysis. *)
       let replayed_reorgs = ref [] in
       for _ = 1 to advances do
         let s = Advance.apply advancer in
@@ -514,30 +642,33 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
         | Some rg -> replayed_reorgs := (s.Advance.a_index, rg) :: !replayed_reorgs
         | None -> ()
       done;
-      if Chain.height chain <> height then
-        Error
-          (Printf.sprintf
-             "journal snapshot height %d does not match replayed chain \
-              height %d (different landscape?)"
-             height (Chain.height chain))
-      else
-        let* analyzer =
+      let restored =
+        if Chain.height chain <> height then
+          Error
+            (Printf.sprintf
+               "journal snapshot height %d does not match replayed chain \
+                height %d"
+               height (Chain.height chain))
+        else
           Analyzer.restore ~resilience:config.Config.resilience ~chain ~source
-            analyzer_json
-        in
-        let store = Store.create () in
-        List.iter (Store.upsert store) entries;
-        Store.set_generation store advances;
-        let t = finish analyzer store true in
-        t.reorg_log <- !replayed_reorgs;
-        subscribe_counters t.counters analyzer;
-        Analyzer.instrument ?trace t.registry analyzer;
-        Analyzer.refresh_head analyzer;
-        ignore (Analyzer.drain_results analyzer);
-        logf t Obs.Log.Info
-          (Printf.sprintf "recovered warm: %d subjects, %d advances"
-             (Store.size store) advances);
-        Ok t
+            rv_analyzer
+      in
+      match restored with
+      | Error e ->
+          Option.iter (fun { jr; _ } -> Journal.close jr) journal;
+          Error e
+      | Ok analyzer ->
+          Store.set_generation store advances;
+          let t = finish analyzer store true in
+          t.reorg_log <- !replayed_reorgs;
+          subscribe_counters t.counters analyzer;
+          Analyzer.instrument ?trace t.registry analyzer;
+          Analyzer.refresh_head analyzer;
+          ignore (Analyzer.drain_results analyzer);
+          logf t Obs.Log.Info
+            (Printf.sprintf "recovered warm: %d subjects, %d advances"
+               (Store.size store) advances);
+          Ok t)
   | None ->
       (* Cold start: full landscape analysis on the resident analyzer. *)
       let analyzer =
@@ -550,11 +681,11 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
       Analyzer.instrument ?trace t.registry analyzer;
       Analyzer.submit_all analyzer;
       Analyzer.run analyzer;
-      let n = drain_into_store t in
+      let n = List.length (drain_into_store t) in
       Atomic.set t.uc (Analyzer.unique_codes analyzer);
       logf t Obs.Log.Info
         (Printf.sprintf "initial analysis complete: %d subjects" n);
-      commit_snapshot t;
+      commit_base t;
       Ok t
 
 (* ------------------------------------------------------------------ *)
@@ -595,14 +726,14 @@ let advance ?ctx t =
         (Tracker.invalidation_hashes ~dirty);
       (* Retract orphans: their deployments are no longer canonical.
          Findings retracted = the verdict-count delta of the removals. *)
-      let retracted =
-        if orphaned = [] then 0
+      let retracted, removed =
+        if orphaned = [] then (0, [])
         else begin
           let uc = unique_codes t in
           let before = List.length (Store.findings t.store ~unique_codes:uc) in
-          List.iter (fun a -> ignore (Store.remove t.store a)) orphaned;
+          let removed = List.filter (Store.remove t.store) orphaned in
           let after = List.length (Store.findings t.store ~unique_codes:uc) in
-          max 0 (before - after)
+          (max 0 (before - after), removed)
         end
       in
       let is_orphan a = List.exists (Address.equal a) orphaned in
@@ -616,10 +747,10 @@ let advance ?ctx t =
       Analyzer.submit t.analyzer
         (dirty_addrs @ summary.Advance.a_new_contracts);
       Analyzer.run t.analyzer;
-      ignore (drain_into_store t);
+      let upserted = drain_into_store t in
       Atomic.set t.uc (Analyzer.unique_codes t.analyzer);
       Store.bump_generation t.store;
-      commit_snapshot t;
+      commit_delta t ~removed ~upserted;
       Metrics.inc t.registry t.fams.m_increments;
       Metrics.inc
         ~by:(float_of_int (List.length dirty_addrs))
@@ -1504,7 +1635,7 @@ let stop t =
     Atomic.set t.stop_requested true;
     List.iter Domain.join t.workers;
     t.workers <- [];
-    (match t.journal with Some j -> Journal.close j | None -> ());
+    (match t.journal with Some { jr; _ } -> Journal.close jr | None -> ());
     (* Final dump: includes everything the drain-window dump missed —
        in-flight requests finishing, queued connections shed. *)
     dump_flight t;

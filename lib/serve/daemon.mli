@@ -12,10 +12,11 @@
     invalidates the affected dedup-cache entries, re-analyzes only the
     dirty + new subjects on the resident analyzer, and patches the
     store — producing a store byte-identical to a cold full re-run over
-    the advanced chain.  Each increment is checkpointed to the
-    journal (when configured), so a SIGKILL'd daemon restarts warm:
-    the landscape and advances are replayed deterministically, the
-    analyzer and store are restored from the snapshot, and no
+    the advanced chain.  Each increment is committed to the journal
+    (when configured) as a delta on the base snapshot the cold start
+    wrote, so a SIGKILL'd daemon restarts warm: the deltas are folded
+    onto the base, the landscape and advances are replayed
+    deterministically, the analyzer and store are restored, and no
     re-analysis runs.
 
     {b Overload robustness.}  An admission gate at the listener sheds
@@ -81,7 +82,7 @@ module Config : sig
         (** Clock for idle/deadline decisions (default
             {!Obs.Clock.real}); inject a virtual clock for
             deterministic tests. *)
-    journal : string option;  (** Snapshot journal path. *)
+    journal : string option;  (** Journal path. *)
     journal_fsync : bool;
         (** Fsync journal commits to stable storage (default [true]);
             turn off only for tests and benchmarks.  The mode is
@@ -145,17 +146,20 @@ val create :
   Dataset.Generate.t ->
   (t, string) result
 (** Load the daemon: validate the config, open the journal (when
-    configured), then either recover warm from the last committed
-    snapshot or run the initial full analysis and commit it.  The
-    landscape must be freshly generated from the same generation config
-    across restarts — recovery replays the snapshot's advances onto it
-    to reproduce the chain state.  [trace] attaches a span collector:
+    configured), then either recover warm from its base snapshot and
+    the deltas committed after it, or run the initial full analysis and
+    commit it as a base.  The landscape must be freshly generated from
+    the same generation config across restarts — recovery replays the
+    journaled advances onto it to reproduce the chain state — and a
+    journal whose base carries another landscape's
+    [Dataset.Generate.fingerprint] is refused with an [Error] naming
+    both fingerprints, as is a gap in the deltas' advance index.  [trace] attaches a span collector:
     request spans plus the RPC/EVM worker-lane detail of traced
     analyses land in it (write it out with {!Obs.Trace.write}). *)
 
 val recovered : t -> bool
-(** Whether {!create} restored from a journal snapshot instead of
-    analyzing cold. *)
+(** Whether {!create} restored from the journal instead of analyzing
+    cold. *)
 
 val store : t -> Store.t
 val registry : t -> Obs.Metrics.t
@@ -190,7 +194,9 @@ type advance_result = {
 
 val advance : ?ctx:Obs.Trace.ctx -> t -> advance_result
 (** Apply one scripted advance and incrementally patch the store;
-    commits a snapshot to the journal when configured.  [ctx] is the
+    commits a delta to the journal when configured (the orphans it
+    removed, the entries it upserted, the analyzer checkpoint), and past
+    the journal's size threshold compacts it to a fresh base.  [ctx] is the
     request-scoped trace context of the [advance] wire request driving
     this increment: while set, every re-analyzed item's RPC and EVM
     spans carry its [trace_id].
@@ -204,9 +210,9 @@ val advance : ?ctx:Obs.Trace.ctx -> t -> advance_result
     treated as writes for invalidation, and only surviving dirty
     subjects plus the re-mined contracts are re-analyzed.  The
     resulting store is byte-identical to a cold full re-run over the
-    post-reorg chain, and the reorg is committed to the journal as part
-    of the snapshot's advance count — a SIGKILL mid-rollback recovers
-    warm to the same bytes. *)
+    post-reorg chain, and the reorg's removals are committed in the
+    advance's delta — a SIGKILL mid-rollback recovers warm to the same
+    bytes. *)
 
 val handle : ?deadline:float -> t -> string -> string option * string
 (** [handle t request_payload] is [(method, response_payload)] — the

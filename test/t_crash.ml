@@ -254,7 +254,7 @@ let test_journal_compaction () =
     ok (Journal.checkpoint j (Printf.sprintf "state-%d" i))
   done;
   let big = (Unix.stat path).Unix.st_size in
-  ok (Journal.compact j);
+  ok (Journal.compact j "state-10");
   let small = (Unix.stat path).Unix.st_size in
   check_b "compaction shrinks the file" true (small < big);
   check_b "compaction preserves the committed state" true
@@ -848,6 +848,273 @@ let test_journal_kill_and_resume_sequential () = kill_and_resume ~domains:1 ()
 let test_journal_kill_and_resume_parallel () =
   kill_and_resume ~domains:domains_under_test ()
 
+(* ------------------------------------------------------------------ *)
+(* Journal records since the last compaction                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A journal of a base and deltas hands back every committed record in
+   order; a compaction that stops before its rename leaves them intact,
+   and one that completes replaces them with the caller's payload. *)
+let test_journal_records_and_compaction () =
+  let path = fresh_path () in
+  let j, _ = ok (Journal.open_journal ~fsync:false path) in
+  List.iter (fun p -> ok (Journal.checkpoint j p)) [ "base"; "d1"; "d2" ];
+  ok (Journal.append j "uncommitted");
+  Journal.close j;
+  let before = read_file path in
+  (* The kill lands after the temporary file got half of its bytes. *)
+  let tmp = path ^ ".tmp" in
+  write_file tmp (String.sub before 0 (String.length before / 2));
+  let j2, r = ok (Journal.open_journal ~fsync:false path) in
+  check_sl "every committed record, oldest first" [ "base"; "d1"; "d2" ]
+    r.Journal.rec_records;
+  check_b "the newest record is the state" true
+    (r.Journal.rec_state = Some "d2");
+  check_i "three committed records" 3 r.Journal.rec_committed;
+  check_b "a journal under its threshold is not due for compaction" false
+    (Journal.compaction_due j2);
+  ok (Journal.compact j2 "base-2");
+  check_b "compaction replaced the stale temporary file" false
+    (Sys.file_exists tmp);
+  ok (Journal.append j2 "d3");
+  ok (Journal.commit j2);
+  Journal.close j2;
+  let j3, r3 = ok (Journal.open_journal ~fsync:false path) in
+  Journal.close j3;
+  check_sl "the compacted base, then what followed it" [ "base-2"; "d3" ]
+    r3.Journal.rec_records;
+  remove path
+
+(* ------------------------------------------------------------------ *)
+(* Landscape fingerprints                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A scan journal written over one landscape is refused over another:
+   stopped after three batches on [crash_gen], then resumed with a
+   different population and seed, as [scan -n 500 --seed 9] would. *)
+let test_scan_journal_refuses_other_landscape () =
+  let land_ = Generate.generate crash_gen in
+  let landscape = Generate.fingerprint land_ in
+  let t =
+    Proxion.Analyzer.create
+      ~config:Proxion.Pipeline.Config.(default |> with_batch_size 16)
+      ~chain:land_.Generate.chain ~source:land_.Generate.source_of ()
+  in
+  let path = fresh_path () in
+  let j, _ = ok (Journal.open_journal ~fsync:false path) in
+  Proxion.Analyzer.subscribe t (function
+    | Engine.Batch_finished _ ->
+        ok
+          (Journal.checkpoint j
+             (Report.Json.to_string (Proxion.Analyzer.checkpoint ~landscape t)))
+    | _ -> ());
+  Proxion.Analyzer.submit_all t;
+  Proxion.Analyzer.run ~max_batches:3 t;
+  Journal.close j;
+  let j2, r = ok (Journal.open_journal ~fsync:false path) in
+  Journal.close j2;
+  let ck =
+    match Option.map Report.Json.parse r.Journal.rec_state with
+    | Some (Ok json) -> json
+    | _ -> Alcotest.fail "no recovered checkpoint"
+  in
+  let other =
+    Generate.generate { crash_gen with Generate.total = 300; seed = 9 }
+  in
+  let other_fp = Generate.fingerprint other in
+  check_b "the landscapes differ" true (other_fp <> landscape);
+  (match
+     Proxion.Analyzer.restore ~landscape:other_fp ~chain:other.Generate.chain
+       ~source:other.Generate.source_of ck
+   with
+  | Ok _ -> Alcotest.fail "a checkpoint from another landscape was resumed"
+  | Error e ->
+      check_b "the error names the journal's fingerprint" true
+        (contains ~needle:landscape e);
+      check_b "the error names this landscape's fingerprint" true
+        (contains ~needle:other_fp e));
+  let again = Generate.generate crash_gen in
+  check_s "regeneration keeps the fingerprint" landscape
+    (Generate.fingerprint again);
+  (match
+     Proxion.Analyzer.restore ~landscape ~chain:again.Generate.chain
+       ~source:again.Generate.source_of ck
+   with
+  | Ok resumed ->
+      check_i "the same landscape resumes after batch 3" 3
+        (Engine.batches_done (Proxion.Analyzer.engine resumed))
+  | Error e -> Alcotest.failf "same-landscape resume refused: %s" e);
+  remove path
+
+(* ------------------------------------------------------------------ *)
+(* Daemon journal: a base snapshot and per-advance deltas              *)
+(* ------------------------------------------------------------------ *)
+
+module Daemon = Serve.Daemon
+module Advance = Serve.Advance
+
+let delta_gen = { Generate.quick_config with Generate.total = 120; seed = 33 }
+
+(* Seeded reorgs of up to 30 blocks.  With advance seed 22 the third
+   advance rolls 25 blocks back, orphaning nine deployments of the first
+   two, and re-mines only five of those addresses: the other four stay
+   removed, so the delta's removals are what keeps them out of the
+   recovered store. *)
+let delta_config path =
+  Serve.Config.(
+    default |> with_workers 1
+    |> with_analysis
+         Proxion.Pipeline.Config.(
+           default |> with_batch_size 16 |> with_domains 1)
+    |> with_advance_seed 22
+    |> with_advance_spec
+         { Advance.deployments = 3; upgrades = 2; reorg_depth = 30 }
+    |> with_journal (Some path)
+    |> with_journal_fsync false)
+
+let store_report d =
+  Report.Json.to_string
+    (Proxion.Serialize.report_to_json
+       (Serve.Store.report (Daemon.store d)
+          ~unique_codes:(Daemon.unique_codes d)))
+
+let create_daemon config =
+  Daemon.create ~config (Generate.generate delta_gen)
+
+(* Where each frame of a journal file ends, after the 9-byte header. *)
+let frame_ends data =
+  let rec go pos acc =
+    if pos + 9 > String.length data then List.rev acc
+    else
+      let next =
+        pos + 9 + Int32.to_int (String.get_int32_be data (pos + 1))
+      in
+      go next (next :: acc)
+  in
+  go 9 []
+
+(* Cut a daemon journal holding a base and three deltas (one carrying a
+   reorg's removals) at every frame boundary and one byte either side,
+   as a SIGKILL could leave it, and recover each prefix on a freshly
+   generated landscape: the recovered store must equal the live store as
+   of the last whole commit, and a gap in the advance index is refused. *)
+let test_daemon_delta_journal_sweep () =
+  let path = fresh_path () in
+  let d =
+    match create_daemon (delta_config path) with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "daemon create failed: %s" e
+  in
+  let size () = (Unix.stat path).Unix.st_size in
+  (* (journal size once committed, advances, live report) per commit *)
+  let commits = ref [ (size (), 0, store_report d) ] in
+  (* Orphans the fork did not re-mine at the same address. *)
+  let removed_for_good = ref 0 in
+  for i = 1 to 3 do
+    let r = Daemon.advance d in
+    let s = r.Daemon.adv_summary in
+    (match s.Advance.a_reorg with
+    | Some rg ->
+        removed_for_good :=
+          !removed_for_good
+          + List.length
+              (List.filter
+                 (fun a -> not (List.mem a s.Advance.a_new_contracts))
+                 rg.Advance.rg_orphaned)
+    | None -> ());
+    commits := (size (), i, store_report d) :: !commits
+  done;
+  Daemon.stop d;
+  let commits = List.rev !commits in
+  check_b "a reorg removed entries no deployment replaced" true
+    (!removed_for_good > 0);
+  let data = read_file path in
+  let ends = frame_ends data in
+  check_i "a base and three deltas, each a record and a commit" 8
+    (List.length ends);
+  check_sl "every commit ends on a frame boundary"
+    (List.map (fun (s, _, _) -> string_of_int s) commits)
+    (List.filteri (fun i _ -> i mod 2 = 1) ends |> List.map string_of_int);
+  let cuts =
+    List.concat_map (fun e -> [ e - 1; e; e + 1 ]) (9 :: ends)
+    |> List.filter (fun c -> c >= 0 && c <= String.length data)
+    |> List.sort_uniq compare
+  in
+  let scratch = fresh_path () in
+  List.iter
+    (fun cut ->
+      remove scratch;
+      write_file scratch (String.sub data 0 cut);
+      let expected =
+        List.fold_left
+          (fun acc (s, i, rep) -> if s <= cut then Some (i, rep) else acc)
+          None commits
+      in
+      match create_daemon (delta_config scratch) with
+      | Error e ->
+          check_b
+            (Printf.sprintf "cut %d: only a torn header is refused (%s)" cut e)
+            true (cut < 9)
+      | Ok r ->
+          let index, rep =
+            match expected with
+            | Some x -> x
+            | None ->
+                (* Nothing committed survives: a cold start, whose store
+                   is the base's. *)
+                let _, _, rep = List.hd commits in
+                (0, rep)
+          in
+          check_b
+            (Printf.sprintf "cut %d: warm exactly when a commit survives" cut)
+            (expected <> None) (Daemon.recovered r);
+          check_i
+            (Printf.sprintf "cut %d: advances of the last whole commit" cut)
+            index (Daemon.advances_applied r);
+          check_s
+            (Printf.sprintf "cut %d: store of the last whole commit" cut)
+            rep (store_report r);
+          Daemon.stop r)
+    cuts;
+  (* A compaction that stops before its rename leaves a torn temporary
+     file beside the journal: recovery reads the journal alone, and the
+     recovered daemon keeps committing deltas. *)
+  remove scratch;
+  write_file scratch data;
+  write_file (scratch ^ ".tmp") (String.sub data 0 (List.hd ends / 2));
+  (match create_daemon (delta_config scratch) with
+  | Error e -> Alcotest.failf "recovery beside a torn compaction: %s" e
+  | Ok r ->
+      let _, _, rep = List.nth commits 3 in
+      check_s "a torn compaction leaves the last commit" rep (store_report r);
+      ignore (Daemon.advance r);
+      let live = store_report r in
+      Daemon.stop r;
+      (match create_daemon (delta_config scratch) with
+      | Error e -> Alcotest.failf "recovery after a fourth delta: %s" e
+      | Ok r2 ->
+          check_i "four advances recovered" 4 (Daemon.advances_applied r2);
+          check_s "the fourth delta folds onto the rest" live (store_report r2);
+          Daemon.stop r2));
+  remove (scratch ^ ".tmp");
+  (* Drop the second delta: the third no longer follows the first. *)
+  let records =
+    let j, r = ok (Journal.open_journal ~fsync:false path) in
+    Journal.close j;
+    r.Journal.rec_records
+  in
+  check_i "four records: the base and three deltas" 4 (List.length records);
+  remove scratch;
+  let j, _ = ok (Journal.open_journal ~fsync:false scratch) in
+  List.iteri (fun i p -> if i <> 2 then ok (Journal.checkpoint j p)) records;
+  Journal.close j;
+  (match create_daemon (delta_config scratch) with
+  | Ok _ -> Alcotest.fail "a journal with a gap in its deltas was accepted"
+  | Error e ->
+      check_b ("the gap is named: " ^ e) true (contains ~needle:"gap" e));
+  remove scratch;
+  remove path
+
 let suite =
   [
     Alcotest.test_case "journal creates, commits and reopens" `Quick
@@ -890,4 +1157,10 @@ let suite =
       `Quick test_journal_kill_and_resume_sequential;
     Alcotest.test_case "journaled kill-and-resume is byte-identical (par)"
       `Quick test_journal_kill_and_resume_parallel;
+    Alcotest.test_case "journal returns every record since compaction" `Quick
+      test_journal_records_and_compaction;
+    Alcotest.test_case "scan journal refuses another landscape" `Quick
+      test_scan_journal_refuses_other_landscape;
+    Alcotest.test_case "daemon delta journal recovers every frame cut" `Quick
+      test_daemon_delta_journal_sweep;
   ]

@@ -48,5 +48,53 @@ let test_scan_counters () =
     Alcotest.failf "%.1f minor words per contract, above the ceiling of %.0f"
       per_contract minor_words_ceiling
 
+(* What a journaled daemon writes: the base snapshot once, then per
+   advance a delta of what it changed.  A 400-contract daemon (460
+   subjects) makes three advances of the default script.  Each delta
+   holds the re-analyzed entries and the analyzer's checkpoint, about a
+   quarter of the base, so a whole-store commit, which appends more than
+   the base on every advance, fails here.  Each framed record costs 18
+   bytes beyond its payload (a record and a commit header), the file's
+   header 9. *)
+let test_commit_bytes () =
+  let path = Filename.temp_file "proxion_ratchet" ".journal" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let land_ =
+        Generate.generate { Generate.default_config with total = 400; seed = 5 }
+      in
+      let config =
+        Serve.Config.(
+          default |> with_workers 1
+          |> with_analysis Pipeline.Config.(default |> with_domains 1)
+          |> with_journal (Some path)
+          |> with_journal_fsync false)
+      in
+      let d =
+        match Serve.Daemon.create ~config land_ with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "daemon create failed: %s" e
+      in
+      let size () = (Unix.stat path).Unix.st_size in
+      let base = size () in
+      let appended =
+        List.init 3 (fun _ ->
+            let before = size () in
+            ignore (Serve.Daemon.advance d);
+            size () - before)
+      in
+      Serve.Daemon.stop d;
+      check_i "journal after the base snapshot" 319_884 base;
+      List.iter2
+        (fun (i, want) n ->
+          check_i (Printf.sprintf "bytes appended by advance %d" i) want n)
+        [ (1, 79_842); (2, 82_899); (3, 85_956) ]
+        appended)
+
 let suite =
-  [ Alcotest.test_case "scan pass counters" `Quick test_scan_counters ]
+  [
+    Alcotest.test_case "scan pass counters" `Quick test_scan_counters;
+    Alcotest.test_case "watch advance commit bytes" `Quick test_commit_bytes;
+  ]

@@ -113,6 +113,148 @@ let qcheck_roundtrip_compact =
       | Ok got -> got = v
       | Error _ -> false)
 
+(* A reference printer that copies every string through a fresh buffer
+   and builds each indent anew: the property below holds [Json.to_string]
+   to its bytes. *)
+module Oracle = struct
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let to_string ?(pretty = true) value =
+    let buf = Buffer.create 256 in
+    let indent n =
+      if pretty then Buffer.add_string buf (String.make (2 * n) ' ')
+    in
+    let newline () = if pretty then Buffer.add_char buf '\n' in
+    let rec emit depth = function
+      | Json.Null -> Buffer.add_string buf "null"
+      | Json.Bool b -> Buffer.add_string buf (string_of_bool b)
+      | Json.Int n -> Buffer.add_string buf (string_of_int n)
+      | Json.Float f ->
+          if Float.is_integer f && Float.abs f < 1e15 then
+            Buffer.add_string buf (Printf.sprintf "%.1f" f)
+          else
+            let short = Printf.sprintf "%.15g" f in
+            if float_of_string short = f then Buffer.add_string buf short
+            else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      | Json.String s ->
+          Buffer.add_char buf '"';
+          Buffer.add_string buf (escape s);
+          Buffer.add_char buf '"'
+      | Json.List [] -> Buffer.add_string buf "[]"
+      | Json.List items ->
+          Buffer.add_char buf '[';
+          newline ();
+          List.iteri
+            (fun i item ->
+              if i > 0 then begin
+                Buffer.add_char buf ',';
+                newline ()
+              end;
+              indent (depth + 1);
+              emit (depth + 1) item)
+            items;
+          newline ();
+          indent depth;
+          Buffer.add_char buf ']'
+      | Json.Obj [] -> Buffer.add_string buf "{}"
+      | Json.Obj fields ->
+          Buffer.add_char buf '{';
+          newline ();
+          List.iteri
+            (fun i (key, v) ->
+              if i > 0 then begin
+                Buffer.add_char buf ',';
+                newline ()
+              end;
+              indent (depth + 1);
+              Buffer.add_char buf '"';
+              Buffer.add_string buf (escape key);
+              Buffer.add_string buf "\": ";
+              emit (depth + 1) v)
+            fields;
+          newline ();
+          indent depth;
+          Buffer.add_char buf '}'
+    in
+    emit 0 value;
+    Buffer.contents buf
+end
+
+(* Trees whose strings and keys are drawn mostly from the bytes the
+   escaper treats specially (quotes, backslashes, every control byte)
+   beside plain and high bytes, with floats and deeper nesting than the
+   round-trip generator. *)
+let arb_escapable_json =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, oneofl [ '"'; '\\'; '\n'; '\r'; '\t' ]);
+        (3, map Char.chr (int_range 0 0x1f));
+        (4, printable);
+        (1, map Char.chr (int_range 0x7f 0xff));
+      ]
+  in
+  let str = string_size ~gen:byte (int_bound 12) in
+  let rec gen depth =
+    if depth = 0 then
+      oneof
+        [
+          map (fun n -> Json.Int n) int;
+          map (fun f -> Json.Float f) float;
+          map (fun b -> Json.Bool b) bool;
+          return Json.Null;
+          map (fun s -> Json.String s) str;
+        ]
+    else
+      frequency
+        [
+          (2, gen 0);
+          ( 1,
+            map
+              (fun l -> Json.List l)
+              (list_size (int_bound 4) (gen (depth - 1))) );
+          ( 1,
+            map
+              (fun kvs -> Json.Obj kvs)
+              (list_size (int_bound 4) (pair str (gen (depth - 1)))) );
+        ]
+  in
+  QCheck.make
+    ~print:(fun v -> String.escaped (Oracle.to_string ~pretty:false v))
+    (gen 5)
+
+let qcheck_printer_oracle =
+  QCheck.Test.make ~name:"json printer matches the per-string-copy printer"
+    ~count:500 arb_escapable_json (fun v ->
+      Json.to_string v = Oracle.to_string v
+      && Json.to_string ~pretty:false v = Oracle.to_string ~pretty:false v)
+
+(* Past 128 levels the indentation outruns the run of spaces and is
+   appended in pieces. *)
+let test_printer_deep_indent () =
+  let rec nest n v =
+    if n = 0 then v
+    else nest (n - 1) (Json.List [ Json.Int n; Json.Obj [ ("k\"", v) ] ])
+  in
+  let v = nest 150 (Json.String "leaf\x01") in
+  check_s "deep pretty print matches the oracle" (Oracle.to_string v)
+    (Json.to_string v)
+
 let suite =
   [
     Alcotest.test_case "table alignment" `Quick test_table_alignment;
@@ -122,4 +264,7 @@ let suite =
     Alcotest.test_case "json unicode escape" `Quick test_json_unicode_escape;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_roundtrip_compact;
+    QCheck_alcotest.to_alcotest qcheck_printer_oracle;
+    Alcotest.test_case "json printer indents past 128 levels" `Quick
+      test_printer_deep_indent;
   ]

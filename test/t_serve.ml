@@ -1183,6 +1183,53 @@ let test_ops_console () =
   check_b "per-method table present" true (contains ~needle:"get_status" text);
   check_b "flight ring rendered" true (contains ~needle:"flight ring" text)
 
+(* ------------------------------------------------------------------ *)
+(* Journal fingerprints                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A daemon journal binds to the landscape it was written for.  After two
+   advances, a daemon over [-n 401 --seed 5] replays to the same height as
+   one over [-n 400 --seed 5], so only the fingerprint tells them apart. *)
+let test_journal_refuses_other_landscape () =
+  let path = temp_journal () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let gen total =
+        Generate.generate { Generate.default_config with total; seed = 5 }
+      in
+      let config =
+        Serve.Config.(
+          default |> with_analysis analysis_config |> with_workers 1
+          |> with_journal (Some path)
+          |> with_journal_fsync false)
+      in
+      let d =
+        match Daemon.create ~config (gen 400) with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "daemon create failed: %s" e
+      in
+      ignore (Daemon.advance d);
+      ignore (Daemon.advance d);
+      Daemon.stop d;
+      let written = Generate.fingerprint (gen 400) in
+      let other = gen 401 in
+      let this = Generate.fingerprint other in
+      (match Daemon.create ~config other with
+      | Ok _ -> Alcotest.fail "a journal from another landscape was accepted"
+      | Error e ->
+          check_b "the error names the journal's fingerprint" true
+            (contains ~needle:written e);
+          check_b "the error names this landscape's fingerprint" true
+            (contains ~needle:this e));
+      (* The refusal leaves the journal intact for its own landscape. *)
+      match Daemon.create ~config (gen 400) with
+      | Error e -> Alcotest.failf "recovery after a refusal: %s" e
+      | Ok d2 ->
+          check_b "recovered warm" true (Daemon.recovered d2);
+          check_i "advances restored" 2 (Daemon.advances_applied d2);
+          Daemon.stop d2)
+
 let suite =
   [
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
@@ -1220,4 +1267,6 @@ let suite =
       test_flight_dump_determinism;
     Alcotest.test_case "ops console digest and quantiles" `Quick
       test_ops_console;
+    Alcotest.test_case "warm start refuses another landscape's journal" `Quick
+      test_journal_refuses_other_landscape;
   ]
