@@ -1,6 +1,6 @@
 (* Shared command-line flag groups.  Every subcommand that touches a
-   synthetic chain, fault injection, telemetry or the durable journal
-   assembles its interface from these four specs, so flags spell and
+   synthetic chain, fault injection, tracing, telemetry or the durable
+   journal assembles its interface from these specs, so flags spell and
    behave identically across `proxion scan`, `serve`, `query` and
    `bench`. *)
 
@@ -144,6 +144,44 @@ module Faults_spec = struct
       |> Resilience.Transport.with_quorum t.quorum
 end
 
+(* --- trace: the streamed span timeline ------------------------------------ *)
+
+(* One --trace-out for every subcommand that traces.  The file is opened
+   at start, each span is written as it finishes, and the document is
+   completed at exit — on every exit path, so a run stopped by an error
+   still leaves a whole JSON file. *)
+module Trace_out = struct
+  let term =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Stream a Chrome trace-event JSON span timeline to $(docv), \
+             loadable at ui.perfetto.dev: request > run > batch > item > \
+             stage spans, with RPC dispatches and EVM frames on per-worker \
+             lanes, all on one clock.  Spans are written as they finish, \
+             not at shutdown; the file is completed at exit.")
+
+  let open_ = function
+    | None -> Ok None
+    | Some path -> (
+        match Obs.Trace.to_file path with
+        | Ok tr ->
+            at_exit (fun () -> try Obs.Trace.close tr with Sys_error _ -> ());
+            Ok (Some tr)
+        | Error e -> Error ("cannot write " ^ e))
+
+  (* Complete the file now; false (after reporting it on stderr) when a
+     write failed. *)
+  let close path tr =
+    match Obs.Trace.close tr with
+    | () -> true
+    | exception Sys_error e ->
+        Printf.eprintf "error: cannot write %s: %s\n%!" path e;
+        false
+end
+
 (* --- telemetry: progress logging, metrics and trace outputs -------------- *)
 
 module Telemetry_spec = struct
@@ -209,27 +247,18 @@ module Telemetry_spec = struct
                the snapshot timestamp, making --metrics-out byte-identical \
                across --domains values.")
     in
-    let trace_out =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "trace-out" ] ~docv:"FILE"
-            ~doc:
-              "Write a Chrome trace-event JSON span timeline (run > batch > \
-               item > stage, plus sampled RPC/EVM worker lanes) to $(docv) — \
-               loadable at ui.perfetto.dev.")
-    in
     Term.(
       const (fun progress log_json log_level metrics_out metrics_det trace_out ->
           { progress; log_json; log_level; metrics_out; metrics_det; trace_out })
-      $ progress $ log_json $ log_level $ metrics_out $ metrics_det $ trace_out)
+      $ progress $ log_json $ log_level $ metrics_out $ metrics_det
+      $ Trace_out.term)
 
   let log t =
     if t.progress || t.log_json then
       Some (Obs.Log.create ~level:t.log_level ~json:t.log_json stderr)
     else None
 
-  let trace t = Option.map (fun _ -> Obs.Trace.create ()) t.trace_out
+  let trace t = Trace_out.open_ t.trace_out
 
   let write_file path f =
     match Out_channel.with_open_text path f with
@@ -238,8 +267,8 @@ module Telemetry_spec = struct
         Printf.eprintf "error: cannot write %s: %s\n%!" path e;
         false
 
-  (* Flush --metrics-out / --trace-out; returns false when any write
-     failed (after reporting it on stderr). *)
+  (* Write --metrics-out and complete --trace-out; returns false when any
+     write failed (after reporting it on stderr). *)
   let write_outputs t ~registry ~trace =
     let metrics_ok =
       match t.metrics_out with
@@ -263,7 +292,7 @@ module Telemetry_spec = struct
     in
     let trace_ok =
       match (t.trace_out, trace) with
-      | Some path, Some tr -> write_file path (fun oc -> Obs.Trace.write tr oc)
+      | Some path, Some tr -> Trace_out.close path tr
       | _ -> true
     in
     metrics_ok && trace_ok

@@ -6,6 +6,7 @@ open Cmdliner
 module Chain_spec = Cli_spec.Chain_spec
 module Faults_spec = Cli_spec.Faults_spec
 module Telemetry_spec = Cli_spec.Telemetry_spec
+module Trace_out = Cli_spec.Trace_out
 module Journal_spec = Cli_spec.Journal_spec
 
 let print_and_exit s =
@@ -121,8 +122,12 @@ let run_stream_scan chain faults telemetry stream_batch batch_size domains =
   let chain_ = Dataset.Generate.stream_chain stream in
   let source = Dataset.Generate.stream_source_of stream in
   Chain.reset_api_call_count chain_;
+  match Telemetry_spec.trace telemetry with
+  | Error e ->
+      prerr_endline ("error: " ^ e);
+      1
+  | Ok trace ->
   let registry = Obs.Metrics.create () in
-  let trace = Telemetry_spec.trace telemetry in
   let log = Telemetry_spec.log telemetry in
   let resilience = Faults_spec.resilience faults in
   let config =
@@ -223,7 +228,11 @@ let run_scan chain faults telemetry journal_path journal_fsync findings
       ~help:"Checkpoint frames committed to the durable journal"
       "proxion_journal_commits_total"
   in
-  let trace = Telemetry_spec.trace telemetry in
+  match Telemetry_spec.trace telemetry with
+  | Error e ->
+      prerr_endline ("error: " ^ e);
+      1
+  | Ok trace ->
   let log = Telemetry_spec.log telemetry in
   (* Like --domains, the fault plan and the watchdog budget are execution
      parameters: any combination of knobs produces the same figures,
@@ -507,7 +516,11 @@ let run_serve chain faults host port workers backlog max_conns queue_limit
   in
   let registry = Obs.Metrics.create () in
   let log = Obs.Log.create ~level:log_level ~json:log_json stderr in
-  let trace = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
+  match Trace_out.open_ trace_out with
+  | Error e ->
+      prerr_endline ("error: " ^ e);
+      1
+  | Ok trace ->
   let land_ = Chain_spec.generate chain in
   match Serve.Daemon.create ~config ~registry ~log ?trace land_ with
   | Error e ->
@@ -536,17 +549,15 @@ let run_serve chain faults host port workers backlog max_conns queue_limit
           Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
           Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
           Serve.Daemon.wait d;
-          (match (trace, trace_out) with
-          | Some tr, Some path -> (
-              try
-                let oc = open_out path in
-                Obs.Trace.write tr oc;
-                close_out oc;
+          match (trace, trace_out) with
+          | Some tr, Some path ->
+              if Trace_out.close path tr then begin
                 Printf.eprintf "trace: %d events -> %s\n%!" (Obs.Trace.count tr)
-                  path
-              with Sys_error e -> Printf.eprintf "trace: %s\n%!" e)
-          | _ -> ());
-          0)
+                  path;
+                0
+              end
+              else 1
+          | _ -> 0)
 
 let host_arg =
   Arg.(
@@ -690,15 +701,6 @@ let serve_cmd =
             "Log requests slower than $(docv) at warn level with their \
              full span tree inline.")
   in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Collect request/RPC/EVM spans and write them as Chrome \
-             trace-event JSON to $(docv) on shutdown.")
-  in
   let flight_capacity_arg =
     Arg.(
       value & opt int 256
@@ -731,7 +733,7 @@ let serve_cmd =
       $ request_deadline_arg $ drain_grace_arg $ journal_arg
       $ Journal_spec.fsync_term $ advance_seed_arg $ deployments_arg
       $ upgrades_arg $ reorg_depth_arg $ batch_size_arg $ domains_arg
-      $ log_json_arg $ log_level_arg $ slow_ms_arg $ trace_out_arg
+      $ log_json_arg $ log_level_arg $ slow_ms_arg $ Trace_out.term
       $ flight_capacity_arg $ flight_dump_arg $ trace_seed_arg)
 
 (* --- query: the thin wire client ----------------------------------------- *)

@@ -11,12 +11,10 @@ type cached_detection =
 
 (* Telemetry wiring: the shared registry, the metric families the
    analyzer records per item (through input-order-merged shards), and the
-   optional span collector with its 1-in-N item sampling factor for
-   worker-lane RPC/EVM-frame detail. *)
+   optional span collector. *)
 type telemetry = {
   tm_registry : Obs.Metrics.t;
   tm_trace : Obs.Trace.t option;
-  tm_sample : int;
   tm_rpc_attempts : Obs.Metrics.family;
   tm_api_methods : Obs.Metrics.family;
   tm_endpoint_attempts : Obs.Metrics.family;
@@ -61,6 +59,10 @@ let method_handle tm meth =
       in
       Hashtbl.replace tm.tm_method_handles meth h;
       h
+
+(* Outside a request, 1 item in [trace_sample] records its RPC and EVM
+   detail in a trace. *)
+let trace_sample = 16
 
 (* Per-item observation state: a private registry shard (absorbed at the
    item's merge point) plus the sampling decision — a pure function of
@@ -367,6 +369,20 @@ let analyze_contract t env ctx addr =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Args joining a span to the active request trace, when one is set: the
+   request's trace id, and its span as the parent. *)
+let req_trace_args t =
+  match Atomic.get t.req_ctx with
+  | None -> []
+  | Some c ->
+      [
+        ("trace_id", Json.String (Obs.Trace.id_to_hex c.Obs.Trace.trace_id));
+        ( "parent_span_id",
+          Json.String (Obs.Trace.id_to_hex c.Obs.Trace.span_id) );
+      ]
+
+let trace_now tr = Obs.Clock.now (Obs.Trace.clock tr)
+
 (* One logical archive connection per item.  The salt derives from the
    subject address alone, so the fault/jitter stream a contract sees is a
    pure function of (plan seed, address, attempt index) — independent of
@@ -376,18 +392,6 @@ let analyze_contract t env ctx addr =
 let make_transport t ctx addr chain obs =
   let subject = Address.to_hex addr in
   let worker = Engine.worker_id ctx in
-  (* Args joining a worker-lane span to the active request trace, when
-     one is set; leaf spans carry the request span as their parent. *)
-  let req_trace_args () =
-    match Atomic.get t.req_ctx with
-    | None -> []
-    | Some c ->
-        [
-          ("trace_id", Json.String (Obs.Trace.id_to_hex c.Obs.Trace.trace_id));
-          ( "parent_span_id",
-            Json.String (Obs.Trace.id_to_hex c.Obs.Trace.span_id) );
-        ]
-  in
   let on_event ev =
     (match Atomic.get t.transport_obs with Some f -> f ev | None -> ());
     match ev with
@@ -428,18 +432,19 @@ let make_transport t ctx addr chain obs =
               io.io_shard tm.tm_endpoint_attempts;
             match tm.tm_trace with
             | Some tr when io.io_sampled ->
-                (* Worker-lane RPC detail on track worker+1, real-time
-                   stamped: the merged coordinator stream has no
-                   per-attempt timing left. *)
+                (* The archive node is in process, so a dispatch is a
+                   point on the worker's lane; its simulated latency is
+                   virtual time and rides as an arg. *)
                 Obs.Trace.complete tr ~tid:(worker + 1) ~cat:"rpc" ~name:meth
-                  ~ts:(Obs.Trace.now tr) ~dur:latency
+                  ~ts:(trace_now tr) ~dur:0.0
                   ~args:
                     ([
                        ("subject", Json.String subject);
                        ("outcome", Json.String outcome);
                        ("endpoint", Json.String endpoint);
+                       ("latency_s", Json.Float latency);
                      ]
-                    @ req_trace_args ())
+                    @ req_trace_args t)
             | _ -> ())
         | _ -> ())
   in
@@ -462,8 +467,7 @@ let item_obs_for t addr =
              else tm.tm_registry);
           io_sampled =
             (Atomic.get t.req_ctx <> None
-            || tm.tm_sample > 0
-               && Hashtbl.hash (Address.to_hex addr) mod tm.tm_sample = 0);
+            || Hashtbl.hash (Address.to_hex addr) mod trace_sample = 0);
           io_frames = ref 0;
         }
 
@@ -478,33 +482,20 @@ let item_tracer t ctx obs =
             incr io.io_frames;
             match tm.tm_trace with
             | Some tr when io.io_sampled ->
-                stack := (ev.Evm.Interp.kind, Obs.Trace.now tr) :: !stack
+                stack := (ev.Evm.Interp.kind, trace_now tr) :: !stack
             | _ -> ());
         Evm.Interp.on_call_result =
           (fun _ev _status ->
             match (tm.tm_trace, !stack) with
             | Some tr, (kind, ts) :: rest when io.io_sampled ->
                 stack := rest;
-                let args =
-                  match Atomic.get t.req_ctx with
-                  | None -> []
-                  | Some c ->
-                      [
-                        ( "trace_id",
-                          Json.String
-                            (Obs.Trace.id_to_hex c.Obs.Trace.trace_id) );
-                        ( "parent_span_id",
-                          Json.String (Obs.Trace.id_to_hex c.Obs.Trace.span_id)
-                        );
-                      ]
-                in
                 Obs.Trace.complete tr
                   ~tid:(Engine.worker_id ctx + 1)
                   ~cat:"evm"
                   ~name:(Evm.Interp.call_kind_to_string kind)
                   ~ts
-                  ~dur:(Obs.Trace.now tr -. ts)
-                  ~args
+                  ~dur:(trace_now tr -. ts)
+                  ~args:(req_trace_args t)
             | _ -> ());
       }
   | _ -> Evm.Interp.no_tracer
@@ -729,9 +720,51 @@ let submit_all t =
 
 let step_b = [ 10.; 100.; 1000.; 1e4; 1e5; 1e6; 1e7 ]
 
-let instrument ?trace ?log ?(trace_sample = 16) registry t =
+(* The engine's spans, stamped with the start its timing read from the
+   collector's clock: the run and its batches on track 0, each item and
+   its stages on the lane of the worker that ran them (track worker + 1,
+   beside that worker's RPC and EVM detail).  Events arrive in input
+   order, so the sequence of engine spans is the same at any worker
+   count. *)
+let attach_spans t tr =
+  Engine.set_clock t.engine (Obs.Trace.clock tr);
+  let span ?(tid = 0) ~cat ~name ~start ~elapsed args =
+    Obs.Trace.complete tr ~tid ~cat ~name ~ts:start ~dur:elapsed
+      ~args:(args @ req_trace_args t)
+  in
+  let stage_span ~stage ~subject ~worker ~start ~elapsed args =
+    span ~tid:(worker + 1) ~cat:"stage" ~name:(Engine.stage_name stage) ~start
+      ~elapsed
+      (("subject", Json.String subject) :: args)
+  in
+  Engine.subscribe t.engine (function
+    | Engine.Run_finished { processed; skipped; start; elapsed } ->
+        span ~cat:"run" ~name:"run" ~start ~elapsed
+          [ ("processed", Json.Int processed); ("skipped", Json.Int skipped) ]
+    | Engine.Batch_finished { index; size; start; elapsed } ->
+        span ~cat:"batch"
+          ~name:(Printf.sprintf "batch-%d" index)
+          ~start ~elapsed
+          [ ("size", Json.Int size) ]
+    | Engine.Item_finished { subject; start; elapsed; worker } ->
+        span ~tid:(worker + 1) ~cat:"item" ~name:subject ~start ~elapsed []
+    | Engine.Stage_finished { stage; subject; start; timing; worker } ->
+        stage_span ~stage ~subject ~worker ~start
+          ~elapsed:timing.Engine.t_elapsed
+          [
+            ("api_calls", Json.Int timing.Engine.t_api_calls);
+            ("steps", Json.Int timing.Engine.t_steps);
+            ("retries", Json.Int timing.Engine.t_retries);
+          ]
+    | Engine.Stage_errored { stage; subject; message; start; elapsed; worker }
+      ->
+        stage_span ~stage ~subject ~worker ~start ~elapsed
+          [ ("error", Json.String message) ]
+    | _ -> ())
+
+let instrument ?trace ?log registry t =
   Engine.Telemetry.instrument registry t.engine;
-  Option.iter (fun tr -> Engine.Telemetry.attach_trace tr t.engine) trace;
+  Option.iter (attach_spans t) trace;
   Option.iter (fun lg -> Engine.Telemetry.attach_log lg t.engine) log;
   let rpc_attempts =
     Obs.Metrics.counter registry
@@ -772,7 +805,6 @@ let instrument ?trace ?log ?(trace_sample = 16) registry t =
     {
       tm_registry = registry;
       tm_trace = trace;
-      tm_sample = trace_sample;
       tm_rpc_attempts = rpc_attempts;
       tm_api_methods = api_methods;
       tm_endpoint_attempts = endpoint_attempts;
@@ -811,7 +843,6 @@ let instrument ?trace ?log ?(trace_sample = 16) registry t =
   t.telemetry <- Some tm
 
 let set_request_ctx t ctx = Atomic.set t.req_ctx ctx
-let request_ctx t = Atomic.get t.req_ctx
 let set_transport_observer t obs = Atomic.set t.transport_obs obs
 
 let run ?max_batches t =

@@ -52,12 +52,7 @@ val engine : t -> (Evm.Address.t, Analysis.contract_report) Engine.t
 (** The underlying engine, for direct access to scheduling state. *)
 
 val instrument :
-  ?trace:Obs.Trace.t ->
-  ?log:Obs.Log.t ->
-  ?trace_sample:int ->
-  Obs.Metrics.t ->
-  t ->
-  unit
+  ?trace:Obs.Trace.t -> ?log:Obs.Log.t -> Obs.Metrics.t -> t -> unit
 (** Wire full telemetry into this analyzer: the engine-event recorders
     ({!Engine.Telemetry}) plus the analyzer's own families — RPC attempts
     per method/outcome, node requests per method, per-item EVM
@@ -66,23 +61,22 @@ val instrument :
     recorded into registry shards absorbed in input order at the
     engine's merge barrier, so a snapshot with volatile families
     suppressed is byte-identical at every worker count.  [trace] adds
-    span collection: the deterministic coordinator timeline plus
-    worker-lane RPC/EVM-frame detail for a 1-in-[trace_sample] (default
-    16; 0 disables) subset of items chosen by address hash.  [log]
-    attaches the structured progress backend.  Call once, before
-    {!run}. *)
+    span collection on the collector's clock, which the engine then
+    times with: run > batch > item > stage spans stamped by the
+    engine's own timing, and RPC-dispatch and EVM-frame detail for a
+    1-in-16 subset of items chosen by address hash.  [log] attaches the
+    structured progress backend.  Call once, before {!run}. *)
 
 val set_request_ctx : t -> Obs.Trace.ctx option -> unit
 (** Set (or clear, with [None]) the request-scoped trace context.
-    While set, {e every} item is treated as trace-sampled and its
-    worker-lane RPC and EVM-frame spans carry the context's [trace_id]
-    with the context's span as [parent_span_id] — the daemon sets it
-    around a traced [query]/[advance] so endpoint attempts (including
-    quorum votes and hedges) and probe frames land inside the request
-    span.  Callers must serialize: one request-scoped analysis at a
-    time (the daemon's advance lock does this). *)
-
-val request_ctx : t -> Obs.Trace.ctx option
+    While set, {e every} item is treated as trace-sampled and every
+    span the analyzer records — run, batch, item, stage, RPC dispatch,
+    EVM frame — carries the context's [trace_id] with the context's
+    span as [parent_span_id]: the daemon sets it around a
+    [query]/[advance] so the analysis it causes, endpoint attempts
+    (including quorum votes and hedges) and probe frames land inside
+    the request span.  Callers must serialize: one request-scoped
+    analysis at a time (the daemon's advance lock does this). *)
 
 val set_transport_observer :
   t -> (Resilience.Transport.event -> unit) option -> unit

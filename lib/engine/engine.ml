@@ -143,11 +143,17 @@ type 'item skip_record = {
 type event =
   | Run_started of { pending : int; batch_size : int; domains : int }
   | Batch_started of { index : int; size : int }
-  | Batch_finished of { index : int; size : int; elapsed : float }
+  | Batch_finished of {
+      index : int;
+      size : int;
+      start : float;
+      elapsed : float;
+    }
   | Stage_started of { stage : stage; subject : string; worker : int }
   | Stage_finished of {
       stage : stage;
       subject : string;
+      start : float;
       timing : timing;
       worker : int;
     }
@@ -155,6 +161,8 @@ type event =
       stage : stage;
       subject : string;
       message : string;
+      start : float;
+      elapsed : float;
       worker : int;
     }
   | Retry_attempted of {
@@ -178,7 +186,18 @@ type event =
       attempts : int;
       worker : int;
     }
-  | Run_finished of { processed : int; skipped : int; elapsed : float }
+  | Item_finished of {
+      subject : string;
+      start : float;
+      elapsed : float;
+      worker : int;
+    }
+  | Run_finished of {
+      processed : int;
+      skipped : int;
+      start : float;
+      elapsed : float;
+    }
 
 (* Mutable per-stage aggregate. *)
 type agg = {
@@ -226,7 +245,7 @@ type ('item, 'res) t = {
      left in the dead-letter list instead of being requeued forever. *)
   fail_counts : (string, int) Hashtbl.t;
   mutable crashes : int;
-  clk : Obs.Clock.t;
+  mutable clk : Obs.Clock.t;
 }
 
 (* What [process] sees: the engine, the id of the worker running the item
@@ -242,7 +261,7 @@ and ('item, 'res) ctx = {
 }
 
 let create ?(batch_size = 32) ?(domains = 1) ?key ?crash_plan ?attempt_ceiling
-    ?(clock = Obs.Clock.real) ~subject ~process () =
+    ~subject ~process () =
   if batch_size <= 0 then invalid_arg "Engine.create: batch_size must be > 0";
   if domains <= 0 then invalid_arg "Engine.create: domains must be > 0";
   (match attempt_ceiling with
@@ -266,15 +285,14 @@ let create ?(batch_size = 32) ?(domains = 1) ?key ?crash_plan ?attempt_ceiling
     ceiling = attempt_ceiling;
     fail_counts = Hashtbl.create 16;
     crashes = 0;
-    clk = clock;
+    clk = Obs.Clock.real;
   }
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 let emit t ev = List.iter (fun f -> f ev) t.subscribers
-let engine ctx = ctx.eng
 let worker_id ctx = ctx.worker
 let current_stage ctx = ctx.last_stage
-let clock t = t.clk
+let set_clock t clock = t.clk <- clock
 
 (* Run [f] at the deterministic-merge point for this item: immediately on
    the sequential path, buffered in the item's slot — and replayed in
@@ -323,12 +341,12 @@ let timed_stage ctx ~stage ~subject ?api_calls ?steps ?retries f =
   let api0 = sample api_calls
   and steps0 = sample steps
   and retries0 = sample retries in
-  let t0 = Obs.Clock.now ctx.eng.clk in
+  let start = Obs.Clock.now ctx.eng.clk in
   match f () with
   | v ->
       let timing =
         {
-          t_elapsed = Obs.Clock.now ctx.eng.clk -. t0;
+          t_elapsed = Obs.Clock.now ctx.eng.clk -. start;
           t_api_calls = sample api_calls - api0;
           t_steps = sample steps - steps0;
           t_retries = sample retries - retries0;
@@ -337,12 +355,14 @@ let timed_stage ctx ~stage ~subject ?api_calls ?steps ?retries f =
       (match ctx.sink with
       | None -> apply_agg ctx.eng stage timing
       | Some slot -> slot.s_aggs <- (stage, timing) :: slot.s_aggs);
-      emit_from ctx (Stage_finished { stage; subject; timing; worker });
+      emit_from ctx (Stage_finished { stage; subject; start; timing; worker });
       ctx.last_stage <- None;
       v
   | exception e ->
+      let elapsed = Obs.Clock.now ctx.eng.clk -. start in
+      let message = Printexc.to_string e in
       emit_from ctx
-        (Stage_errored { stage; subject; message = Printexc.to_string e; worker });
+        (Stage_errored { stage; subject; message; start; elapsed; worker });
       raise e
 
 let submit t items = List.iter (fun i -> Queue.add i t.queue) items
@@ -447,35 +467,40 @@ let sequential_batch t n =
     let item = Queue.pop t.queue in
     let subject = t.subject_of item in
     let ctx = { eng = t; worker = 0; sink = None; last_stage = None } in
-    let skip reason =
-      t.skipped_rev <- record_of ~subject reason item :: t.skipped_rev;
-      note_failure t subject;
-      emit t
-        (Item_skipped
-           {
-             subject;
-             message = reason.sr_message;
-             fault_class = reason.sr_class;
-             attempts = reason.sr_attempts;
-             worker = 0;
-           })
+    let start = Obs.Clock.now t.clk in
+    let outcome =
+      match
+        maybe_kill t subject;
+        t.process ctx item
+      with
+      | r -> r
+      | exception e when is_fatal e ->
+          (* The sequential path is its own supervisor: the "worker" is
+             the coordinator, so the crash demotes to a dead letter in
+             place and the loop moves on — the same observable outcome
+             the parallel supervisor produces. *)
+          t.crashes <- t.crashes + 1;
+          Error (crash_reason ctx e)
+      | exception e -> Error (reason_of_exn ctx e)
     in
-    match
-      maybe_kill t subject;
-      t.process ctx item
-    with
+    let elapsed = Obs.Clock.now t.clk -. start in
+    emit t (Item_finished { subject; start; elapsed; worker = 0 });
+    match outcome with
     | Ok res ->
         t.results_rev <- res :: t.results_rev;
         t.processed <- t.processed + 1
-    | Error reason -> skip reason
-    | exception e when is_fatal e ->
-        (* The sequential path is its own supervisor: the "worker" is the
-           coordinator, so the crash demotes to a dead letter in place and
-           the loop moves on — the same observable outcome the parallel
-           supervisor produces. *)
-        t.crashes <- t.crashes + 1;
-        skip (crash_reason ctx e)
-    | exception e -> skip (reason_of_exn ctx e)
+    | Error reason ->
+        t.skipped_rev <- record_of ~subject reason item :: t.skipped_rev;
+        note_failure t subject;
+        emit t
+          (Item_skipped
+             {
+               subject;
+               message = reason.sr_message;
+               fault_class = reason.sr_class;
+               attempts = reason.sr_attempts;
+               worker = 0;
+             })
   done
 
 (* ------------------------------------------------------------------ *)
@@ -588,19 +613,27 @@ let run_item t slot item =
   let ctx =
     { eng = t; worker = slot.s_worker; sink = Some slot; last_stage = None }
   in
+  let subject = t.subject_of item in
+  let start = Obs.Clock.now t.clk in
+  let finish outcome =
+    slot.s_outcome <- Some outcome;
+    let elapsed = Obs.Clock.now t.clk -. start in
+    emit_from ctx
+      (Item_finished { subject; start; elapsed; worker = ctx.worker })
+  in
   match
-    maybe_kill t (t.subject_of item);
+    maybe_kill t subject;
     t.process ctx item
   with
-  | r -> slot.s_outcome <- Some r
+  | r -> finish r
   | exception e when is_fatal e ->
       (* The dying worker files its own death certificate: outcome and
          stage attribution land in the slot before the exception tears the
          domain down, so the supervisor only has to respawn a domain and
          reschedule the rest of the chain. *)
-      slot.s_outcome <- Some (Error (crash_reason ctx e));
+      finish (Error (crash_reason ctx e));
       raise e
-  | exception e -> slot.s_outcome <- Some (Error (reason_of_exn ctx e))
+  | exception e -> finish (Error (reason_of_exn ctx e))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel batch: chunked dispenser + per-worker stealing deques       *)
@@ -863,7 +896,7 @@ let step_batch_with ?pool t =
     let n = min t.bsize (Queue.length t.queue) in
     let index = t.batches in
     emit t (Batch_started { index; size = n });
-    let t0 = Obs.Clock.now t.clk in
+    let start = Obs.Clock.now t.clk in
     (if t.n_domains <= 1 then sequential_batch t n
      else
        match pool with
@@ -877,8 +910,8 @@ let step_batch_with ?pool t =
              ~finally:(fun () -> destroy_pool p)
              (fun () -> parallel_batch t p n));
     t.batches <- t.batches + 1;
-    emit t
-      (Batch_finished { index; size = n; elapsed = Obs.Clock.now t.clk -. t0 });
+    let elapsed = Obs.Clock.now t.clk -. start in
+    emit t (Batch_finished { index; size = n; start; elapsed });
     true
   end
 
@@ -888,7 +921,7 @@ let run ?max_batches t =
   emit t
     (Run_started
        { pending = pending t; batch_size = t.bsize; domains = t.n_domains });
-  let t0 = Obs.Clock.now t.clk in
+  let start = Obs.Clock.now t.clk in
   let continue = function None -> true | Some n -> n > 0 in
   let pool =
     if t.n_domains > 1 then Some (create_pool (t.n_domains - 1)) else None
@@ -906,7 +939,8 @@ let run ?max_batches t =
        {
          processed = t.processed;
          skipped = List.length t.skipped_rev;
-         elapsed = Obs.Clock.now t.clk -. t0;
+         start;
+         elapsed = Obs.Clock.now t.clk -. start;
        })
 
 let stage_totals t =
@@ -1051,8 +1085,8 @@ let failure_of_json entry =
   let* count = Result.bind (field "count" entry) (as_int "count") in
   Ok (subject, count)
 
-let restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
-    ~subject ~process ~item_of_json ~res_of_json json =
+let restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ~subject
+    ~process ~item_of_json ~res_of_json json =
   let* version = Result.bind (field "version" json) (as_int "version") in
   if version <> checkpoint_version then
     Error
@@ -1079,7 +1113,7 @@ let restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
     let bsize = match batch_size with Some b -> b | None -> saved_bsize in
     let t =
       create ~batch_size:bsize ?domains ?key ?crash_plan ?attempt_ceiling
-        ?clock ~subject ~process ()
+        ~subject ~process ()
     in
     submit t items;
     t.results_rev <- List.rev results;
@@ -1203,118 +1237,11 @@ module Telemetry = struct
           Obs.Metrics.inc
             ~labels:[ ("class", skip_class_name fault_class) ]
             m skipped
+      | Item_finished _ -> ()
       | Run_finished { elapsed; processed = p; _ } ->
           Obs.Metrics.hset run_seconds_h elapsed;
           Obs.Metrics.hset crashes_h (float_of_int (crashes t));
           Obs.Metrics.hset processed_h (float_of_int p))
-
-  (* Coordinator-lane span tree on tid 0, driven by a synthetic cursor
-     advanced by event-payload durations: run > batch > item > stage.
-     The tree's *shape* is deterministic across DOMAINS (events arrive in
-     input order); only the durations carry wall-clock noise.  Worker ids
-     surface as span args, not separate tracks, precisely because the
-     merged stream no longer reflects real concurrency. *)
-  let attach_trace tr t =
-    let cursor = ref 0.0 in
-    let run_start = ref 0.0 in
-    let batch_start = ref 0.0 in
-    let item_start = ref 0.0 in
-    let current_item = ref None in
-    let flush_item () =
-      match !current_item with
-      | None -> ()
-      | Some subject ->
-          Obs.Trace.complete tr ~cat:"item" ~name:subject ~ts:!item_start
-            ~dur:(!cursor -. !item_start);
-          current_item := None
-    in
-    let open_item subject =
-      match !current_item with
-      | Some s when s = subject -> ()
-      | _ ->
-          flush_item ();
-          current_item := Some subject;
-          item_start := !cursor
-    in
-    subscribe t (function
-      | Run_started { pending; batch_size; domains } ->
-          run_start := !cursor;
-          Obs.Trace.instant tr ~cat:"run" ~name:"run-started" ~ts:!cursor
-            ~args:
-              [
-                ("pending", Json.Int pending);
-                ("batch_size", Json.Int batch_size);
-                ("domains", Json.Int domains);
-              ]
-      | Batch_started _ -> batch_start := !cursor
-      | Batch_finished { index; size; elapsed } ->
-          flush_item ();
-          Obs.Trace.complete tr ~cat:"batch"
-            ~name:(Printf.sprintf "batch-%d" index)
-            ~ts:!batch_start
-            ~dur:(!cursor -. !batch_start)
-            ~args:
-              [ ("size", Json.Int size); ("wall_elapsed", Json.Float elapsed) ]
-      | Stage_started { subject; _ } -> open_item subject
-      | Stage_finished { stage; subject; timing; worker } ->
-          open_item subject;
-          Obs.Trace.complete tr ~cat:"stage" ~name:(stage_name stage)
-            ~ts:!cursor ~dur:timing.t_elapsed
-            ~args:
-              [
-                ("subject", Json.String subject);
-                ("worker", Json.Int worker);
-                ("api_calls", Json.Int timing.t_api_calls);
-                ("steps", Json.Int timing.t_steps);
-                ("retries", Json.Int timing.t_retries);
-              ];
-          cursor := !cursor +. timing.t_elapsed
-      | Stage_errored { stage; subject; message; _ } ->
-          Obs.Trace.instant tr ~cat:"stage" ~name:(stage_name stage ^ "-error")
-            ~ts:!cursor
-            ~args:
-              [
-                ("subject", Json.String subject);
-                ("message", Json.String message);
-              ]
-      | Retry_attempted { subject; attempt; reason; delay; _ } ->
-          Obs.Trace.instant tr ~cat:"rpc" ~name:"retry" ~ts:!cursor
-            ~args:
-              [
-                ("subject", Json.String subject);
-                ("attempt", Json.Int attempt);
-                ("reason", Json.String reason);
-                ("delay", Json.Float delay);
-              ]
-      | Circuit_opened { endpoint; failures; _ } ->
-          Obs.Trace.instant tr ~cat:"rpc" ~name:"circuit-opened" ~ts:!cursor
-            ~args:
-              [
-                ("endpoint", Json.String endpoint);
-                ("failures", Json.Int failures);
-              ]
-      | Circuit_closed { endpoint; _ } ->
-          Obs.Trace.instant tr ~cat:"rpc" ~name:"circuit-closed" ~ts:!cursor
-            ~args:[ ("endpoint", Json.String endpoint) ]
-      | Item_skipped { subject; fault_class; attempts; _ } ->
-          flush_item ();
-          Obs.Trace.instant tr ~cat:"item" ~name:"skipped" ~ts:!cursor
-            ~args:
-              [
-                ("subject", Json.String subject);
-                ("class", Json.String (skip_class_name fault_class));
-                ("attempts", Json.Int attempts);
-              ]
-      | Run_finished { processed; skipped; elapsed } ->
-          flush_item ();
-          Obs.Trace.complete tr ~cat:"run" ~name:"run" ~ts:!run_start
-            ~dur:(!cursor -. !run_start)
-            ~args:
-              [
-                ("processed", Json.Int processed);
-                ("skipped", Json.Int skipped);
-                ("wall_elapsed", Json.Float elapsed);
-              ])
 
   (* Structured progress backend.  Retry and breaker events are counted
      and summarized once per batch — one stderr line per attempt floods
@@ -1340,7 +1267,7 @@ module Telemetry = struct
       | Batch_started { index; size } ->
           lg Obs.Log.Debug "batch started"
             ~fields:[ ("index", Json.Int index); ("size", Json.Int size) ]
-      | Batch_finished { index; size; elapsed } ->
+      | Batch_finished { index; size; elapsed; _ } ->
           let fields =
             [
               ("index", Json.Int index);
@@ -1367,7 +1294,7 @@ module Telemetry = struct
           closed := 0;
           lg Obs.Log.Info "batch finished" ~fields
       | Stage_started _ -> ()
-      | Stage_finished { stage; subject; timing; worker } ->
+      | Stage_finished { stage; subject; timing; worker; _ } ->
           if Obs.Log.enabled log Obs.Log.Debug then
             lg Obs.Log.Debug "stage finished" ~subject
               ~fields:
@@ -1422,7 +1349,8 @@ module Telemetry = struct
                 ("attempts", Json.Int attempts);
                 ("message", Json.String message);
               ]
-      | Run_finished { processed; skipped; elapsed } ->
+      | Item_finished _ -> ()
+      | Run_finished { processed; skipped; elapsed; _ } ->
           lg Obs.Log.Info "run finished"
             ~fields:
               [

@@ -148,15 +148,24 @@ type 'item skip_record = {
     coordinator (and the only id seen with [domains:1]); helper domains
     are 1..domains-1.  Worker-side events are buffered and delivered from
     the coordinator at the batch barrier, in input order — subscribers
-    never run concurrently. *)
+    never run concurrently.  A timed event carries the [start] its timing
+    read from the engine's clock (see {!set_clock}), in seconds, so a
+    subscriber can place it on that clock's timeline whenever the event
+    is delivered. *)
 type event =
   | Run_started of { pending : int; batch_size : int; domains : int }
   | Batch_started of { index : int; size : int }
-  | Batch_finished of { index : int; size : int; elapsed : float }
+  | Batch_finished of {
+      index : int;
+      size : int;
+      start : float;
+      elapsed : float;
+    }
   | Stage_started of { stage : stage; subject : string; worker : int }
   | Stage_finished of {
       stage : stage;
       subject : string;
+      start : float;
       timing : timing;
       worker : int;
     }
@@ -164,6 +173,8 @@ type event =
       stage : stage;
       subject : string;
       message : string;
+      start : float;
+      elapsed : float;
       worker : int;
     }
       (** The stage raised; the item is about to be skipped. *)
@@ -193,7 +204,21 @@ type event =
     }
       (** Error isolation: the item moved to the dead-letter list, the
           batch continues. *)
-  | Run_finished of { processed : int; skipped : int; elapsed : float }
+  | Item_finished of {
+      subject : string;
+      start : float;
+      elapsed : float;
+      worker : int;
+    }
+      (** One item's [process] call returned, whatever its outcome; it
+          follows the item's stage events and precedes its
+          [Item_skipped]. *)
+  | Run_finished of {
+      processed : int;
+      skipped : int;
+      start : float;
+      elapsed : float;
+    }
 
 type ('item, 'res) t
 
@@ -209,7 +234,6 @@ val create :
   ?key:('item -> string) ->
   ?crash_plan:crash_plan ->
   ?attempt_ceiling:int ->
-  ?clock:Obs.Clock.t ->
   subject:('item -> string) ->
   process:(('item, 'res) ctx -> 'item -> ('res, skip_reason) result) ->
   unit ->
@@ -220,16 +244,17 @@ val create :
     docs); [crash_plan] arms seeded worker kills (tests only);
     [attempt_ceiling] caps how many dead-letter entries a single subject
     may accumulate before {!requeue} refuses to recycle it (default:
-    unlimited; raises [Invalid_argument] when <= 0); [clock] (default
-    {!Obs.Clock.real}) is the source of every stage/batch/run timing —
-    tests pass a virtual clock to pin timings; [subject] renders an item
-    for event reporting; [process] analyzes one item (typically calling
-    {!timed_stage} for each stage it runs).  [process] must touch shared
-    mutable state only in ways that are safe under the declared [domains]
-    count. *)
+    unlimited; raises [Invalid_argument] when <= 0); [subject] renders
+    an item for event reporting; [process] analyzes one item (typically
+    calling {!timed_stage} for each stage it runs).  [process] must touch
+    shared mutable state only in ways that are safe under the declared
+    [domains] count. *)
 
-val clock : ('item, 'res) t -> Obs.Clock.t
-(** The clock timings are taken from. *)
+val set_clock : ('item, 'res) t -> Obs.Clock.t -> unit
+(** Time every later stage, item, batch and run with this clock (until
+    then {!Obs.Clock.real}).  The analyzer hands it the span collector's
+    clock, so engine spans share one time base with the rest of the
+    trace. *)
 
 (** {1 Events} *)
 
@@ -238,21 +263,14 @@ val subscribe : ('item, 'res) t -> (event -> unit) -> unit
     registration order, for every subsequent event, always from the
     coordinator thread. *)
 
-val emit : ('item, 'res) t -> event -> unit
-(** Deliver an event to every subscriber (used by [process] callbacks for
-    domain-specific events; the engine emits the scheduling ones).  Only
-    safe from the coordinator; worker-side [process] code must use
-    {!emit_from}. *)
-
 val emit_from : ('item, 'res) ctx -> event -> unit
-(** Deliver an event through the ctx: directly on the sequential path,
-    buffered for the input-order merge when running on a worker domain.
-    This is how the analyzer surfaces transport events
-    ([Retry_attempted], [Circuit_opened]...) without breaking the
-    determinism of the merged stream. *)
-
-val engine : ('item, 'res) ctx -> ('item, 'res) t
-(** The engine the ctx belongs to. *)
+(** Deliver an event to every subscriber through the ctx (how [process]
+    callbacks add domain-specific events to the scheduling ones the
+    engine emits): directly on the sequential path, buffered for the
+    input-order merge when running on a worker domain.  This is how the
+    analyzer surfaces transport events ([Retry_attempted],
+    [Circuit_opened]...) without breaking the determinism of the merged
+    stream. *)
 
 val on_merged : ('item, 'res) ctx -> (unit -> unit) -> unit
 (** Run a thunk at this item's deterministic-merge point: immediately on
@@ -365,12 +383,9 @@ val requeue_transients : ('item, 'res) t -> int
 
 (** {1 Per-stage aggregates} *)
 
-val stage_totals : ('item, 'res) t -> (stage * int * timing) list
-(** [(stage, invocations, summed timing)] for every stage observed so
-    far, in {!all_stages} order. *)
-
 val stage_totals_table : ('item, 'res) t -> string
-(** The aggregates as an aligned report table. *)
+(** [(stage, invocations, summed timing)] for every stage observed so
+    far, in {!all_stages} order, as an aligned report table. *)
 
 (** {1 Checkpointing} *)
 
@@ -400,7 +415,6 @@ val restore :
   ?key:('item -> string) ->
   ?crash_plan:crash_plan ->
   ?attempt_ceiling:int ->
-  ?clock:Obs.Clock.t ->
   subject:('item -> string) ->
   process:(('item, 'res) ctx -> 'item -> ('res, skip_reason) result) ->
   item_of_json:(Report.Json.t -> ('item, string) result) ->
@@ -458,7 +472,8 @@ end
 
 (** {1 Telemetry}
 
-    Adapters from the engine {!event} stream to the obs layer.  All three
+    Adapters from the engine {!event} stream to the obs layer (the span
+    builder lives with the analyzer's RPC and EVM spans).  Both
     subscribe on the coordinator, where the deterministic merge has
     already serialized worker-side events into input order — so metric
     updates (including float backoff sums) happen in the exact order a
@@ -472,13 +487,6 @@ module Telemetry : sig
       classes, batch/run timings, worker crashes) in [registry] and
       subscribe a recorder for them.  Wall-clock-derived families are
       registered volatile. *)
-
-  val attach_trace : Obs.Trace.t -> ('item, 'res) t -> unit
-  (** Subscribe a span builder: a run > batch > item > stage tree on
-      track 0, timestamped by a synthetic cursor advanced with
-      event-payload durations (worker ids appear as span args — the
-      merged stream no longer reflects real concurrency), plus instant
-      events for retries, breaker flips, stage errors and skips. *)
 
   val attach_log : Obs.Log.t -> ('item, 'res) t -> unit
   (** Subscribe the structured progress backend: run/batch lines at

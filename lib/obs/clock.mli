@@ -1,33 +1,35 @@
-(** Wall-clock abstraction for every timing the telemetry layer takes.
+(** The one clock of the system: every timing, timestamp and wait.
 
     Production code reads {!real} (a thin wrapper over
-    [Unix.gettimeofday]); tests substitute a {e virtual} clock whose
-    reads are a pure function of how often it has been read and how far
-    it has been advanced, so stage timings, batch durations and log
-    timestamps can be pinned to exact, reproducible values.  The
-    distinction mirrors {!Resilience.Vclock} (which virtualizes {e
-    waiting}); this module virtualizes {e observation}. *)
+    [Unix.gettimeofday]).  A {e virtual} clock's reads are a pure
+    function of how often it has been read and how far it has been
+    moved, so tests pin stage timings, span stamps and log timestamps to
+    exact, reproducible values, and the resilience layer waits on one
+    (retry backoff, injected latency, breaker cooldowns) without
+    spending wall-clock time, which keeps fault-injected runs
+    replayable. *)
 
 type t
 
 val real : t
-(** [now] reads [Unix.gettimeofday]. *)
+(** [now] reads [Unix.gettimeofday]; waits really sleep. *)
 
 val virtual_ : ?start:float -> ?auto_step:float -> unit -> t
 (** A deterministic clock starting at [start] (default 0).  Every {!now}
     read returns the current value and then advances it by [auto_step]
     (default 0) — with a non-zero step, consecutive reads are strictly
     increasing and any start/stop bracket measures exactly [auto_step]
-    seconds per intervening read.  Reads and advances are serialized
-    under a mutex, so a virtual clock is safe to share across worker
-    domains (though cross-domain read interleavings are scheduling
-    dependent; deterministic tests read from one domain). *)
+    seconds per intervening read.  Reads and waits are atomic, so a
+    virtual clock is safe to share across worker domains (though
+    cross-domain read interleavings are scheduling dependent;
+    deterministic tests read from one domain). *)
 
 val now : t -> float
 (** Current time in seconds. *)
 
-val advance : t -> float -> unit
-(** Move a virtual clock forward by a non-negative delta (negative
-    deltas are ignored).  No-op on {!real}. *)
+val sleep : t -> float -> unit
+(** Wait a non-negative duration (negative values are ignored): a
+    virtual clock moves forward by it, the real one sleeps. *)
 
-val is_virtual : t -> bool
+val advance_to : t -> float -> unit
+(** Wait until a deadline; no-op when it already passed. *)

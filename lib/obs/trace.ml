@@ -1,68 +1,133 @@
 module Json = Report.Json
 
-type event = {
-  ev_name : string;
-  ev_cat : string;
-  ev_phase : string; (* "X" complete, "i" instant *)
-  ev_ts : float; (* seconds *)
-  ev_dur : float; (* seconds; 0 for instants *)
-  ev_pid : int;
-  ev_tid : int;
-  ev_args : (string * Json.t) list;
-  ev_seq : int;
-}
+(* Recorded events are serialized at once, one per line, into the
+   document's text: kept in a buffer, or written to a file.  A file that
+   failed to write stops taking events; the error surfaces at [close],
+   not inside the analysis that recorded the span. *)
+type sink = Memory of Buffer.t | File of out_channel
 
 type t = {
   clock : Clock.t;
   lock : Mutex.t;
-  mutable events : event list; (* reverse arrival order *)
-  mutable next_seq : int;
+  sink : sink;
+  mutable recorded : int;
+  mutable closed : bool;
+  mutable failed : string option;
+  held : (string, Json.t list ref) Hashtbl.t;
+      (* trace id (hex) -> its events since [hold], newest first *)
 }
 
-let create ?(clock = Clock.real) () =
-  { clock; lock = Mutex.create (); events = []; next_seq = 0 }
+let header = "{\"traceEvents\":["
+let footer = "\n],\"displayTimeUnit\":\"ms\"}\n"
 
-let now t = Clock.now t.clock
+let make clock sink =
+  {
+    clock;
+    lock = Mutex.create ();
+    sink;
+    recorded = 0;
+    closed = false;
+    failed = None;
+    held = Hashtbl.create 4;
+  }
 
-let record t ~name ~cat ~phase ~ts ~dur ~pid ~tid ~args =
+let create ?(clock = Clock.real) () = make clock (Memory (Buffer.create 4096))
+
+let to_file ?(clock = Clock.real) path =
+  match open_out path with
+  | exception Sys_error e -> Error e
+  | oc ->
+      output_string oc header;
+      Ok (make clock (File oc))
+
+let clock t = t.clock
+
+let write t oc =
+  match t.sink with
+  | File _ -> invalid_arg "Obs.Trace.write: a file collector streams its events"
+  | Memory b ->
+      Mutex.lock t.lock;
+      output_string oc header;
+      Buffer.output_buffer oc b;
+      output_string oc footer;
+      Mutex.unlock t.lock
+
+let close t =
+  match t.sink with
+  | Memory _ -> ()
+  | File oc ->
+      Mutex.lock t.lock;
+      let first = not t.closed in
+      t.closed <- true;
+      Mutex.unlock t.lock;
+      if first then
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            Option.iter (fun e -> raise (Sys_error e)) t.failed;
+            output_string oc footer;
+            flush oc)
+
+let flush_file t =
+  match t.sink with
+  | Memory _ -> ()
+  | File oc ->
+      Mutex.lock t.lock;
+      (if (not t.closed) && t.failed = None then
+         try flush oc with Sys_error e -> t.failed <- Some e);
+      Mutex.unlock t.lock
+
+(* ------------------------------------------------------------------ *)
+(* Recording                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let micros s =
+  (* Timestamps are whole microseconds where possible so the JSON stays
+     integer-valued and byte-stable; fractional values are kept exact —
+     Perfetto accepts them, and the nesting invariants (span end inside
+     parent) would break under rounding. *)
+  let us = s *. 1e6 in
+  if Float.is_integer us && Float.abs us < 1e15 then Json.Int (int_of_float us)
+  else Json.Float us
+
+let complete ?(tid = 0) ?(cat = "proxion") ?(args = []) t ~name ~ts ~dur =
+  let ev =
+    Json.Obj
+      ([
+         ("name", Json.String name);
+         ("cat", Json.String cat);
+         ("ph", Json.String "X");
+         ("ts", micros ts);
+         ("dur", micros (Float.max 0.0 dur));
+         ("pid", Json.Int 1);
+         ("tid", Json.Int tid);
+       ]
+      @ match args with [] -> [] | args -> [ ("args", Json.Obj args) ])
+  in
+  let line = Json.to_string ~pretty:false ev in
   Mutex.lock t.lock;
-  t.events <-
-    {
-      ev_name = name;
-      ev_cat = cat;
-      ev_phase = phase;
-      ev_ts = ts;
-      ev_dur = dur;
-      ev_pid = pid;
-      ev_tid = tid;
-      ev_args = args;
-      ev_seq = t.next_seq;
-    }
-    :: t.events;
-  t.next_seq <- t.next_seq + 1;
+  (if (not t.closed) && t.failed = None then
+     let sep = if t.recorded = 0 then "\n" else ",\n" in
+     match t.sink with
+     | Memory b ->
+         Buffer.add_string b sep;
+         Buffer.add_string b line
+     | File oc -> (
+         try
+           output_string oc sep;
+           output_string oc line
+         with Sys_error e -> t.failed <- Some e));
+  (if Hashtbl.length t.held > 0 then
+     match List.assoc_opt "trace_id" args with
+     | Some (Json.String id) ->
+         Option.iter (fun evs -> evs := ev :: !evs) (Hashtbl.find_opt t.held id)
+     | _ -> ());
+  t.recorded <- t.recorded + 1;
   Mutex.unlock t.lock
-
-let complete ?(pid = 1) ?(tid = 0) ?(cat = "proxion") ?(args = []) t ~name ~ts
-    ~dur =
-  record t ~name ~cat ~phase:"X" ~ts ~dur:(Float.max 0.0 dur) ~pid ~tid ~args
-
-let instant ?(pid = 1) ?(tid = 0) ?(cat = "proxion") ?(args = []) t ~name ~ts =
-  record t ~name ~cat ~phase:"i" ~ts ~dur:0.0 ~pid ~tid ~args
-
-let with_span ?tid ?cat ?args t name f =
-  let t0 = Clock.now t.clock in
-  let finish () = complete ?tid ?cat ?args t ~name ~ts:t0 ~dur:(Clock.now t.clock -. t0) in
-  match f () with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
 
 let count t =
   Mutex.lock t.lock;
-  let n = t.next_seq in
+  let n = t.recorded in
   Mutex.unlock t.lock;
   n
 
@@ -118,6 +183,23 @@ let ctx_args ?parent ctx =
   | None -> []
 
 (* ------------------------------------------------------------------ *)
+(* Held traces.                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let hold t ctx =
+  Mutex.lock t.lock;
+  Hashtbl.replace t.held (id_to_hex ctx.trace_id) (ref []);
+  Mutex.unlock t.lock
+
+let release t ctx =
+  let id = id_to_hex ctx.trace_id in
+  Mutex.lock t.lock;
+  let evs = Option.fold ~none:[] ~some:( ! ) (Hashtbl.find_opt t.held id) in
+  Hashtbl.remove t.held id;
+  Mutex.unlock t.lock;
+  Json.List (List.rev evs)
+
+(* ------------------------------------------------------------------ *)
 (* Live spans.                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -129,25 +211,10 @@ type span = {
   sp_cat : string;
   sp_tid : int;
   sp_ts : float;
-  mutable sp_children : int;
   mutable sp_finished : bool;
 }
 
-let start_span ?(tid = 0) ?(cat = "request") ?parent ?parent_ctx ?ctx t name =
-  let parent_ctx, ctx =
-    match (ctx, parent) with
-    | Some c, Some p -> (Some p.sp_ctx, c)
-    | Some c, None -> (parent_ctx, c)
-    | None, Some p ->
-        let index = p.sp_children in
-        p.sp_children <- index + 1;
-        (Some p.sp_ctx, child p.sp_ctx ~index)
-    | None, None ->
-        (* Root span with no supplied context: derive one from the clock
-           so virtual-clock runs stay deterministic. *)
-        let s = Int64.bits_of_float (Clock.now t.clock) in
-        (None, { trace_id = splitmix64 s; span_id = splitmix64 (splitmix64 s) })
-  in
+let start_span ?(tid = 0) ?(cat = "request") ?parent_ctx ~ctx t name =
   {
     sp_trace = t;
     sp_ctx = ctx;
@@ -156,15 +223,8 @@ let start_span ?(tid = 0) ?(cat = "request") ?parent ?parent_ctx ?ctx t name =
     sp_cat = cat;
     sp_tid = tid;
     sp_ts = Clock.now t.clock;
-    sp_children = 0;
     sp_finished = false;
   }
-
-let span_ctx sp = sp.sp_ctx
-let next_child_index sp =
-  let index = sp.sp_children in
-  sp.sp_children <- index + 1;
-  index
 
 let finish_span ?(args = []) sp =
   if not sp.sp_finished then begin
@@ -173,57 +233,6 @@ let finish_span ?(args = []) sp =
     complete ~tid:sp.sp_tid ~cat:sp.sp_cat
       ~args:(ctx_args ?parent:sp.sp_parent sp.sp_ctx @ args)
       t ~name:sp.sp_name ~ts:sp.sp_ts
-      ~dur:(Clock.now t.clock -. sp.sp_ts)
+      ~dur:(Clock.now t.clock -. sp.sp_ts);
+    flush_file t
   end
-
-let micros s =
-  (* Timestamps are whole microseconds where possible so the JSON stays
-     integer-valued and byte-stable; fractional values are kept exact —
-     Perfetto accepts them, and the nesting invariants (span end inside
-     parent) would break under rounding. *)
-  let us = s *. 1e6 in
-  if Float.is_integer us && Float.abs us < 1e15 then Json.Int (int_of_float us)
-  else Json.Float us
-
-let event_json ev =
-  Json.Obj
-    ([
-       ("name", Json.String ev.ev_name);
-       ("cat", Json.String ev.ev_cat);
-       ("ph", Json.String ev.ev_phase);
-       ("ts", micros ev.ev_ts);
-     ]
-    @ (if ev.ev_phase = "X" then [ ("dur", micros ev.ev_dur) ] else [])
-    @ [ ("pid", Json.Int ev.ev_pid); ("tid", Json.Int ev.ev_tid) ]
-    @ (if ev.ev_phase = "i" then [ ("s", Json.String "t") ] else [])
-    @ match ev.ev_args with [] -> [] | args -> [ ("args", Json.Obj args) ])
-
-let to_json t =
-  Mutex.lock t.lock;
-  let events = List.rev t.events in
-  Mutex.unlock t.lock;
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.map event_json events));
-      ("displayTimeUnit", Json.String "ms");
-    ]
-
-let write t oc =
-  output_string oc (Json.to_string (to_json t));
-  output_char oc '\n'
-
-let events_for t ~trace_id =
-  Mutex.lock t.lock;
-  let events = List.rev t.events in
-  Mutex.unlock t.lock;
-  List.filter
-    (fun ev ->
-      List.exists
-        (fun (k, v) -> k = "trace_id" && v = Json.String trace_id)
-        ev.ev_args)
-    events
-
-let span_tree_json t ~trace_id =
-  (* Flat list in arrival order; parent_span_id args encode the tree.
-     Used by the slow-request log, so the shape must be line-friendly. *)
-  Json.List (List.map event_json (events_for t ~trace_id))

@@ -1,29 +1,39 @@
 (** Span tracer exporting Chrome trace-event JSON.
 
-    Collects nested spans (run → batch → item → stage → RPC call / EVM
-    emulation frame) and writes them in the Chrome [traceEvents] format,
-    loadable in [about:tracing] and {{:https://ui.perfetto.dev}Perfetto}.
+    Collects nested complete ("X") spans (request → run → batch → item →
+    stage → RPC dispatch / EVM emulation frame) and writes them in the
+    Chrome [traceEvents] format, loadable in [about:tracing] and
+    {{:https://ui.perfetto.dev}Perfetto}.
 
     Timestamps are supplied by callers in {e seconds} (the writer
-    converts to the microseconds the format wants).  The engine's
-    telemetry layer drives a {e synthetic} timeline from event-payload
-    durations so the coordinator lanes are deterministic; sampled
-    worker-lane detail (RPC dispatches, EVM frames) uses real clock
-    reads on per-worker tracks.  All recording is thread-safe; events
-    are kept in arrival order with a sequence number so output is stable
-    for a given recording order. *)
+    converts to the microseconds the format wants), all read from the
+    collector's {!clock}: the analysis engine times its stages, items,
+    batches and runs with it once a collector is attached, and the live
+    request spans and the RPC/EVM detail read it too, so every span of
+    a trace sits on one time base and nests where its work nested.
+    Under a virtual clock the whole trace is deterministic.
+
+    A collector either keeps its events in memory ({!create}) or
+    streams each one to a file as it is recorded ({!to_file}), keeping
+    none — bar the traces a caller {!hold}s — so a long-running traced
+    daemon does not grow with its trace.  Recording is thread-safe. *)
 
 type t
 
 val create : ?clock:Clock.t -> unit -> t
-(** A fresh collector.  [clock] (default {!Clock.real}) serves
-    {!with_span} and {!now}. *)
+(** A collector keeping every event in memory.  [clock] (default
+    {!Clock.real}) stamps live spans and is the time base handed to the
+    engine. *)
 
-val now : t -> float
-(** Read the collector's clock, in seconds. *)
+val to_file : ?clock:Clock.t -> string -> (t, string) result
+(** A collector streaming to the file at the path: the document is
+    opened at once and each event is written as it is recorded; {!close}
+    completes it. *)
+
+val clock : t -> Clock.t
+(** The clock every span of this collector is stamped with. *)
 
 val complete :
-  ?pid:int ->
   ?tid:int ->
   ?cat:string ->
   ?args:(string * Report.Json.t) list ->
@@ -36,28 +46,6 @@ val complete :
     seconds.  [tid] (default 0) selects the track; [cat] (default
     ["proxion"]) the category; [args] become the span's argument
     object. *)
-
-val instant :
-  ?pid:int ->
-  ?tid:int ->
-  ?cat:string ->
-  ?args:(string * Report.Json.t) list ->
-  t ->
-  name:string ->
-  ts:float ->
-  unit
-(** Record an instant ("i") event. *)
-
-val with_span :
-  ?tid:int ->
-  ?cat:string ->
-  ?args:(string * Report.Json.t) list ->
-  t ->
-  string ->
-  (unit -> 'a) ->
-  'a
-(** Run a thunk inside a span timed with the collector's clock.  The
-    span is recorded even if the thunk raises. *)
 
 val count : t -> int
 (** Number of events recorded so far. *)
@@ -96,51 +84,50 @@ val ctx_args : ?parent:ctx -> ctx -> (string * Report.Json.t) list
 
 (** {1 Live spans}
 
-    Unlike the engine's post-hoc synthetic timeline, live spans are
-    opened and closed around real work with the collector's clock and
-    carry their context in the span args, so a request's child spans
-    can be joined across processes by [trace_id]. *)
+    Live spans are opened and closed around real work with the
+    collector's clock and carry their context in the span args, so a
+    request's child spans can be joined across processes by
+    [trace_id]. *)
 
 type span
 
 val start_span :
-  ?tid:int ->
-  ?cat:string ->
-  ?parent:span ->
-  ?parent_ctx:ctx ->
-  ?ctx:ctx ->
-  t ->
-  string ->
-  span
-(** Open a live span.  [ctx] pins the context explicitly; otherwise a
-    child context is derived from [parent], or (neither given) a root
-    context is derived from the clock.  [parent_ctx] records a
-    cross-process parent (a client's context carried on the wire) when
-    [ctx] is explicit and no local parent span exists.  [cat] defaults
-    to ["request"]. *)
-
-val span_ctx : span -> ctx
-
-val next_child_index : span -> int
-(** Reserve the next 0-based child slot (for deriving child contexts
-    handed to other subsystems). *)
+  ?tid:int -> ?cat:string -> ?parent_ctx:ctx -> ctx:ctx -> t -> string -> span
+(** Open a live span with context [ctx].  [parent_ctx] records its
+    parent, e.g. a client's context carried on the wire.  [cat]
+    defaults to ["request"]. *)
 
 val finish_span : ?args:(string * Report.Json.t) list -> span -> unit
 (** Record the span as a complete event with its context args ([args]
-    appended).  Idempotent: only the first call records. *)
+    appended).  Idempotent: only the first call records.  A streaming
+    collector also flushes its file, so a finished request's spans are
+    on disk by the time its response is sent. *)
 
-val span_tree_json : t -> trace_id:string -> Report.Json.t
-(** All recorded events whose args carry the given [trace_id] (16 hex
-    chars), in arrival order, as a JSON list.  The flat list plus the
-    [parent_span_id] links encode the span tree; used by the daemon's
-    slow-request log. *)
+(** {1 Held traces} *)
+
+val hold : t -> ctx -> unit
+(** Keep a copy of every event recorded from now on whose [trace_id]
+    arg is [ctx]'s, until {!release} — how the daemon's slow-request log
+    gets a request's span tree from a collector that keeps nothing. *)
+
+val release : t -> ctx -> Report.Json.t
+(** The events held for [ctx]'s trace, in recording order, as a JSON
+    list, and stop holding it.  The flat list plus the
+    [parent_span_id] links encode the span tree. *)
+
+(** {1 Output} *)
 
 val micros : float -> Report.Json.t
 (** Seconds as trace-format microseconds: an integer JSON value when
     the microsecond count is whole (byte-stable), a float otherwise. *)
 
-val to_json : t -> Report.Json.t
-(** The full [{"traceEvents": [...], "displayTimeUnit": "ms"}] object. *)
-
 val write : t -> out_channel -> unit
-(** [to_json] serialized to a channel, with a trailing newline. *)
+(** Write an in-memory collector's events as one
+    [{"traceEvents": [...], "displayTimeUnit": "ms"}] document — the
+    bytes a streaming collector leaves in its file.  Raises
+    [Invalid_argument] on a streaming collector. *)
+
+val close : t -> unit
+(** Complete and close a streaming collector's file (idempotent; events
+    recorded afterwards are dropped).  No-op in memory.  Raises
+    [Sys_error] when the file cannot be written. *)

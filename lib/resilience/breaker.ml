@@ -19,7 +19,7 @@ type transition = Opened of { failures : int } | Probing | Recovered
 
 type t = {
   cfg : config;
-  clock : Vclock.t;
+  clock : Obs.Clock.t;
   endpoint : string;
   mutable st : state;
   mutable consecutive_failures : int;
@@ -49,7 +49,7 @@ let notify t tr = List.iter (fun f -> f tr) t.subscribers
 let trip t =
   t.st <- Open;
   t.opens <- t.opens + 1;
-  t.open_until <- Vclock.now t.clock +. t.cfg.cooldown;
+  t.open_until <- Obs.Clock.now t.clock +. t.cfg.cooldown;
   notify t (Opened { failures = t.consecutive_failures })
 
 let await_ready t =
@@ -58,7 +58,7 @@ let await_ready t =
   | Open ->
       (* The cooldown is virtual time: fail-fast windows cost nothing on
          the wall clock, they only space out probe attempts. *)
-      Vclock.advance_to t.clock t.open_until;
+      Obs.Clock.advance_to t.clock t.open_until;
       t.st <- Half_open;
       notify t Probing
 

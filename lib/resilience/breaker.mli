@@ -1,7 +1,7 @@
 (** A per-endpoint circuit breaker over the virtual clock.
 
     Closed -> Open after [failure_threshold] consecutive failures; Open
-    fail-fasts until the cooldown elapses on the {!Vclock}, then
+    fail-fasts until the cooldown elapses on the clock, then
     Half_open admits a single probe: success closes the circuit,
     failure re-opens it with a fresh cooldown.  Because the cooldown is
     virtual, an open circuit never stalls a run — it only spaces probe
@@ -30,7 +30,8 @@ type transition =
 
 type t
 
-val create : ?config:config -> clock:Vclock.t -> endpoint:string -> unit -> t
+val create :
+  ?config:config -> clock:Obs.Clock.t -> endpoint:string -> unit -> t
 val state : t -> state
 val endpoint : t -> string
 

@@ -18,7 +18,8 @@ type spec = {
   fault_rate : float;  (** Probability of a transient fault per attempt. *)
   mean_latency : float;
       (** Mean injected virtual latency per dispatched call (seconds on
-          the {!Vclock}); actual draw is uniform in [0.5x, 1.5x]. *)
+          the transport's virtual {!Obs.Clock}); actual draw is uniform
+          in [0.5x, 1.5x]. *)
   drop_windows : (int * int) list;
       (** [(start, len)] ranges of per-connection call indices during
           which every attempt fails with a connection-drop

@@ -1,6 +1,6 @@
 (** Retry policy: capped exponential backoff with deterministic jitter.
 
-    Delays are virtual ({!Vclock}) seconds — the transport advances the
+    Delays are virtual ({!Obs.Clock}) seconds — the transport advances the
     clock instead of sleeping — and the jitter is a pure function of
     [(seed, attempt)], so two runs with the same policy and seeds back
     off identically.  This is the piece that makes "retry until the

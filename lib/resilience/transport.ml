@@ -164,7 +164,7 @@ type endpoint_state = {
 type t = {
   chain : Chain.t;
   cfg : config;
-  clock : Vclock.t;
+  clock : Obs.Clock.t;
   pool : endpoint_state array;
   quorum : int;
   seed : int;
@@ -184,7 +184,7 @@ let default_endpoint_name = "archive"
 
 let create ?(config = default_config) ?(salt = 0) ?(on_event = fun _ -> ())
     ~chain () =
-  let clock = Vclock.create () in
+  let clock = Obs.Clock.virtual_ () in
   let specs =
     match config.endpoints with
     | [] ->
@@ -254,7 +254,6 @@ let create ?(config = default_config) ?(salt = 0) ?(on_event = fun _ -> ())
 
 let direct chain = create ~chain ()
 
-let clock t = t.clock
 let retries t = t.retries
 let last_attempts t = t.last_attempts
 let pool_size t = Array.length t.pool
@@ -268,7 +267,7 @@ let stats t =
     gave_up = t.gave_up;
     breaker_opens =
       Array.fold_left (fun n es -> n + Breaker.open_count es.e_breaker) 0 t.pool;
-    virtual_elapsed = Vclock.now t.clock;
+    virtual_elapsed = Obs.Clock.now t.clock;
     disagreements = t.disagreements;
     hedges = t.hedges;
     quorum_failures = t.quorum_failures;
@@ -436,27 +435,27 @@ let attempt_failover t ready (meth, params) cache =
                 (* Both legs would answer: take the earlier completion,
                    the other leg is cancelled unobserved. *)
                 if c1 <= c2 then (
-                  Vclock.sleep t.clock c1;
+                  Obs.Clock.sleep t.clock c1;
                   serve es ~latency:lat)
                 else (
-                  Vclock.sleep t.clock c2;
+                  Obs.Clock.sleep t.clock c2;
                   serve alt ~latency:d2.Fault_plan.d_latency)
             | None, Some f2 ->
-                Vclock.sleep t.clock c1;
+                Obs.Clock.sleep t.clock c1;
                 if c2 <= c1 then record_fault t alt ~meth f2
                     ~latency:d2.Fault_plan.d_latency;
                 serve es ~latency:lat
             | Some f1, None ->
-                Vclock.sleep t.clock c2;
+                Obs.Clock.sleep t.clock c2;
                 if c1 <= c2 then record_fault t es ~meth f1 ~latency:lat;
                 serve alt ~latency:d2.Fault_plan.d_latency
             | Some f1, Some f2 ->
-                Vclock.sleep t.clock (Float.max c1 c2);
+                Obs.Clock.sleep t.clock (Float.max c1 c2);
                 record_fault t es ~meth f1 ~latency:lat;
                 record_fault t alt ~meth f2 ~latency:d2.Fault_plan.d_latency;
                 walk (Some f2) remaining)
         | _ -> (
-            Vclock.sleep t.clock lat;
+            Obs.Clock.sleep t.clock lat;
             match d.Fault_plan.d_fault with
             | Some f ->
                 record_fault t es ~meth f ~latency:lat;
@@ -477,7 +476,7 @@ let attempt_quorum t ready (meth, params) cache =
       (fun a (_, d) -> Float.max a d.Fault_plan.d_latency)
       0.0 consults
   in
-  Vclock.sleep t.clock lat;
+  Obs.Clock.sleep t.clock lat;
   let answers, last_fault =
     List.fold_left
       (fun (answers, last_fault) (es, d) ->
@@ -542,7 +541,7 @@ let backoff t ~attempt ~reason =
   let delay = Retry.delay t.cfg.policy ~seed:t.seed ~attempt in
   t.retries <- t.retries + 1;
   t.on_event (Retry { attempt; reason; delay });
-  Vclock.sleep t.clock delay
+  Obs.Clock.sleep t.clock delay
 
 let call t ~meth ~params =
   let rec go attempt =

@@ -7,9 +7,9 @@
     ({!Breaker}), per-connection call/step budgets — and, since the
     chain side became an untrusted input, an N-endpoint provider pool
     with health-ranked deterministic failover, hedged dispatch and
-    K-of-N quorum cross-validation.  All waiting happens on a
-    {!Vclock}, so fault-injected runs are replayable and cost no
-    wall-clock time.
+    K-of-N quorum cross-validation.  All waiting happens on a virtual
+    {!Obs.Clock}, one per connection, so fault-injected runs are
+    replayable and cost no wall-clock time.
 
     Accounting identity: faults are injected {e before} dispatching to
     the node, so an injected failure never consumes an API call, and
@@ -224,4 +224,3 @@ val check_step_budget : t -> steps:int -> unit
 
 val stats : t -> stats
 val endpoint_stats : t -> endpoint_stats list
-val clock : t -> Vclock.t

@@ -1264,18 +1264,31 @@ let request_span_ctx t (req : Wire.request) =
       | _ -> (Obs.Trace.next_ctx t.trace_gen, None))
   | None -> (Obs.Trace.next_ctx t.trace_gen, None)
 
+(* [(method, trace_id, spans, response)]: what the socket path needs of a
+   handled request — the method and trace id for the access log, the
+   latency exemplar and the flight recorder, and its span tree when the
+   slow-request log may want it. *)
 let handle_traced ?deadline t payload =
   match Wire.request_of_string payload with
-  | Error err -> (None, None, Wire.response_error ~id:Json.Null err)
+  | Error err -> (None, None, None, Wire.response_error ~id:Json.Null err)
   | Ok req -> (
       let id = req.Wire.rq_id in
       let meth = req.Wire.rq_method in
       let ctx, parent_ctx = request_span_ctx t req in
-      let sp =
+      (* The collector may stream and keep nothing, so the request's
+         spans are held until the slow-request log has decided. *)
+      let held =
         match t.trace with
-        | None -> None
-        | Some tr ->
-            Some (Obs.Trace.start_span ~cat:"request" ?parent_ctx ~ctx tr meth)
+        | Some tr when t.cfg.Config.slow_ms <> None && t.log <> None ->
+            Obs.Trace.hold tr ctx;
+            Some tr
+        | _ -> None
+      in
+      let sp =
+        Option.map
+          (fun tr ->
+            Obs.Trace.start_span ~cat:"request" ?parent_ctx ~ctx tr meth)
+          t.trace
       in
       let finish ~ok response =
         (* One ceiling for both directions: a response too large to frame
@@ -1294,14 +1307,13 @@ let handle_traced ?deadline t payload =
                       t.cfg.Config.max_frame;
                 } )
         in
-        (match sp with
-        | None -> ()
-        | Some sp ->
-            Obs.Trace.finish_span
-              ~args:[ ("method", Json.String meth); ("ok", Json.Bool ok) ]
-              sp);
+        Option.iter
+          (Obs.Trace.finish_span
+             ~args:[ ("method", Json.String meth); ("ok", Json.Bool ok) ])
+          sp;
         ( Some meth,
           Some (Obs.Trace.id_to_hex ctx.Obs.Trace.trace_id),
+          Option.map (fun tr -> Obs.Trace.release tr ctx) held,
           response )
       in
       match dispatch t ~deadline ~ctx meth req.Wire.rq_params with
@@ -1316,7 +1328,7 @@ let handle_traced ?deadline t payload =
                }))
 
 let handle ?deadline t payload =
-  let meth, _trace_id, response = handle_traced ?deadline t payload in
+  let meth, _, _, response = handle_traced ?deadline t payload in
   (meth, response)
 
 (* ------------------------------------------------------------------ *)
@@ -1349,7 +1361,8 @@ let response_error_code payload =
   | Ok { Wire.rs_result = Error e; _ } -> Some e.Wire.code
   | _ -> None
 
-let observe_request t meth ~trace_id ~err ~bytes_in ~bytes_out ~elapsed =
+let observe_request t meth ~trace_id ~spans ~err ~bytes_in ~bytes_out
+    ~elapsed =
   let name = Option.value ~default:"invalid" meth in
   let labels = [ ("method", name) ] in
   Metrics.inc ~labels t.registry t.fams.m_requests;
@@ -1384,10 +1397,7 @@ let observe_request t meth ~trace_id ~err ~bytes_in ~bytes_out ~elapsed =
       (* Slow request: emit the full span tree inline, so the log line
          alone is enough to see where the time went. *)
       let spans =
-        match (t.trace, trace_id) with
-        | Some tr, Some tid ->
-            [ ("spans", Obs.Trace.span_tree_json tr ~trace_id:tid) ]
-        | _ -> []
+        match spans with Some tree -> [ ("spans", tree) ] | None -> []
       in
       Mutex.lock t.obs_lock;
       Obs.Log.log log ~component:"serve"
@@ -1448,7 +1458,7 @@ let serve_connection t fd =
         let req_deadline =
           t0 +. (float_of_int t.cfg.Config.request_deadline_ms /. 1000.0)
         in
-        let meth, trace_id, response =
+        let meth, trace_id, spans, response =
           handle_traced ~deadline:req_deadline t payload
         in
         let elapsed = Obs.Clock.now clock -. t0 in
@@ -1457,7 +1467,7 @@ let serve_connection t fd =
         (try Wire.write_frame ~max_frame:t.cfg.Config.max_frame fd response
          with Unix.Unix_error _ -> closed := true);
         (try
-           observe_request t meth ~trace_id
+           observe_request t meth ~trace_id ~spans
              ~err:(response_error_code response)
              ~bytes_in:(String.length payload)
              ~bytes_out:(String.length response) ~elapsed

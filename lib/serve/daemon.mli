@@ -44,11 +44,13 @@
     when the client sent one (the daemon's request span joins the
     client's trace), otherwise drawn from a seeded deterministic
     generator ([trace_seed]).  With a trace collector attached
-    ({!create}'s [?trace]) the request span, the archive endpoint
-    attempts it caused (quorum votes, hedges) and the EVM emulation
-    frames all carry the same [trace_id]; the max-latency exemplar on
-    the request histogram names that id, and requests slower than
-    [slow_ms] log their full span tree.  An always-on flight recorder
+    ({!create}'s [?trace]) the request span, the run/batch/item/stage
+    spans of the analysis it caused, the archive endpoint attempts
+    (quorum votes, hedges) and the EVM emulation frames all carry the
+    same [trace_id], on the collector's one clock; the max-latency
+    exemplar on the request histogram names that id, and requests
+    slower than [slow_ms] log their full span tree (held back from a
+    streaming collector until the request's log line is written).  An always-on flight recorder
     ({!Obs.Flight}) keeps the last [flight_capacity] notable events
     (requests, advances, reorgs, breaker flips, quorum quarantines,
     sheds, journal commits) and dumps them to [flight_dump] on drain,
@@ -153,9 +155,11 @@ val create :
     journaled advances onto it to reproduce the chain state — and a
     journal whose base carries another landscape's
     [Dataset.Generate.fingerprint] is refused with an [Error] naming
-    both fingerprints, as is a gap in the deltas' advance index.  [trace] attaches a span collector:
-    request spans plus the RPC/EVM worker-lane detail of traced
-    analyses land in it (write it out with {!Obs.Trace.write}). *)
+    both fingerprints, as is a gap in the deltas' advance index.
+    [trace] attaches a span collector: request spans and the spans of
+    the analyses they cause land in it.  The caller owns it (a
+    streaming collector is closed with {!Obs.Trace.close} after
+    {!stop}). *)
 
 val recovered : t -> bool
 (** Whether {!create} restored from the journal instead of analyzing
@@ -198,8 +202,8 @@ val advance : ?ctx:Obs.Trace.ctx -> t -> advance_result
     removed, the entries it upserted, the analyzer checkpoint), and past
     the journal's size threshold compacts it to a fresh base.  [ctx] is the
     request-scoped trace context of the [advance] wire request driving
-    this increment: while set, every re-analyzed item's RPC and EVM
-    spans carry its [trace_id].
+    this increment: while set, the spans of its re-analysis — run,
+    batch, item, stage, RPC and EVM — carry its [trace_id].
 
     When the advance opens with a seeded reorg
     ({!Advance.spec.reorg_depth} > 0), the rollback path runs first:
@@ -223,14 +227,6 @@ val handle : ?deadline:float -> t -> string -> string option * string
     {!Wire.err_deadline_exceeded} (multi-step [advance] requests check
     between steps — completed steps stay committed).  A response larger
     than [max_frame] is replaced by {!Wire.err_oversized}. *)
-
-val handle_traced :
-  ?deadline:float -> t -> string -> string option * string option * string
-(** {!handle} plus the trace id: [(method, trace_id, response)].
-    [trace_id] (16 lowercase hex) is the request's context — adopted
-    from the wire [trace] field or generated — and is [None] only when
-    the payload did not parse.  The socket path uses this to feed the
-    latency exemplar, the flight recorder and the slow-request log. *)
 
 (** {1 Serving} *)
 

@@ -17,7 +17,6 @@ module Transport = Resilience.Transport
 module Fault_plan = Resilience.Fault_plan
 module Retry = Resilience.Retry
 module Breaker = Resilience.Breaker
-module Vclock = Resilience.Vclock
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -103,7 +102,7 @@ let test_fault_plan_drop_window () =
 (* {1 Circuit breaker} *)
 
 let test_breaker_transitions () =
-  let clock = Vclock.create () in
+  let clock = Obs.Clock.virtual_ () in
   let b =
     Breaker.create
       ~config:(Breaker.config ~failure_threshold:3 ~cooldown:2.0 ())
@@ -125,10 +124,10 @@ let test_breaker_transitions () =
   Breaker.record_failure b;
   check_s "threshold trips the circuit" "open"
     (Breaker.state_name (Breaker.state b));
-  let before = Vclock.now clock in
+  let before = Obs.Clock.now clock in
   Breaker.await_ready b;
   check_b "cooldown elapsed on the virtual clock" true
-    (Vclock.now clock >= before +. 2.0);
+    (Obs.Clock.now clock >= before +. 2.0);
   check_s "half-open admits a probe" "half-open"
     (Breaker.state_name (Breaker.state b));
   Breaker.record_failure b;

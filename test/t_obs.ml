@@ -27,15 +27,17 @@ let contains ~needle haystack =
 (* --- clock ------------------------------------------------------------- *)
 
 let test_clock () =
-  check_b "real clock is not virtual" false (Obs.Clock.is_virtual Obs.Clock.real);
   let c = Obs.Clock.virtual_ ~start:10.0 () in
-  check_b "virtual clock is virtual" true (Obs.Clock.is_virtual c);
   checkf "virtual reads the start value" 10.0 (Obs.Clock.now c);
   checkf "no auto step: reads are stable" 10.0 (Obs.Clock.now c);
-  Obs.Clock.advance c 2.5;
-  checkf "advance moves the clock" 12.5 (Obs.Clock.now c);
-  Obs.Clock.advance c (-5.0);
-  checkf "negative advance ignored" 12.5 (Obs.Clock.now c);
+  Obs.Clock.sleep c 2.5;
+  checkf "sleep moves the clock" 12.5 (Obs.Clock.now c);
+  Obs.Clock.sleep c (-5.0);
+  checkf "negative sleep ignored" 12.5 (Obs.Clock.now c);
+  Obs.Clock.advance_to c 20.0;
+  checkf "advance_to jumps to the deadline" 20.0 (Obs.Clock.now c);
+  Obs.Clock.advance_to c 15.0;
+  checkf "a passed deadline leaves the clock" 20.0 (Obs.Clock.now c);
   let c = Obs.Clock.virtual_ ~auto_step:0.25 () in
   checkf "auto-step first read" 0.0 (Obs.Clock.now c);
   checkf "auto-step second read" 0.25 (Obs.Clock.now c);
@@ -292,24 +294,36 @@ let jnum key obj =
   | Some (Json.Float f) -> f
   | _ -> Alcotest.fail (Printf.sprintf "missing numeric field %S" key)
 
-let test_trace_roundtrip_and_nesting () =
-  let trace = Obs.Trace.create () in
-  let _, _ = instrumented_run ~trace ~domains:1 () in
-  check_b "trace recorded events" true (Obs.Trace.count trace > 0);
-  (* Chrome trace JSON round-trips the repo's own parser. *)
-  let text = Json.to_string (Obs.Trace.to_json trace) in
+(* The document a collector writes, as text. *)
+let trace_text tr =
+  let path = Filename.temp_file "proxion_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> Obs.Trace.write tr oc);
+      In_channel.with_open_text path In_channel.input_all)
+
+(* Chrome trace JSON round-trips the repo's own parser. *)
+let parse_trace text =
   let parsed =
     match Json.parse text with
     | Ok v -> v
     | Error e -> Alcotest.fail ("trace JSON does not parse: " ^ e)
   in
   check_s "display unit" "ms" (jstr "displayTimeUnit" parsed);
-  let events =
-    match jget "traceEvents" parsed with
-    | Some (Json.List l) -> l
-    | _ -> Alcotest.fail "traceEvents missing"
-  in
-  check_b "events survived serialization" true (List.length events > 0);
+  match jget "traceEvents" parsed with
+  | Some (Json.List l) -> l
+  | _ -> Alcotest.fail "traceEvents missing"
+
+let trace_events tr = parse_trace (trace_text tr)
+
+let test_trace_roundtrip_and_nesting () =
+  let trace = Obs.Trace.create () in
+  let _, _ = instrumented_run ~trace ~domains:1 () in
+  check_b "trace recorded events" true (Obs.Trace.count trace > 0);
+  let events = trace_events trace in
+  check_i "every recorded event serialized" (Obs.Trace.count trace)
+    (List.length events);
   List.iter
     (fun ev ->
       let ph = jstr "ph" ev in
@@ -319,61 +333,20 @@ let test_trace_roundtrip_and_nesting () =
       ignore (jnum "tid" ev);
       if ph = "X" then check_b "complete spans have dur" true (jnum "dur" ev >= 0.0))
     events;
-  (* Coordinator-lane nesting on tid 0: run > batch > item > stage. *)
   let spans cat =
-    List.filter
-      (fun ev ->
-        jstr "ph" ev = "X" && jstr "cat" ev = cat && jnum "tid" ev = 0.0)
-      events
-  in
-  let within ~outer ev =
-    let eps = 1e-3 (* microseconds *) in
-    List.exists
-      (fun o ->
-        jnum "ts" o -. eps <= jnum "ts" ev
-        && jnum "ts" ev +. jnum "dur" ev <= jnum "ts" o +. jnum "dur" o +. eps)
-      outer
+    List.filter (fun ev -> jstr "ph" ev = "X" && jstr "cat" ev = cat) events
   in
   let runs = spans "run" and batches = spans "batch" in
-  let items = spans "item" and stages = spans "stage" in
   check_i "exactly one run span" 1 (List.length runs);
   check_b "several batch spans" true (List.length batches > 1);
-  check_b "item spans present" true (List.length items > 0);
-  check_b "stage spans present" true (List.length stages > 0);
-  List.iter
-    (fun b -> check_b "batch nests in run" true (within ~outer:runs b))
-    batches;
-  List.iter
-    (fun i -> check_b "item nests in a batch" true (within ~outer:batches i))
-    items;
-  List.iter
-    (fun s -> check_b "stage nests in an item" true (within ~outer:items s))
-    stages;
-  (* Batch spans are emitted in index order along the synthetic timeline. *)
+  check_b "item spans present" true (spans "item" <> []);
+  check_b "stage spans present" true (spans "stage" <> []);
+  check_b "run and batches on track 0" true
+    (List.for_all (fun ev -> jnum "tid" ev = 0.0) (runs @ batches));
+  (* Batches run one after another, and are recorded in index order. *)
   let batch_ts = List.map (jnum "ts") batches in
   check_b "batch timeline is non-decreasing" true
     (List.for_all2 ( <= ) batch_ts (List.tl batch_ts @ [ infinity ]))
-
-let test_trace_with_span () =
-  let clock = Obs.Clock.virtual_ ~auto_step:1.0 () in
-  let tr = Obs.Trace.create ~clock () in
-  let v = Obs.Trace.with_span tr "outer" (fun () -> 42) in
-  check_i "with_span returns the thunk's value" 42 v;
-  (match Obs.Trace.with_span tr "raises" (fun () -> failwith "boom") with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception swallowed");
-  check_i "both spans recorded" 2 (Obs.Trace.count tr);
-  let parsed =
-    match Json.parse (Json.to_string (Obs.Trace.to_json tr)) with
-    | Ok v -> v
-    | Error e -> Alcotest.fail e
-  in
-  match jget "traceEvents" parsed with
-  | Some (Json.List [ a; b ]) ->
-      check_s "first span name" "outer" (jstr "name" a);
-      checkf "virtual-clock duration is exact" 1e6 (jnum "dur" a);
-      check_s "second span name" "raises" (jstr "name" b)
-  | _ -> Alcotest.fail "expected exactly two trace events"
 
 (* --- span contexts and live spans -------------------------------------- *)
 
@@ -429,14 +402,15 @@ let test_live_span_tree () =
   let g = Obs.Trace.gen ~seed:7 in
   let client = Obs.Trace.next_ctx g in
   let ctx = Obs.Trace.child client ~index:0 in
+  Obs.Trace.hold tr ctx;
   let root =
     Obs.Trace.start_span ~cat:"request" ~parent_ctx:client ~ctx tr "query"
   in
-  let rpc = Obs.Trace.start_span ~cat:"rpc" ~parent:root tr "eth_getCode" in
-  check_b "child span joins the trace" true
-    ((Obs.Trace.span_ctx rpc).Obs.Trace.trace_id = ctx.Obs.Trace.trace_id);
-  check_b "child span gets its own span id" true
-    ((Obs.Trace.span_ctx rpc).Obs.Trace.span_id <> ctx.Obs.Trace.span_id);
+  let rpc =
+    Obs.Trace.start_span ~cat:"rpc" ~parent_ctx:ctx
+      ~ctx:(Obs.Trace.child ctx ~index:0)
+      tr "eth_getCode"
+  in
   Obs.Trace.finish_span rpc;
   Obs.Trace.finish_span root;
   let before = Obs.Trace.count tr in
@@ -446,7 +420,7 @@ let test_live_span_tree () =
   let stray = Obs.Trace.start_span ~ctx:(Obs.Trace.next_ctx g) tr "other" in
   Obs.Trace.finish_span stray;
   let tid_hex = Obs.Trace.id_to_hex ctx.Obs.Trace.trace_id in
-  match Obs.Trace.span_tree_json tr ~trace_id:tid_hex with
+  match Obs.Trace.release tr ctx with
   | Json.List [ rpc_ev; root_ev ] ->
       (* Arrival order: the leaf finished first. *)
       check_s "leaf name" "eth_getCode" (jstr "name" rpc_ev);
@@ -457,6 +431,10 @@ let test_live_span_tree () =
         | None -> Alcotest.fail "span carries no args"
       in
       check_s "root carries the trace id" tid_hex (jstr "trace_id" (args root_ev));
+      check_s "the leaf joins the trace" tid_hex
+        (jstr "trace_id" (args rpc_ev));
+      check_b "the leaf has its own span id" true
+        (jstr "span_id" (args rpc_ev) <> jstr "span_id" (args root_ev));
       check_s "cross-process parent recorded"
         (Obs.Trace.id_to_hex client.Obs.Trace.span_id)
         (jstr "parent_span_id" (args root_ev));
@@ -465,55 +443,184 @@ let test_live_span_tree () =
         (jstr "parent_span_id" (args rpc_ev))
   | _ -> Alcotest.fail "expected exactly the two spans of this trace"
 
-(* The worker-lane detail (RPC dispatches, EVM frames) rides real-time
-   tracks, so its bytes vary run to run — but its *content* must not
-   depend on the worker count: same names, cats and args at DOMAINS=1
-   and DOMAINS=4, only the lane tids and timestamps differ.  The
-   coordinator lane (tid 0) rides the synthetic timeline, so its event
-   sequence is order-identical too (modulo wall-clock arg fields). *)
+(* The engine's spans are recorded as the engine delivers its events, in
+   input order, so their sequence — names, cats, phases and args — is the
+   same at DOMAINS=1 and DOMAINS=4; only lanes and timestamps differ.
+   They carry no wall-clock args (their time is in ts/dur), so nothing
+   is stripped.  The worker-lane detail (RPC dispatches, EVM frames) is
+   recorded live on each worker, so it arrives interleaved — but its
+   content must not depend on the worker count: same multiset. *)
+let engine_cats = [ "run"; "batch"; "item"; "stage" ]
+
 let test_span_tree_across_domains () =
   let events domains =
     let trace = Obs.Trace.create () in
     let _ = instrumented_run ~trace ~domains () in
-    match Json.parse (Json.to_string (Obs.Trace.to_json trace)) with
-    | Error e -> Alcotest.fail e
-    | Ok parsed -> (
-        match jget "traceEvents" parsed with
-        | Some (Json.List l) -> l
-        | _ -> Alcotest.fail "traceEvents missing")
+    trace_events trace
   in
   let e1 = events 1 and e4 = events 4 in
-  let tid ev = int_of_float (jnum "tid" ev) in
-  let args_key ~strip ev =
-    match jget "args" ev with
-    | Some (Json.Obj kvs) ->
-        Json.to_string
-          (Json.Obj (List.filter (fun (k, _) -> not (List.mem k strip)) kvs))
-    | _ -> ""
-  in
-  let shape ~strip ev =
+  let shape ev =
+    let args =
+      match jget "args" ev with Some a -> Json.to_string a | None -> ""
+    in
     Printf.sprintf "%s|%s|%s|%s" (jstr "name" ev) (jstr "cat" ev)
-      (jstr "ph" ev) (args_key ~strip ev)
+      (jstr "ph" ev) args
   in
-  (* Coordinator lane: same event sequence, in order. *)
-  let coord evs =
-    List.filter (fun ev -> tid ev = 0) evs
-    |> List.map (shape ~strip:[ "wall_elapsed"; "worker"; "delay"; "domains" ])
-  in
-  check_i "coordinator lanes have equal length" (List.length (coord e1))
-    (List.length (coord e4));
-  List.iter2 (check_s "coordinator event sequence identical") (coord e1)
-    (coord e4);
+  let is_engine ev = List.mem (jstr "cat" ev) engine_cats in
+  (* Engine spans: same sequence, in order. *)
+  let engine evs = List.filter is_engine evs |> List.map shape in
+  check_i "engine span sequences have equal length" (List.length (engine e1))
+    (List.length (engine e4));
+  List.iter2 (check_s "engine span sequence identical") (engine e1) (engine e4);
   (* Worker lanes: same multiset, lanes aside. *)
   let lanes evs =
-    List.filter (fun ev -> tid ev > 0) evs
-    |> List.map (shape ~strip:[])
-    |> List.sort compare
+    List.filter (fun ev -> not (is_engine ev)) evs
+    |> List.map shape |> List.sort compare
   in
   let l1 = lanes e1 and l4 = lanes e4 in
   check_b "worker-lane detail present" true (l1 <> []);
   check_i "worker lanes have equal volume" (List.length l1) (List.length l4);
   List.iter2 (check_s "worker-lane multiset identical") l1 l4
+
+(* Every span of a trace sits on the collector's clock: each event lies
+   inside the run span, stage < item < batch < run nests on the real
+   stamps, and a stage, RPC dispatch or EVM frame lies inside an item on
+   its own worker's lane.  The tolerance is one microsecond: absolute
+   Unix-time stamps near 1.8e15 us round to a quarter of one. *)
+let test_trace_one_time_base () =
+  List.iter
+    (fun domains ->
+      let trace = Obs.Trace.create () in
+      let _ = instrumented_run ~fault_rate:0.05 ~trace ~domains () in
+      let events = trace_events trace in
+      let label what = Printf.sprintf "DOMAINS=%d: %s" domains what in
+      let x cat =
+        List.filter (fun ev -> jstr "ph" ev = "X" && jstr "cat" ev = cat) events
+      in
+      let start ev = jnum "ts" ev in
+      let stop ev = start ev +. jnum "dur" ev in
+      let inside ~outer ev =
+        start outer -. 1.0 <= start ev && stop ev <= stop outer +. 1.0
+      in
+      let lane ev = jnum "tid" ev in
+      let run =
+        match x "run" with
+        | [ r ] -> r
+        | _ -> Alcotest.fail (label "expected exactly one run span")
+      in
+      let items = x "item" and batches = x "batch" in
+      check_b (label "only complete spans") true
+        (List.for_all (fun ev -> jstr "ph" ev = "X") events);
+      List.iter
+        (fun ev ->
+          check_b (label "event inside the run") true (inside ~outer:run ev))
+        events;
+      List.iter
+        (fun i ->
+          check_b (label "item inside a batch") true
+            (List.exists (fun b -> inside ~outer:b i) batches))
+        items;
+      (* A pair stage's subject is "proxy->logic", under the proxy's item. *)
+      let of_item i = function
+        | None -> true
+        | Some subject ->
+            let name = jstr "name" i in
+            subject = name || String.starts_with ~prefix:(name ^ "->") subject
+      in
+      let in_item_on_lane ?subject ev =
+        List.exists
+          (fun i -> lane i = lane ev && inside ~outer:i ev && of_item i subject)
+          items
+      in
+      List.iter
+        (fun s ->
+          let subject =
+            match jget "args" s with
+            | Some a -> jstr "subject" a
+            | None -> Alcotest.fail (label "stage span without args")
+          in
+          check_b (label "stage inside its item, on its lane") true
+            (in_item_on_lane ~subject s))
+        (x "stage");
+      List.iter
+        (fun ev ->
+          check_b (label "RPC/EVM detail inside an item on its lane") true
+            (in_item_on_lane ev))
+        (x "rpc" @ x "evm"))
+    [ 1; 4 ]
+
+(* On an auto-stepping virtual clock a traced run is a pure function of
+   its inputs: two runs write the same bytes, and a collector streaming
+   to a file writes exactly what an in-memory one writes. *)
+let test_trace_deterministic () =
+  let clock () = Obs.Clock.virtual_ ~start:1.0 ~auto_step:1e-6 () in
+  let traced trace =
+    ignore (instrumented_run ~fault_rate:0.05 ~trace ~domains:1 ())
+  in
+  let in_memory () =
+    let trace = Obs.Trace.create ~clock:(clock ()) () in
+    traced trace;
+    trace_text trace
+  in
+  let a = in_memory () and b = in_memory () in
+  check_b "trace is non-trivial" true (List.length (parse_trace a) > 100);
+  check_s "two traced runs write identical bytes" a b;
+  let path = Filename.temp_file "proxion_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let trace =
+        match Obs.Trace.to_file ~clock:(clock ()) path with
+        | Ok tr -> tr
+        | Error e -> Alcotest.fail e
+      in
+      traced trace;
+      Obs.Trace.close trace;
+      check_s "the streamed file holds the same bytes" a
+        (In_channel.with_open_text path In_channel.input_all))
+
+(* A file collector writes each event as it arrives and keeps none: a
+   finished live span is on disk before the file is closed, only a held
+   trace is retained, and closing completes the document. *)
+let test_trace_file_streams () =
+  let path = Filename.temp_file "proxion_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let tr =
+        let clock = Obs.Clock.virtual_ ~auto_step:1.0 () in
+        match Obs.Trace.to_file ~clock path with
+        | Ok tr -> tr
+        | Error e -> Alcotest.fail e
+      in
+      let read () = In_channel.with_open_text path In_channel.input_all in
+      let g = Obs.Trace.gen ~seed:3 in
+      let kept = Obs.Trace.next_ctx g and other = Obs.Trace.next_ctx g in
+      Obs.Trace.hold tr kept;
+      let sp = Obs.Trace.start_span ~ctx:kept tr "advance" in
+      Obs.Trace.complete tr ~name:"stage" ~ts:0.0 ~dur:1.0
+        ~args:(Obs.Trace.ctx_args other);
+      Obs.Trace.finish_span sp;
+      let hex c = Obs.Trace.id_to_hex c.Obs.Trace.trace_id in
+      check_b "a finished span is on disk before close" true
+        (contains ~needle:(hex kept) (read ()));
+      (match Obs.Trace.release tr kept with
+      | Json.List [ ev ] ->
+          check_s "only the held trace is retained" "advance" (jstr "name" ev)
+      | _ -> Alcotest.fail "expected the one held span");
+      (match Obs.Trace.release tr kept with
+      | Json.List [] -> ()
+      | _ -> Alcotest.fail "a released trace is still held");
+      (match Obs.Trace.write tr stdout with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "write accepted a streaming collector");
+      Obs.Trace.close tr;
+      Obs.Trace.close tr;
+      Obs.Trace.complete tr ~name:"late" ~ts:0.0 ~dur:0.0;
+      check_i "events recorded" 3 (Obs.Trace.count tr);
+      let events = parse_trace (read ()) in
+      check_i "the closed file holds the spans written before close" 2
+        (List.length events))
 
 (* --- exemplars ---------------------------------------------------------- *)
 
@@ -763,8 +870,6 @@ let suite =
       `Slow test_snapshot_identical_across_domains;
     Alcotest.test_case "trace: JSON round-trip and span nesting" `Slow
       test_trace_roundtrip_and_nesting;
-    Alcotest.test_case "trace: with_span on a virtual clock" `Quick
-      test_trace_with_span;
     Alcotest.test_case "trace: span contexts and hex ids" `Quick
       test_trace_ctx_ids;
     Alcotest.test_case "trace: live span trees join on trace_id" `Quick
@@ -779,4 +884,10 @@ let suite =
     Alcotest.test_case "log: suppression tally flushes on level change" `Quick
       test_suppression_flush;
     Alcotest.test_case "log: level parsing" `Quick test_level_parsing;
+    Alcotest.test_case "trace: one time base at DOMAINS 1 and 4" `Slow
+      test_trace_one_time_base;
+    Alcotest.test_case "trace: deterministic on a virtual clock" `Slow
+      test_trace_deterministic;
+    Alcotest.test_case "trace: file collector streams and keeps nothing" `Quick
+      test_trace_file_streams;
   ]

@@ -59,6 +59,7 @@ let event_skeleton = function
   | Engine.Circuit_closed { endpoint; subject; _ } ->
       Some (Printf.sprintf "circuit-closed %s %s" endpoint subject)
   | Engine.Item_skipped { subject; _ } -> Some ("skip " ^ subject)
+  | Engine.Item_finished { subject; _ } -> Some ("item " ^ subject)
   | Engine.Run_finished { processed; skipped; _ } ->
       Some (Printf.sprintf "run-finished %d %d" processed skipped)
 

@@ -32,6 +32,24 @@ let cold_report (land_ : Generate.t) =
 let daemon_config =
   Serve.Config.(default |> with_analysis analysis_config |> with_workers 2)
 
+(* The events an in-memory span collector has recorded. *)
+let trace_events tr =
+  let path = Filename.temp_file "proxion_trace" ".json" in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc -> Obs.Trace.write tr oc);
+        In_channel.with_open_text path In_channel.input_all)
+  in
+  match Json.parse text with
+  | Ok (Json.Obj kvs) -> (
+      match List.assoc_opt "traceEvents" kvs with
+      | Some (Json.List evs) -> evs
+      | _ -> Alcotest.fail "traceEvents missing")
+  | Ok _ -> Alcotest.fail "trace is not an object"
+  | Error e -> Alcotest.failf "trace does not parse: %s" e
+
 let make_daemon ?(config = daemon_config) ?registry ?log ?trace () =
   let land_ = Generate.generate small_config in
   match Daemon.create ~config ?registry ?log ?trace land_ with
@@ -1014,7 +1032,8 @@ let test_traced_query () =
       (Serve.Store.report (Daemon.store d) ~unique_codes:(Daemon.unique_codes d))
   in
   check_s "store byte-identical after the live query" before after;
-  (* One joined trace: request span, endpoint votes, EVM frames. *)
+  (* One joined trace: request span, the re-analysis it ran, endpoint
+     votes, EVM frames. *)
   let str key ev =
     match ev with
     | Json.Obj kvs -> (
@@ -1034,8 +1053,22 @@ let test_traced_query () =
         | _ -> None)
     | _ -> None
   in
-  (match Obs.Trace.span_tree_json trace ~trace_id:tc.Wire.tc_trace_id with
-  | Json.List (_ :: _ as evs) ->
+  let num key ev =
+    match ev with
+    | Json.Obj kvs -> (
+        match List.assoc_opt key kvs with
+        | Some (Json.Int n) -> float_of_int n
+        | Some (Json.Float f) -> f
+        | _ -> Alcotest.failf "span without %s" key)
+    | _ -> Alcotest.fail "span not an object"
+  in
+  let joined =
+    List.filter
+      (fun ev -> arg "trace_id" ev = Some tc.Wire.tc_trace_id)
+      (trace_events trace)
+  in
+  (match joined with
+  | _ :: _ as evs ->
       let cats = List.filter_map (str "cat") evs in
       let requests =
         List.filter (fun ev -> str "cat" ev = Some "request") evs
@@ -1048,6 +1081,20 @@ let test_traced_query () =
       check_b "endpoint attempt spans joined the trace" true
         (List.mem "rpc" cats);
       check_b "EVM frame spans joined the trace" true (List.mem "evm" cats);
+      check_b "the run span joined the trace" true (List.mem "run" cats);
+      check_b "stage spans joined the trace" true (List.mem "stage" cats);
+      (* One clock: the analysis the query caused nests inside it. *)
+      let start ev = num "ts" ev in
+      let stop ev = start ev +. num "dur" ev in
+      List.iter
+        (fun ev ->
+          if
+            List.mem (str "cat" ev)
+              [ Some "run"; Some "batch"; Some "item"; Some "stage" ]
+          then
+            check_b "engine span inside the request span" true
+              (start req -. 1.0 <= start ev && stop ev <= stop req +. 1.0))
+        evs;
       let endpoints_seen =
         List.sort_uniq compare (List.filter_map (arg "endpoint") evs)
       in
@@ -1230,6 +1277,97 @@ let test_journal_refuses_other_landscape () =
           check_i "advances restored" 2 (Daemon.advances_applied d2);
           Daemon.stop d2)
 
+(* The serve-smoke script of CI, in process: a daemon configured as
+   `proxion serve -n 400 --seed 5` configures it answers four requests,
+   each printed as `proxion query` prints it, byte for byte the golden
+   transcripts under test/golden/serve. *)
+let test_golden_transcripts () =
+  let land_ =
+    Generate.generate
+      { Generate.default_config with Generate.total = 400; seed = 5 }
+  in
+  let d =
+    match Daemon.create land_ with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "daemon create failed: %s" e
+  in
+  let golden file =
+    In_channel.with_open_text (Filename.concat "golden/serve" file)
+      In_channel.input_all
+  in
+  List.iter
+    (fun (file, meth, params) ->
+      check_s file (golden file)
+        (Json.to_string ~pretty:true (get_ok (call_daemon d meth params))
+        ^ "\n"))
+    [
+      ("status_before.json", "get_status", []);
+      ("findings_head.json", "list_findings", [ ("limit", Json.Int 5) ]);
+      ("advance.json", "advance", [ ("count", Json.Int 2) ]);
+      ("status_after.json", "get_status", []);
+    ];
+  Daemon.stop d
+
+(* A daemon tracing to a file keeps no span: once a traced advance has
+   returned — before the daemon stops — its trace id, on the stages it
+   re-ran, is already in the file; closed after the stop, the file is a
+   whole trace document. *)
+let test_streamed_trace () =
+  let path = Filename.temp_file "proxion_daemon_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let trace =
+        match Obs.Trace.to_file path with
+        | Ok tr -> tr
+        | Error e -> Alcotest.failf "cannot open the trace file: %s" e
+      in
+      let d, _ = make_daemon ~trace () in
+      let cctx = Obs.Trace.next_ctx (Obs.Trace.gen ~seed:5) in
+      let tc =
+        {
+          Wire.tc_trace_id = Obs.Trace.id_to_hex cctx.Obs.Trace.trace_id;
+          tc_span_id = Obs.Trace.id_to_hex cctx.Obs.Trace.span_id;
+        }
+      in
+      let payload =
+        Wire.request_to_string ~trace:tc ~id:1 ~meth:"advance"
+          ~params:[ ("count", Json.Int 1) ]
+          ()
+      in
+      (match Wire.response_of_string (snd (Daemon.handle d payload)) with
+      | Ok { Wire.rs_result = Ok _; _ } -> ()
+      | _ -> Alcotest.fail "traced advance failed");
+      let on_disk = In_channel.with_open_text path In_channel.input_all in
+      check_b "the advance's trace id is on disk before the stop" true
+        (contains ~needle:tc.Wire.tc_trace_id on_disk);
+      Daemon.stop d;
+      Obs.Trace.close trace;
+      match
+        Json.parse (In_channel.with_open_text path In_channel.input_all)
+      with
+      | Ok
+          (Json.Obj
+            [
+              ("traceEvents", Json.List evs);
+              ("displayTimeUnit", Json.String "ms");
+            ]) ->
+          let joined_stage = function
+            | Json.Obj kvs -> (
+                List.assoc_opt "cat" kvs = Some (Json.String "stage")
+                &&
+                match List.assoc_opt "args" kvs with
+                | Some (Json.Obj args) ->
+                    List.assoc_opt "trace_id" args
+                    = Some (Json.String tc.Wire.tc_trace_id)
+                | _ -> false)
+            | _ -> false
+          in
+          check_b "the advance's stages carry its trace id" true
+            (List.exists joined_stage evs)
+      | Ok _ -> Alcotest.fail "the closed file is not a trace document"
+      | Error e -> Alcotest.failf "the closed file does not parse: %s" e)
+
 let suite =
   [
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
@@ -1269,4 +1407,8 @@ let suite =
       test_ops_console;
     Alcotest.test_case "warm start refuses another landscape's journal" `Quick
       test_journal_refuses_other_landscape;
+    Alcotest.test_case "scripted queries match the golden transcripts" `Quick
+      test_golden_transcripts;
+    Alcotest.test_case "a streaming trace holds each advance before the stop"
+      `Quick test_streamed_trace;
   ]
