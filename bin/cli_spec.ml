@@ -298,6 +298,43 @@ module Telemetry_spec = struct
     metrics_ok && trace_ok
 end
 
+(* --- analysis: scheduler batch size and worker domains ------------------ *)
+
+module Analysis_spec = struct
+  type t = { batch_size : int option; domains : int option }
+
+  let term =
+    let batch_size =
+      Arg.(
+        value
+        & opt (some int) None
+        & info [ "batch-size" ] ~docv:"N"
+            ~doc:
+              "Contracts per scheduler batch (default 32).  Overrides the \
+               batch size of a resumed journal.")
+    in
+    let domains =
+      Arg.(
+        value
+        & opt (some int) None
+        & info [ "domains" ] ~docv:"N"
+            ~doc:
+              "Worker domains per batch (default 1 = sequential).  Output \
+               is byte-identical for every value.  The worker count is \
+               never journaled: a resume runs with the --domains given, \
+               default 1.")
+    in
+    Term.(
+      const (fun batch_size domains -> { batch_size; domains })
+      $ batch_size $ domains)
+
+  let config t =
+    let module C = Proxion.Pipeline.Config in
+    C.default
+    |> (match t.batch_size with Some b -> C.with_batch_size b | None -> Fun.id)
+    |> (match t.domains with Some d -> C.with_domains d | None -> Fun.id)
+end
+
 (* --- journal: the durable checkpoint journal ----------------------------- *)
 
 module Journal_spec = struct

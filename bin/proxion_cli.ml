@@ -8,6 +8,7 @@ module Faults_spec = Cli_spec.Faults_spec
 module Telemetry_spec = Cli_spec.Telemetry_spec
 module Trace_out = Cli_spec.Trace_out
 module Journal_spec = Cli_spec.Journal_spec
+module Analysis_spec = Cli_spec.Analysis_spec
 
 let print_and_exit s =
   print_string s;
@@ -116,7 +117,7 @@ exception Journal_write_error of string
    pools, not --total.  Output is byte-identical at any --domains (the
    engine merge is input-ordered and the aggregates commutative); the peak
    RSS self-report goes to stderr so stdout stays diffable. *)
-let run_stream_scan chain faults telemetry stream_batch batch_size domains =
+let run_stream_scan chain faults telemetry stream_batch analysis =
   let gen_config = Chain_spec.config chain in
   let stream = Dataset.Generate.open_stream gen_config in
   let chain_ = Dataset.Generate.stream_chain stream in
@@ -130,17 +131,10 @@ let run_stream_scan chain faults telemetry stream_batch batch_size domains =
   let registry = Obs.Metrics.create () in
   let log = Telemetry_spec.log telemetry in
   let resilience = Faults_spec.resilience faults in
-  let config =
-    Proxion.Pipeline.Config.default
-    |> (match batch_size with
-       | Some b -> Proxion.Pipeline.Config.with_batch_size b
-       | None -> Fun.id)
-    |> (match domains with
-       | Some d -> Proxion.Pipeline.Config.with_domains d
-       | None -> Fun.id)
-  in
   let analyzer =
-    Proxion.Analyzer.create ~config ~resilience ~chain:chain_ ~source ()
+    Proxion.Analyzer.create
+      ~config:(Analysis_spec.config analysis)
+      ~resilience ~chain:chain_ ~source ()
   in
   Proxion.Analyzer.instrument ?trace ?log registry analyzer;
   let agg = Experiments.Stream_scan.create () in
@@ -188,8 +182,12 @@ let run_stream_scan chain faults telemetry stream_batch batch_size domains =
   if outputs_failed then 1 else 0
 
 let run_scan chain faults telemetry journal_path journal_fsync findings
-    batch_size domains max_batches retry_skipped stream =
-  match (batch_size, domains, Faults_spec.validate faults) with
+    analysis max_batches retry_skipped stream =
+  match
+    ( analysis.Analysis_spec.batch_size,
+      analysis.Analysis_spec.domains,
+      Faults_spec.validate faults )
+  with
   | Some b, _, _ when b <= 0 ->
       prerr_endline "error: --batch-size must be positive";
       1
@@ -212,8 +210,7 @@ let run_scan chain faults telemetry journal_path journal_fsync findings
          --retry-skipped need the materialized scan";
       1
   | _ when stream <> None ->
-      run_stream_scan chain faults telemetry (Option.get stream) batch_size
-        domains
+      run_stream_scan chain faults telemetry (Option.get stream) analysis
   | _ ->
   let land_ = Chain_spec.generate chain in
   let chain_ = land_.Dataset.Generate.chain in
@@ -260,24 +257,19 @@ let run_scan chain faults telemetry journal_path journal_fsync findings
   let restore_from what text =
     match
       Result.bind (Report.Json.parse text)
-        (Proxion.Analyzer.restore ?landscape ?batch_size ?domains ~resilience
-           ~chain:chain_ ~source)
+        (Proxion.Analyzer.restore ?landscape
+           ?batch_size:analysis.Analysis_spec.batch_size
+           ?domains:analysis.Analysis_spec.domains ~resilience ~chain:chain_
+           ~source)
     with
     | Ok t -> Ok t
     | Error e -> Error (Printf.sprintf "cannot resume from %s: %s" what e)
   in
   let fresh () =
-    let config =
-      Proxion.Pipeline.Config.default
-      |> (match batch_size with
-         | Some b -> Proxion.Pipeline.Config.with_batch_size b
-         | None -> Fun.id)
-      |> (match domains with
-         | Some d -> Proxion.Pipeline.Config.with_domains d
-         | None -> Fun.id)
-    in
     let t =
-      Proxion.Analyzer.create ~config ~resilience ~chain:chain_ ~source ()
+      Proxion.Analyzer.create
+        ~config:(Analysis_spec.config analysis)
+        ~resilience ~chain:chain_ ~source ()
     in
     Proxion.Analyzer.submit_all t;
     Ok t
@@ -340,7 +332,7 @@ let run_scan chain faults telemetry journal_path journal_fsync findings
           Proxion.Analyzer.subscribe analyzer (function
             | Engine.Batch_finished _ -> (
                 let text =
-                  Report.Json.to_string
+                  Report.Json.to_string ~pretty:false
                     (Proxion.Analyzer.checkpoint ?landscape analyzer)
                 in
                 match Resilience.Journal.checkpoint j text with
@@ -405,25 +397,6 @@ let scan_cmd =
       & info [ "findings" ] ~docv:"N"
           ~doc:"Also print the top $(docv) security findings.")
   in
-  let batch_size_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch-size" ] ~docv:"N"
-          ~doc:
-            "Contracts per scheduler batch (default 32; when --journal \
-             resumes, overrides the journaled value).")
-  in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains per batch (default 1 = sequential; when \
-             --journal resumes, overrides the journaled value).  Output is \
-             byte-identical for every value.")
-  in
   let max_batches_arg =
     Arg.(
       value
@@ -471,30 +444,21 @@ let scan_cmd =
     Term.(
       const run_scan $ Chain_spec.term () $ Faults_spec.term
       $ Telemetry_spec.term $ journal_arg $ Journal_spec.fsync_term
-      $ findings_arg $ batch_size_arg $ domains_arg $ max_batches_arg
+      $ findings_arg $ Analysis_spec.term $ max_batches_arg
       $ retry_skipped_arg $ stream_arg)
 
 (* --- serve: the resident analysis daemon --------------------------------- *)
 
 let run_serve chain faults host port workers backlog max_conns queue_limit
     idle_timeout_ms request_deadline_ms drain_grace_ms journal_path
-    journal_fsync advance_seed deployments upgrades reorg_depth batch_size
-    domains log_json log_level slow_ms trace_out flight_capacity flight_dump
+    journal_fsync advance_seed deployments upgrades reorg_depth analysis
+    log_json log_level slow_ms trace_out flight_capacity flight_dump
     trace_seed =
   match Faults_spec.validate faults with
   | Error e ->
       prerr_endline ("error: " ^ e);
       1
   | Ok faults ->
-  let analysis =
-    Proxion.Pipeline.Config.default
-    |> (match batch_size with
-       | Some b -> Proxion.Pipeline.Config.with_batch_size b
-       | None -> Fun.id)
-    |> (match domains with
-       | Some d -> Proxion.Pipeline.Config.with_domains d
-       | None -> Fun.id)
-  in
   let config =
     Serve.Config.(
       default |> with_host host |> with_port port |> with_workers workers
@@ -507,7 +471,7 @@ let run_serve chain faults host port workers backlog max_conns queue_limit
       |> with_journal_fsync journal_fsync
       |> with_advance_seed advance_seed
       |> with_advance_spec { Serve.Advance.deployments; upgrades; reorg_depth }
-      |> with_analysis analysis
+      |> with_analysis (Analysis_spec.config analysis)
       |> with_resilience (Faults_spec.resilience faults)
       |> with_slow_ms slow_ms
       |> with_flight_capacity flight_capacity
@@ -660,18 +624,6 @@ let serve_cmd =
              suffix re-analyzed; the store stays byte-identical to a \
              cold re-run over the post-reorg chain.")
   in
-  let batch_size_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch-size" ] ~docv:"N" ~doc:"Analyzer batch size.")
-  in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N" ~doc:"Analyzer worker domains.")
-  in
   let log_json_arg =
     Arg.(
       value & flag
@@ -732,7 +684,7 @@ let serve_cmd =
       $ max_conns_arg $ queue_limit_arg $ idle_timeout_arg
       $ request_deadline_arg $ drain_grace_arg $ journal_arg
       $ Journal_spec.fsync_term $ advance_seed_arg $ deployments_arg
-      $ upgrades_arg $ reorg_depth_arg $ batch_size_arg $ domains_arg
+      $ upgrades_arg $ reorg_depth_arg $ Analysis_spec.term
       $ log_json_arg $ log_level_arg $ slow_ms_arg $ Trace_out.term
       $ flight_capacity_arg $ flight_dump_arg $ trace_seed_arg)
 

@@ -113,47 +113,4 @@ module Config = struct
     with
     | Ok () -> Ok t
     | Error e -> Error e
-
-  module Json = Report.Json
-
-  let to_json t =
-    Json.Obj
-      [
-        ("verify_storage", Json.Bool t.verify_storage);
-        ("dedup", Json.Bool t.dedup);
-        ("diamond_extension", Json.Bool t.diamond_extension);
-        ("batch_size", Json.Int t.batch_size);
-        ("domains", Json.Int t.domains);
-      ]
-
-  let of_json = function
-    | Json.Obj kvs ->
-        let bool_field name fallback =
-          match List.assoc_opt name kvs with
-          | Some (Json.Bool b) -> Ok b
-          | None -> Ok fallback
-          | Some _ -> Error (Printf.sprintf "config: %S must be a bool" name)
-        in
-        let ( let* ) = Result.bind in
-        let* verify_storage =
-          bool_field "verify_storage" default.verify_storage
-        in
-        let* dedup = bool_field "dedup" default.dedup in
-        let* diamond_extension =
-          bool_field "diamond_extension" default.diamond_extension
-        in
-        let* batch_size =
-          match List.assoc_opt "batch_size" kvs with
-          | Some (Json.Int n) when n > 0 -> Ok n
-          | None -> Ok default.batch_size
-          | Some _ -> Error "config: batch_size must be a positive int"
-        in
-        let* domains =
-          match List.assoc_opt "domains" kvs with
-          | Some (Json.Int n) when n > 0 -> Ok n
-          | None -> Ok default.domains
-          | Some _ -> Error "config: domains must be a positive int"
-        in
-        Ok { verify_storage; dedup; diamond_extension; batch_size; domains }
-    | _ -> Error "config: expected an object"
 end

@@ -85,7 +85,8 @@ module Config : sig
     domains : int;
         (** Worker domains per batch (default 1 = sequential).  Any value
             produces byte-identical reports and checkpoints; larger values
-            only change wall-clock time on multicore hosts. *)
+            only change wall-clock time on multicore hosts.  Never
+            checkpointed: a resumed run takes it from its caller. *)
   }
 
   val default : t
@@ -98,7 +99,4 @@ module Config : sig
   val validate : t -> (t, Report.Validate.error) result
   (** The shared config gate ({!Report.Validate}): positive
       [batch_size] and [domains]. *)
-
-  val to_json : t -> Report.Json.t
-  val of_json : Report.Json.t -> (t, string) result
 end

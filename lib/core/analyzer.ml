@@ -664,14 +664,20 @@ let process_item t ctx addr =
         Error (skip_of_exn ctx env e)
   end
 
-let make_with_engine ~config ~resilience ~chain ~source build_engine =
+(* The one constructor: [create] starts it empty, [restore] from a
+   decoded checkpoint. *)
+let make ~config ~resilience ?crash_plan ?state ~chain ~source () =
   let self = ref None in
   let process ctx addr =
     match !self with
     | None -> Error (Engine.permanent "analyzer not initialized")
     | Some t -> process_item t ctx addr
   in
-  let engine = build_engine ~process in
+  let engine =
+    Engine.create ~batch_size:config.Config.batch_size
+      ~domains:config.Config.domains ~key:(Chain.code_hash chain) ?crash_plan
+      ?state ~subject:Address.to_hex ~process ()
+  in
   let t =
     {
       engine;
@@ -698,12 +704,9 @@ let make_with_engine ~config ~resilience ~chain ~source build_engine =
   t
 
 let create ?(config = Config.default)
-    ?(resilience = Resilience.Transport.default_config) ?crash_plan
-    ?attempt_ceiling ~chain ~source () =
-  make_with_engine ~config ~resilience ~chain ~source (fun ~process ->
-      Engine.create ~batch_size:config.Config.batch_size
-        ~domains:config.Config.domains ~key:(Chain.code_hash chain) ?crash_plan
-        ?attempt_ceiling ~subject:Address.to_hex ~process ())
+    ?(resilience = Resilience.Transport.default_config) ?crash_plan ~chain
+    ~source () =
+  make ~config ~resilience ?crash_plan ~chain ~source ()
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling and results                                              *)
@@ -881,27 +884,44 @@ let refresh_head t =
 (* Checkpointing                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let hex_string b = Json.String (Hexutil.to_hex b)
+
 let cached_detection_to_json code_hash = function
   | C_slot_proxy slot ->
       Json.Obj
         [
-          ("code_hash", Json.String (Hexutil.to_hex code_hash));
+          ("code_hash", hex_string code_hash);
           ("slot", Json.String (U256.to_hex slot));
         ]
   | C_verdict v ->
       Json.Obj
         [
-          ("code_hash", Json.String (Hexutil.to_hex code_hash));
+          ("code_hash", hex_string code_hash);
           ("verdict", Serialize.verdict_to_json v);
         ]
 
 let pair_cache_entry_to_json (proxy_hash, logic_hash) (fc, sc) =
   Json.Obj
     [
-      ("proxy_hash", Json.String (Hexutil.to_hex proxy_hash));
-      ("logic_hash", Json.String (Hexutil.to_hex logic_hash));
+      ("proxy_hash", hex_string proxy_hash);
+      ("logic_hash", hex_string logic_hash);
       ("func", Json.List (List.map Serialize.func_collision_to_json fc));
       ("storage", Json.List (List.map Serialize.storage_collision_to_json sc));
+    ]
+
+(* A dead letter's item is its subject's address, so the subject alone
+   stands for both. *)
+let skip_record_to_json (r : Address.t Engine.skip_record) =
+  Json.Obj
+    [
+      ("subject", Json.String r.Engine.sk_subject);
+      ("message", Json.String r.Engine.sk_message);
+      ( "stage",
+        match r.Engine.sk_stage with
+        | Some s -> Json.String (Engine.stage_name s)
+        | None -> Json.Null );
+      ("attempts", Json.Int r.Engine.sk_attempts);
+      ("class", Json.String (Engine.skip_class_name r.Engine.sk_class));
     ]
 
 let sorted_entries tbl =
@@ -911,10 +931,26 @@ let sorted_entries tbl =
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let checkpoint ?landscape t =
-  let extra =
+  let st = Engine.state t.engine in
+  let json =
     Json.Obj
       [
-        ("config", Config.to_json t.cfg);
+        ("verify_storage", Json.Bool t.cfg.Config.verify_storage);
+        ("dedup", Json.Bool t.cfg.Config.dedup);
+        ("diamond_extension", Json.Bool t.cfg.Config.diamond_extension);
+        ("batch_size", Json.Int t.cfg.Config.batch_size);
+        ("batches_done", Json.Int st.Engine.st_batches);
+        ( "queue",
+          Json.List
+            (List.map
+               (fun a -> Json.String (Address.to_hex a))
+               st.Engine.st_queue) );
+        ( "results",
+          Json.List
+            (List.map Serialize.contract_report_to_json st.Engine.st_results)
+        );
+        ( "skipped",
+          Json.List (List.map skip_record_to_json st.Engine.st_skipped) );
         ("dedup_hits", Json.Int !(t.dedup_hits));
         ("steps", Json.Int !(t.steps_total));
         ("api_calls", Json.Int !(t.api_calls));
@@ -930,160 +966,97 @@ let checkpoint ?landscape t =
                (sorted_entries t.pair_cache)) );
       ]
   in
-  let json =
-    Engine.checkpoint
-      ~item_to_json:(fun a -> Json.String (Address.to_hex a))
-      ~res_to_json:Serialize.contract_report_to_json ~extra t.engine
-  in
   match landscape with
   | None -> json
   | Some landscape -> Report.Schema.stamp ~landscape json
 
 let ( let* ) = Result.bind
 
-let field name = function
-  | Json.Obj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "checkpoint: missing field %S" name))
-  | _ -> Error "checkpoint: expected an object"
-
-let dec_int name = function
-  | Json.Int n -> Ok n
-  | _ -> Error (Printf.sprintf "checkpoint: field %S must be an int" name)
-
-let dec_list name = function
-  | Json.List l -> Ok l
-  | _ -> Error (Printf.sprintf "checkpoint: field %S must be a list" name)
-
-let dec_hex name = function
-  | Json.String s -> (
-      match Hexutil.of_hex_opt s with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "checkpoint: field %S: bad hex" name))
-  | _ -> Error (Printf.sprintf "checkpoint: field %S must be a string" name)
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-        let* y = f x in
-        go (y :: acc) rest
-  in
-  go [] l
-
 let detection_cache_entry_of_json json =
-  let* code_hash = Result.bind (field "code_hash" json) (dec_hex "code_hash") in
-  match field "slot" json with
-  | Ok (Json.String s) -> (
-      match U256.of_hex s with
-      | slot -> Ok (code_hash, C_slot_proxy slot)
-      | exception _ -> Error "checkpoint: bad slot")
-  | _ ->
-      let* v = Result.bind (field "verdict" json) Serialize.verdict_of_json in
+  let* code_hash = Json.field "code_hash" Serialize.hex_of_json json in
+  match Json.opt "slot" Serialize.word_of_json json with
+  | Ok (Some slot) -> Ok (code_hash, C_slot_proxy slot)
+  | Ok None ->
+      let* v = Json.field "verdict" Serialize.verdict_of_json json in
       Ok (code_hash, C_verdict v)
+  | Error e -> Error e
 
 let pair_cache_entry_of_json json =
-  let* proxy_hash = Result.bind (field "proxy_hash" json) (dec_hex "proxy_hash") in
-  let* logic_hash = Result.bind (field "logic_hash" json) (dec_hex "logic_hash") in
-  let* fc =
-    Result.bind
-      (Result.bind (field "func" json) (dec_list "func"))
-      (map_result Serialize.func_collision_of_json)
-  in
-  let* sc =
-    Result.bind
-      (Result.bind (field "storage" json) (dec_list "storage"))
-      (map_result Serialize.storage_collision_of_json)
-  in
+  let* proxy_hash = Json.field "proxy_hash" Serialize.hex_of_json json in
+  let* logic_hash = Json.field "logic_hash" Serialize.hex_of_json json in
+  let* fc = Json.list "func" Serialize.func_collision_of_json json in
+  let* sc = Json.list "storage" Serialize.storage_collision_of_json json in
   Ok ((proxy_hash, logic_hash), (fc, sc))
 
-let address_of_json = function
+let named what of_name = function
   | Json.String s -> (
-      match Hexutil.of_hex_opt s with
-      | Some b when String.length b = 20 -> Ok b
-      | _ -> Error ("checkpoint: bad queued address " ^ s))
-  | _ -> Error "checkpoint: queue entries must be strings"
+      match of_name s with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "unknown %s %S" what s))
+  | _ -> Error (Printf.sprintf "%s: expected a string" what)
 
-let restore ?landscape ?batch_size ?domains
-    ?(resilience = Resilience.Transport.default_config) ?crash_plan
-    ?attempt_ceiling ~chain ~source json =
+let skip_record_of_json json =
+  let* sk_item = Json.field "subject" Serialize.address_of_json json in
+  let* sk_message = Json.string "message" json in
+  let* sk_stage = Json.opt "stage" (named "stage" Engine.stage_of_name) json in
+  let* sk_attempts = Json.int "attempts" json in
+  let* sk_class =
+    Json.field "class" (named "skip class" Engine.skip_class_of_name) json
+  in
+  Ok
+    {
+      Engine.sk_item;
+      sk_subject = Address.to_hex sk_item;
+      sk_message;
+      sk_stage;
+      sk_attempts;
+      sk_class;
+    }
+
+let restore ?landscape ?batch_size ?(domains = 1)
+    ?(resilience = Resilience.Transport.default_config) ?crash_plan ~chain
+    ~source json =
   let* json =
     match landscape with
     | None -> Ok json
     | Some landscape -> Report.Schema.check ~landscape json
   in
-  (* The config governs resume semantics, so it comes from the checkpoint
-     (batch_size and domains optionally overridden — the worker count is
-     an execution parameter, not analysis state, and any value resumes to
-     the same bytes), not from the caller. *)
-  let* extra_peek =
-    match json with
-    | Json.Obj kvs -> (
-        match List.assoc_opt "extra" kvs with
-        | Some e -> Ok e
-        | None -> Error "checkpoint: missing extra payload")
-    | _ -> Error "checkpoint: expected an object"
+  let* verify_storage = Json.bool "verify_storage" json in
+  let* dedup = Json.bool "dedup" json in
+  let* diamond_extension = Json.bool "diamond_extension" json in
+  let* saved_batch_size = Json.int "batch_size" json in
+  let* config =
+    Result.map_error Report.Validate.to_string
+      (Config.validate
+         {
+           Config.verify_storage;
+           dedup;
+           diamond_extension;
+           batch_size = Option.value batch_size ~default:saved_batch_size;
+           domains;
+         })
   in
-  let* config = Result.bind (field "config" extra_peek) Config.of_json in
-  let config =
-    match batch_size with
-    | Some b -> Config.with_batch_size b config
-    | None -> config
+  let* st_batches = Json.int "batches_done" json in
+  let* st_queue = Json.list "queue" Serialize.address_of_json json in
+  let* st_results =
+    Json.list "results" Serialize.contract_report_of_json json
   in
-  let config =
-    match domains with
-    | Some d -> Config.with_domains d config
-    | None -> config
+  let* st_skipped = Json.list "skipped" skip_record_of_json json in
+  let* dedup_hits = Json.int "dedup_hits" json in
+  let* steps = Json.int "steps" json in
+  let* api_calls = Json.int "api_calls" json in
+  let* detections =
+    Json.list "detection_cache" detection_cache_entry_of_json json
   in
-  let self = ref None in
-  let process ctx addr =
-    match !self with
-    | None -> Error (Engine.permanent "analyzer not initialized")
-    | Some t -> process_item t ctx addr
-  in
-  let* engine, extra =
-    Engine.restore ?batch_size ~domains:config.Config.domains
-      ~key:(Chain.code_hash chain) ?crash_plan ?attempt_ceiling
-      ~subject:Address.to_hex ~process ~item_of_json:address_of_json
-      ~res_of_json:Serialize.contract_report_of_json json
-  in
-  let* dedup_hits = Result.bind (field "dedup_hits" extra) (dec_int "dedup_hits") in
-  let* steps = Result.bind (field "steps" extra) (dec_int "steps") in
-  let* api_calls = Result.bind (field "api_calls" extra) (dec_int "api_calls") in
-  let* detection_entries =
-    Result.bind
-      (Result.bind (field "detection_cache" extra) (dec_list "detection_cache"))
-      (map_result detection_cache_entry_of_json)
-  in
-  let* pair_entries =
-    Result.bind
-      (Result.bind (field "pair_cache" extra) (dec_list "pair_cache"))
-      (map_result pair_cache_entry_of_json)
-  in
+  let* pairs = Json.list "pair_cache" pair_cache_entry_of_json json in
   let t =
-    {
-      engine;
-      chain;
-      source;
-      cfg = config;
-      resilience;
-      host = Chain.host_at_head chain;
-      par = config.Config.domains > 1;
-      views = Array.make (max 1 config.Config.domains) None;
-      cache_lock = Mutex.create ();
-      merge_lock = Mutex.create ();
-      detection_cache = Hashtbl.create 256;
-      pair_cache = Hashtbl.create 256;
-      dedup_hits = ref dedup_hits;
-      steps_total = ref steps;
-      api_calls = ref api_calls;
-      telemetry = None;
-      req_ctx = Atomic.make None;
-      transport_obs = Atomic.make None;
-    }
+    make ~config ~resilience ?crash_plan
+      ~state:{ Engine.st_queue; st_results; st_skipped; st_batches }
+      ~chain ~source ()
   in
-  List.iter (fun (k, v) -> Hashtbl.replace t.detection_cache k v) detection_entries;
-  List.iter (fun (k, v) -> Hashtbl.replace t.pair_cache k v) pair_entries;
-  self := Some t;
+  t.dedup_hits := dedup_hits;
+  t.steps_total := steps;
+  t.api_calls := api_calls;
+  List.iter (fun (k, v) -> Hashtbl.replace t.detection_cache k v) detections;
+  List.iter (fun (k, v) -> Hashtbl.replace t.pair_cache k v) pairs;
   Ok t

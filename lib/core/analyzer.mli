@@ -23,10 +23,12 @@
     pending queue, completed reports, the dead-letter list, both dedup
     caches and the partial counters; {!restore} rebuilds the analyzer so
     the finished report is byte-identical to an uninterrupted run over
-    the same chain.  The resilience configuration — like the worker count
-    — is an execution parameter, not analysis state: it is never
-    serialized, and a checkpoint written under any fault plan restores
-    under any other. *)
+    the same chain.  This module owns that format: one flat document,
+    read back through the {!Report.Json} readers.  The resilience
+    configuration and the worker count are execution parameters, not
+    analysis state: they are never serialized, so a checkpoint's bytes
+    do not depend on them, and one written under any fault plan or
+    worker count restores under any other. *)
 
 type t
 
@@ -34,7 +36,6 @@ val create :
   ?config:Analysis.Config.t ->
   ?resilience:Resilience.Transport.config ->
   ?crash_plan:Engine.crash_plan ->
-  ?attempt_ceiling:int ->
   chain:Chain.t ->
   source:Analysis.source_lookup ->
   unit ->
@@ -44,8 +45,7 @@ val create :
     budgets) configures every per-contract archive connection; its
     [step_budget] additionally arms a live per-item fuel watchdog inside
     the emulation probes (see {!Evm.Interp.guard_fuel}).  [crash_plan]
-    and [attempt_ceiling] are handed to the engine (see
-    {!Engine.create}). *)
+    is handed to the engine (see {!Engine.create}). *)
 
 val config : t -> Analysis.Config.t
 val engine : t -> (Evm.Address.t, Analysis.contract_report) Engine.t
@@ -113,8 +113,8 @@ val skipped_pairs : t -> (string * string) list
 val requeue : ?classes:Engine.skip_class list -> t -> int
 (** Push dead-letter entries of the given classes (default: the
     recoverable [Transient], [Budget_exhausted] and [Worker_crashed])
-    back onto the work queue; returns how many moved, honoring the
-    engine's attempt ceiling.  Run the analyzer again to retry them. *)
+    back onto the work queue; returns how many moved.  Run the analyzer
+    again to retry them. *)
 
 val requeue_transients : t -> int
 (** {!requeue} with the default classes. *)
@@ -153,10 +153,15 @@ val refresh_head : t -> unit
 (** {1 Checkpointing} *)
 
 val checkpoint : ?landscape:string -> t -> Report.Json.t
-(** Serialize queue + dedup caches + completed reports + counters.  With
-    [landscape] (the fingerprint of the landscape being analyzed, e.g.
+(** One flat document: the configuration without [domains]
+    ([verify_storage], [dedup], [diamond_extension], [batch_size]), the
+    engine state ([batches_done], [queue], [results], [skipped]), the
+    counters ([dedup_hits], [steps], [api_calls]) and both dedup caches.
+    Its bytes are the same at any worker count.  With [landscape] (the
+    fingerprint of the landscape being analyzed, e.g.
     [Dataset.Generate.fingerprint]) the document is schema-stamped with
-    it. *)
+    it — a scan journal's version gate.  A checkpoint nested in another
+    stamped record goes unstamped; that record's stamp gates it. *)
 
 val restore :
   ?landscape:string ->
@@ -164,16 +169,21 @@ val restore :
   ?domains:int ->
   ?resilience:Resilience.Transport.config ->
   ?crash_plan:Engine.crash_plan ->
-  ?attempt_ceiling:int ->
   chain:Chain.t ->
   source:Analysis.source_lookup ->
   Report.Json.t ->
   (t, string) result
 (** Rebuild from a {!checkpoint} against the same chain and source
-    oracle.  With [landscape], a checkpoint stamped for another landscape
-    (or not stamped at all) is refused with an [Error] naming both
-    fingerprints.  [batch_size] and [domains] override the checkpointed
-    configuration; changing [domains] never changes the resumed run's
-    output, only its wall-clock time.  [resilience], [crash_plan] and
-    [attempt_ceiling] apply to the resumed run only — they are execution
-    parameters, never part of the checkpoint. *)
+    oracle, through the same constructor as {!create}.  With
+    [landscape], a checkpoint with another [schema_version], or stamped
+    for another landscape (or not stamped at all), is refused with an
+    [Error] naming what it found.  [batch_size] overrides the
+    checkpointed one.  [domains] (default 1), [resilience] and
+    [crash_plan] configure the resumed run exactly as in {!create}:
+    they are execution parameters, never part of the checkpoint, and
+    changing them never changes the resumed run's output.
+
+    Total over arbitrary JSON input: every truncation or corruption of
+    a checkpoint — missing fields, wrong types, unknown stage or class
+    names, bad hex, a non-positive batch size — comes back as
+    [Error _]; no input makes it raise. *)

@@ -7,72 +7,28 @@ let ( let* ) = Result.bind
 (* Decoding helpers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let field name = function
-  | Json.Obj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing field %S" name))
-  | _ -> Error (Printf.sprintf "expected an object with field %S" name)
+let hex_of_json json =
+  match json with
+  | Json.String s -> (
+      match Hexutil.of_hex_opt s with
+      | Some b -> Ok b
+      | None -> Error ("bad hex " ^ s))
+  | _ -> Error "expected a hex string"
 
-let dec_string name = function
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected a string" name)
+let address_of_json json =
+  match hex_of_json json with
+  | Ok b when String.length b = 20 -> Ok b
+  | Ok _ -> Error "bad address: not 20 bytes"
+  | Error e -> Error e
 
-let dec_int name = function
-  | Json.Int n -> Ok n
-  | _ -> Error (Printf.sprintf "field %S: expected an int" name)
-
-let dec_bool name = function
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "field %S: expected a bool" name)
-
-let dec_list name = function
-  | Json.List l -> Ok l
-  | _ -> Error (Printf.sprintf "field %S: expected a list" name)
-
-let get_string json name = Result.bind (field name json) (dec_string name)
-let get_int json name = Result.bind (field name json) (dec_int name)
-let get_bool json name = Result.bind (field name json) (dec_bool name)
-let get_list json name = Result.bind (field name json) (dec_list name)
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-        let* y = f x in
-        go (y :: acc) rest
-  in
-  go [] l
-
-let dec_address name s =
-  match Hexutil.of_hex_opt s with
-  | Some b when String.length b = 20 -> Ok b
-  | _ -> Error (Printf.sprintf "field %S: bad address %s" name s)
-
-let get_address json name = Result.bind (get_string json name) (dec_address name)
-
-let dec_bytes name s =
-  match Hexutil.of_hex_opt s with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "field %S: bad hex" name)
-
-let get_bytes json name = Result.bind (get_string json name) (dec_bytes name)
-
-let dec_u256 name s =
-  match U256.of_hex s with
-  | v -> Ok v
-  | exception _ -> Error (Printf.sprintf "field %S: bad word %s" name s)
-
-let get_u256 json name = Result.bind (get_string json name) (dec_u256 name)
+let word_of_json = function
+  | Json.String s -> (
+      match U256.of_hex s with
+      | v -> Ok v
+      | exception _ -> Error ("bad word " ^ s))
+  | _ -> Error "expected a word string"
 
 let opt to_json = function None -> Json.Null | Some v -> to_json v
-
-let get_opt json name of_json =
-  match field name json with
-  | Error _ | Ok Json.Null -> Ok None
-  | Ok v ->
-      let* d = of_json v in
-      Ok (Some d)
 
 (* ------------------------------------------------------------------ *)
 (* Proxy detection                                                     *)
@@ -89,11 +45,11 @@ let target_source_to_json = function
   | Proxy_detect.Computed -> Json.Obj [ ("kind", Json.String "computed") ]
 
 let target_source_of_json json =
-  let* kind = get_string json "kind" in
+  let* kind = Json.string "kind" json in
   match kind with
   | "hardcoded" -> Ok Proxy_detect.Hardcoded
   | "storage_slot" ->
-      let* slot = get_u256 json "slot" in
+      let* slot = Json.field "slot" word_of_json json in
       Ok (Proxy_detect.Storage_slot slot)
   | "computed" -> Ok Proxy_detect.Computed
   | other -> Error ("unknown target source " ^ other)
@@ -118,16 +74,16 @@ let verdict_to_json = function
         ]
 
 let verdict_of_json json =
-  let* kind = get_string json "kind" in
+  let* kind = Json.string "kind" json in
   match kind with
   | "not_proxy_no_delegatecall" -> Ok Proxy_detect.Not_proxy_no_delegatecall
   | "not_proxy_no_forward" -> Ok Proxy_detect.Not_proxy_no_forward
   | "emulation_error" ->
-      let* msg = get_string json "message" in
+      let* msg = Json.string "message" json in
       Ok (Proxy_detect.Emulation_error msg)
   | "proxy" ->
-      let* target = get_address json "target" in
-      let* source = Result.bind (field "source" json) target_source_of_json in
+      let* target = Json.field "target" address_of_json json in
+      let* source = Json.field "source" target_source_of_json json in
       Ok (Proxy_detect.Proxy { target; source })
   | other -> Error ("unknown verdict " ^ other)
 
@@ -142,10 +98,10 @@ let detection_to_json (d : Proxy_detect.t) =
     ]
 
 let detection_of_json json =
-  let* address = get_address json "address" in
-  let* verdict = Result.bind (field "verdict" json) verdict_of_json in
-  let* probe_selector = get_bytes json "probe_selector" in
-  let* steps = get_int json "steps" in
+  let* address = Json.field "address" address_of_json json in
+  let* verdict = Json.field "verdict" verdict_of_json json in
+  let* probe_selector = Json.field "probe_selector" hex_of_json json in
+  let* steps = Json.int "steps" json in
   Ok { Proxy_detect.address; verdict; probe_selector; steps }
 
 (* ------------------------------------------------------------------ *)
@@ -168,19 +124,10 @@ let resolution_to_json (r : Logic_resolve.resolution) =
     ]
 
 let resolution_of_json json =
-  let* current =
-    get_opt json "current" (function
-      | Json.String s -> dec_address "current" s
-      | _ -> Error "field \"current\": expected a string")
-  in
-  let* historical =
-    Result.bind (get_list json "historical")
-      (map_result (function
-        | Json.String s -> dec_address "historical" s
-        | _ -> Error "field \"historical\": expected strings"))
-  in
-  let* api_calls = get_int json "api_calls" in
-  let* upgrade_count = get_int json "upgrade_count" in
+  let* current = Json.opt "current" address_of_json json in
+  let* historical = Json.list "historical" address_of_json json in
+  let* api_calls = Json.int "api_calls" json in
+  let* upgrade_count = Json.int "upgrade_count" json in
   Ok { Logic_resolve.current; historical; api_calls; upgrade_count }
 
 (* ------------------------------------------------------------------ *)
@@ -198,13 +145,13 @@ let func_collision_to_json (c : Func_collision.collision) =
     ]
 
 let func_collision_of_json json =
-  let* selector = get_bytes json "selector" in
-  let dec_sig name = function
+  let* selector = Json.field "selector" hex_of_json json in
+  let signature = function
     | Json.String s -> Ok s
-    | _ -> Error (Printf.sprintf "field %S: expected a string" name)
+    | _ -> Error "signature: expected a string"
   in
-  let* proxy_signature = get_opt json "proxy_signature" (dec_sig "proxy_signature") in
-  let* logic_signature = get_opt json "logic_signature" (dec_sig "logic_signature") in
+  let* proxy_signature = Json.opt "proxy_signature" signature json in
+  let* logic_signature = Json.opt "logic_signature" signature json in
   Ok { Func_collision.selector; proxy_signature; logic_signature }
 
 let slot_id_to_json = function
@@ -222,8 +169,8 @@ let slot_id_to_json = function
         ]
 
 let slot_id_of_json json =
-  let* kind = get_string json "kind" in
-  let* slot = get_u256 json "slot" in
+  let* kind = Json.string "kind" json in
+  let* slot = Json.field "slot" word_of_json json in
   match kind with
   | "fixed" -> Ok (Storage_access.Fixed slot)
   | "mapping" -> Ok (Storage_access.Mapping slot)
@@ -240,11 +187,11 @@ let region_to_json (r : Storage_collision.region) =
     ]
 
 let region_of_json json =
-  let* g_offset = get_int json "offset" in
-  let* g_width = get_int json "width" in
-  let* g_reads = get_bool json "reads" in
-  let* g_writes = get_bool json "writes" in
-  let* g_guards_caller = get_bool json "guards_caller" in
+  let* g_offset = Json.int "offset" json in
+  let* g_width = Json.int "width" json in
+  let* g_reads = Json.bool "reads" json in
+  let* g_writes = Json.bool "writes" json in
+  let* g_guards_caller = Json.bool "guards_caller" json in
   Ok { Storage_collision.g_offset; g_width; g_reads; g_writes; g_guards_caller }
 
 let storage_collision_to_json (c : Storage_collision.collision) =
@@ -258,11 +205,11 @@ let storage_collision_to_json (c : Storage_collision.collision) =
     ]
 
 let storage_collision_of_json json =
-  let* slot = Result.bind (field "slot" json) slot_id_of_json in
-  let* proxy_region = Result.bind (field "proxy_region" json) region_of_json in
-  let* logic_region = Result.bind (field "logic_region" json) region_of_json in
-  let* sensitive = get_bool json "sensitive" in
-  let* verified = get_bool json "verified" in
+  let* slot = Json.field "slot" slot_id_of_json json in
+  let* proxy_region = Json.field "proxy_region" region_of_json json in
+  let* logic_region = Json.field "logic_region" region_of_json json in
+  let* sensitive = Json.bool "sensitive" json in
+  let* verified = Json.bool "verified" json in
   Ok { Storage_collision.slot; proxy_region; logic_region; sensitive; verified }
 
 (* ------------------------------------------------------------------ *)
@@ -310,19 +257,16 @@ let pair_report_to_json (p : Analysis.pair_report) =
     ]
 
 let pair_report_of_json json =
-  let* p_proxy = get_address json "proxy" in
-  let* p_logic = get_address json "logic" in
-  let* p_method = Result.bind (field "method" json) method_of_json in
+  let* p_proxy = Json.field "proxy" address_of_json json in
+  let* p_logic = Json.field "logic" address_of_json json in
+  let* p_method = Json.field "method" method_of_json json in
   let* p_func_collisions =
-    Result.bind (get_list json "func_collisions")
-      (map_result func_collision_of_json)
+    Json.list "func_collisions" func_collision_of_json json
   in
   let* p_storage_collisions =
-    Result.bind
-      (get_list json "storage_collisions")
-      (map_result storage_collision_of_json)
+    Json.list "storage_collisions" storage_collision_of_json json
   in
-  let* p_honeypot = get_bool json "honeypot" in
+  let* p_honeypot = Json.bool "honeypot" json in
   Ok
     {
       Analysis.p_proxy;
@@ -346,15 +290,13 @@ let contract_report_to_json (r : Analysis.contract_report) =
     ]
 
 let contract_report_of_json json =
-  let* r_address = get_address json "address" in
-  let* r_code_hash = get_bytes json "code_hash" in
-  let* r_detection = Result.bind (field "detection" json) detection_of_json in
-  let* r_standard = get_opt json "standard" standard_of_json in
-  let* r_resolution = get_opt json "resolution" resolution_of_json in
-  let* r_pairs =
-    Result.bind (get_list json "pairs") (map_result pair_report_of_json)
-  in
-  let* r_dedup_hit = get_bool json "dedup_hit" in
+  let* r_address = Json.field "address" address_of_json json in
+  let* r_code_hash = Json.field "code_hash" hex_of_json json in
+  let* r_detection = Json.field "detection" detection_of_json json in
+  let* r_standard = Json.opt "standard" standard_of_json json in
+  let* r_resolution = Json.opt "resolution" resolution_of_json json in
+  let* r_pairs = Json.list "pairs" pair_report_of_json json in
+  let* r_dedup_hit = Json.bool "dedup_hit" json in
   Ok
     {
       Analysis.r_address;
@@ -384,18 +326,18 @@ let stats_to_json (s : Analysis.stats) =
     ]
 
 let stats_of_json json =
-  let* s_analyzed = get_int json "analyzed" in
-  let* s_proxies = get_int json "proxies" in
-  let* s_emulation_errors = get_int json "emulation_errors" in
-  let* s_pairs = get_int json "pairs" in
-  let* s_func_colliding_pairs = get_int json "func_colliding_pairs" in
-  let* s_storage_colliding_pairs = get_int json "storage_colliding_pairs" in
-  let* s_verified_storage_pairs = get_int json "verified_storage_pairs" in
-  let* s_honeypot_pairs = get_int json "honeypot_pairs" in
-  let* s_dedup_hits = get_int json "dedup_hits" in
-  let* s_unique_codes = get_int json "unique_codes" in
-  let* s_api_calls = get_int json "api_calls" in
-  let* s_emulation_steps = get_int json "emulation_steps" in
+  let* s_analyzed = Json.int "analyzed" json in
+  let* s_proxies = Json.int "proxies" json in
+  let* s_emulation_errors = Json.int "emulation_errors" json in
+  let* s_pairs = Json.int "pairs" json in
+  let* s_func_colliding_pairs = Json.int "func_colliding_pairs" json in
+  let* s_storage_colliding_pairs = Json.int "storage_colliding_pairs" json in
+  let* s_verified_storage_pairs = Json.int "verified_storage_pairs" json in
+  let* s_honeypot_pairs = Json.int "honeypot_pairs" json in
+  let* s_dedup_hits = Json.int "dedup_hits" json in
+  let* s_unique_codes = Json.int "unique_codes" json in
+  let* s_api_calls = Json.int "api_calls" json in
+  let* s_emulation_steps = Json.int "emulation_steps" json in
   Ok
     {
       Analysis.s_analyzed;
@@ -425,8 +367,6 @@ let report_to_json (r : Analysis.report) =
 
 let report_of_json json =
   let* json = Report.Schema.check ~kind:report_kind json in
-  let* contracts =
-    Result.bind (get_list json "contracts") (map_result contract_report_of_json)
-  in
-  let* stats = Result.bind (field "stats" json) stats_of_json in
+  let* contracts = Json.list "contracts" contract_report_of_json json in
+  let* stats = Json.field "stats" stats_of_json json in
   Ok { Analysis.contracts; stats }

@@ -1,11 +1,20 @@
-(** JSON round-tripping for analysis results (the checkpoint format).
+(** JSON round-tripping for analysis results.
 
     Every converter pair satisfies [of_json (to_json v) = Ok v] with a
-    structurally identical value — the property the engine's
-    checkpoint/resume machinery relies on to make a resumed run
-    byte-identical to an uninterrupted one.  Raw byte strings (selectors,
-    code hashes) are hex-encoded; addresses and 256-bit words use their
-    canonical 0x-hex forms. *)
+    structurally identical value — the property the analyzer's
+    checkpoint relies on to make a resumed run byte-identical to an
+    uninterrupted one.  Raw byte strings (selectors, code hashes) are
+    hex-encoded; addresses and 256-bit words use their canonical 0x-hex
+    forms.  Decoders read through the {!Report.Json} readers and never
+    raise. *)
+
+val hex_of_json : Report.Json.t -> (string, string) result
+(** The raw bytes of a 0x-hex string. *)
+
+val address_of_json : Report.Json.t -> (Evm.Address.t, string) result
+(** A 0x-hex string of exactly 20 bytes. *)
+
+val word_of_json : Report.Json.t -> (U256.t, string) result
 
 val detection_to_json : Proxy_detect.t -> Report.Json.t
 val detection_of_json : Report.Json.t -> (Proxy_detect.t, string) result

@@ -225,6 +225,13 @@ type 'res slot = {
   mutable s_outcome : ('res, skip_reason) result option;
 }
 
+type ('item, 'res) state = {
+  st_queue : 'item list;
+  st_results : 'res list;
+  st_skipped : 'item skip_record list;
+  st_batches : int;
+}
+
 type ('item, 'res) t = {
   queue : 'item Queue.t;
   mutable results_rev : 'res list;
@@ -239,11 +246,6 @@ type ('item, 'res) t = {
   process : ('item, 'res) ctx -> 'item -> ('res, skip_reason) result;
   totals : (stage, agg) Hashtbl.t;
   plan : crash_plan option;
-  ceiling : int option;
-  (* Cumulative dead-letter count per subject, across requeues; the
-     attempt ceiling consults it so a repeatedly dying item is eventually
-     left in the dead-letter list instead of being requeued forever. *)
-  fail_counts : (string, int) Hashtbl.t;
   mutable crashes : int;
   mutable clk : Obs.Clock.t;
 }
@@ -260,21 +262,19 @@ and ('item, 'res) ctx = {
   mutable last_stage : stage option;
 }
 
-let create ?(batch_size = 32) ?(domains = 1) ?key ?crash_plan ?attempt_ceiling
+let empty = { st_queue = []; st_results = []; st_skipped = []; st_batches = 0 }
+
+let create ?(batch_size = 32) ?(domains = 1) ?key ?crash_plan ?(state = empty)
     ~subject ~process () =
   if batch_size <= 0 then invalid_arg "Engine.create: batch_size must be > 0";
   if domains <= 0 then invalid_arg "Engine.create: domains must be > 0";
-  (match attempt_ceiling with
-  | Some c when c <= 0 ->
-      invalid_arg "Engine.create: attempt_ceiling must be > 0"
-  | _ -> ());
   {
-    queue = Queue.create ();
-    results_rev = [];
-    processed = 0;
-    skipped_rev = [];
+    queue = Queue.of_seq (List.to_seq state.st_queue);
+    results_rev = List.rev state.st_results;
+    processed = List.length state.st_results;
+    skipped_rev = List.rev state.st_skipped;
     subscribers = [];
-    batches = 0;
+    batches = state.st_batches;
     bsize = batch_size;
     n_domains = domains;
     group_key = key;
@@ -282,8 +282,6 @@ let create ?(batch_size = 32) ?(domains = 1) ?key ?crash_plan ?attempt_ceiling
     process;
     totals = Hashtbl.create 8;
     plan = crash_plan;
-    ceiling = attempt_ceiling;
-    fail_counts = Hashtbl.create 16;
     crashes = 0;
     clk = Obs.Clock.real;
   }
@@ -377,7 +375,6 @@ let drain_results t =
   t.results_rev <- [];
   r
 
-let processed_count t = t.processed
 let skipped t = List.rev t.skipped_rev
 
 let skipped_pairs t =
@@ -386,34 +383,22 @@ let skipped_pairs t =
 
 let crashes t = t.crashes
 
-let failure_count t subject =
-  Option.value ~default:0 (Hashtbl.find_opt t.fail_counts subject)
-
-let note_failure t subject =
-  Hashtbl.replace t.fail_counts subject (failure_count t subject + 1)
-
-let skipped_by_class t =
-  let count cls =
-    List.length (List.filter (fun r -> r.sk_class = cls) t.skipped_rev)
-  in
-  List.filter_map
-    (fun cls ->
-      match count cls with 0 -> None | n -> Some (cls, n))
-    [ Transient; Permanent; Budget_exhausted; Worker_crashed ]
+let state t =
+  {
+    st_queue = List.of_seq (Queue.to_seq t.queue);
+    st_results = results t;
+    st_skipped = skipped t;
+    st_batches = t.batches;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Dead-letter requeue                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let requeue ?(classes = [ Transient; Budget_exhausted; Worker_crashed ]) t =
-  let under_ceiling r =
-    match t.ceiling with
-    | None -> true
-    | Some c -> failure_count t r.sk_subject < c
-  in
   let take, keep =
     List.partition
-      (fun r -> List.mem r.sk_class classes && under_ceiling r)
+      (fun r -> List.mem r.sk_class classes)
       (List.rev t.skipped_rev)
   in
   t.skipped_rev <- List.rev keep;
@@ -491,7 +476,6 @@ let sequential_batch t n =
         t.processed <- t.processed + 1
     | Error reason ->
         t.skipped_rev <- record_of ~subject reason item :: t.skipped_rev;
-        note_failure t subject;
         emit t
           (Item_skipped
              {
@@ -877,7 +861,6 @@ let parallel_batch t pool n =
               let subject = t.subject_of items.(i) in
               t.skipped_rev <-
                 record_of ~subject reason items.(i) :: t.skipped_rev;
-              note_failure t subject;
               emit t
                 (Item_skipped
                    {
@@ -890,32 +873,23 @@ let parallel_batch t pool n =
           | None -> assert false))
     slots
 
-let step_batch_with ?pool t =
+(* One batch from the queue head; [false] when the queue was empty.  The
+   pool is [run]'s, spawned once per run when [domains > 1]. *)
+let run_batch pool t =
   if Queue.is_empty t.queue then false
   else begin
     let n = min t.bsize (Queue.length t.queue) in
     let index = t.batches in
     emit t (Batch_started { index; size = n });
     let start = Obs.Clock.now t.clk in
-    (if t.n_domains <= 1 then sequential_batch t n
-     else
-       match pool with
-       | Some p -> parallel_batch t p n
-       | None ->
-           (* Standalone single-batch step: a short-lived pool of our
-              own.  [run] amortizes this spawn cost across the whole
-              run by passing a persistent pool instead. *)
-           let p = create_pool (t.n_domains - 1) in
-           Fun.protect
-             ~finally:(fun () -> destroy_pool p)
-             (fun () -> parallel_batch t p n));
+    (match pool with
+    | Some p -> parallel_batch t p n
+    | None -> sequential_batch t n);
     t.batches <- t.batches + 1;
     let elapsed = Obs.Clock.now t.clk -. start in
     emit t (Batch_finished { index; size = n; start; elapsed });
     true
   end
-
-let step_batch t = step_batch_with t
 
 let run ?max_batches t =
   emit t
@@ -930,7 +904,7 @@ let run ?max_batches t =
     ~finally:(fun () -> Option.iter destroy_pool pool)
     (fun () ->
       let rec loop budget =
-        if continue budget && step_batch_with ?pool t then
+        if continue budget && run_batch pool t then
           loop (Option.map (fun n -> n - 1) budget)
       in
       loop max_batches);
@@ -974,154 +948,6 @@ let stage_totals_table t =
            string_of_int tm.t_retries;
          ])
        (stage_totals t))
-
-(* ------------------------------------------------------------------ *)
-(* Checkpointing                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let checkpoint_version = 3
-
-let checkpoint ~item_to_json ~res_to_json ?(extra = Json.Null) t =
-  let failures =
-    Hashtbl.fold (fun subject n acc -> (subject, n) :: acc) t.fail_counts []
-    |> List.sort compare
-    |> List.map (fun (subject, n) ->
-           Json.Obj [ ("subject", Json.String subject); ("count", Json.Int n) ])
-  in
-  Json.Obj
-    [
-      ("version", Json.Int checkpoint_version);
-      ("batch_size", Json.Int t.bsize);
-      ("batches_done", Json.Int t.batches);
-      ("failures", Json.List failures);
-      ( "queue",
-        Json.List
-          (Queue.fold (fun acc i -> item_to_json i :: acc) [] t.queue
-          |> List.rev) );
-      ("results", Json.List (List.rev_map res_to_json t.results_rev));
-      ( "skipped",
-        Json.List
-          (List.rev_map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("item", item_to_json r.sk_item);
-                   ("subject", Json.String r.sk_subject);
-                   ("message", Json.String r.sk_message);
-                   ( "stage",
-                     match r.sk_stage with
-                     | Some s -> Json.String (stage_name s)
-                     | None -> Json.Null );
-                   ("attempts", Json.Int r.sk_attempts);
-                   ("class", Json.String (skip_class_name r.sk_class));
-                 ])
-             t.skipped_rev) );
-      ("extra", extra);
-    ]
-
-let ( let* ) = Result.bind
-
-let field name = function
-  | Json.Obj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "checkpoint: missing field %S" name))
-  | _ -> Error "checkpoint: expected an object"
-
-let as_int name = function
-  | Json.Int n -> Ok n
-  | _ -> Error (Printf.sprintf "checkpoint: field %S must be an int" name)
-
-let as_list name = function
-  | Json.List l -> Ok l
-  | _ -> Error (Printf.sprintf "checkpoint: field %S must be a list" name)
-
-let as_string name = function
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "checkpoint: field %S must be a string" name)
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-        let* y = f x in
-        go (y :: acc) rest
-  in
-  go [] l
-
-let skip_record_of_json ~item_of_json entry =
-  let* item_json = field "item" entry in
-  let* item = item_of_json item_json in
-  let* subject = Result.bind (field "subject" entry) (as_string "subject") in
-  let* message = Result.bind (field "message" entry) (as_string "message") in
-  let* stage =
-    match field "stage" entry with
-    | Ok Json.Null | Error _ -> Ok None
-    | Ok (Json.String s) -> (
-        match stage_of_name s with
-        | Some st -> Ok (Some st)
-        | None -> Error (Printf.sprintf "checkpoint: unknown stage %S" s))
-    | Ok _ -> Error "checkpoint: field \"stage\" must be a string or null"
-  in
-  let* attempts = Result.bind (field "attempts" entry) (as_int "attempts") in
-  let* cls =
-    let* s = Result.bind (field "class" entry) (as_string "class") in
-    match skip_class_of_name s with
-    | Some c -> Ok c
-    | None -> Error (Printf.sprintf "checkpoint: unknown skip class %S" s)
-  in
-  Ok
-    {
-      sk_item = item;
-      sk_subject = subject;
-      sk_message = message;
-      sk_stage = stage;
-      sk_attempts = attempts;
-      sk_class = cls;
-    }
-
-let failure_of_json entry =
-  let* subject = Result.bind (field "subject" entry) (as_string "subject") in
-  let* count = Result.bind (field "count" entry) (as_int "count") in
-  Ok (subject, count)
-
-let restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ~subject
-    ~process ~item_of_json ~res_of_json json =
-  let* version = Result.bind (field "version" json) (as_int "version") in
-  if version <> checkpoint_version then
-    Error
-      (Printf.sprintf "checkpoint: unsupported version %d (want %d)" version
-         checkpoint_version)
-  else
-    let* saved_bsize =
-      Result.bind (field "batch_size" json) (as_int "batch_size")
-    in
-    let* batches = Result.bind (field "batches_done" json) (as_int "batches_done") in
-    let* queue_json = Result.bind (field "queue" json) (as_list "queue") in
-    let* items = map_result item_of_json queue_json in
-    let* results_json = Result.bind (field "results" json) (as_list "results") in
-    let* results = map_result res_of_json results_json in
-    let* skipped_json = Result.bind (field "skipped" json) (as_list "skipped") in
-    let* skipped = map_result (skip_record_of_json ~item_of_json) skipped_json in
-    let* failures_json =
-      Result.bind (field "failures" json) (as_list "failures")
-    in
-    let* failures = map_result failure_of_json failures_json in
-    let extra =
-      match field "extra" json with Ok v -> v | Error _ -> Json.Null
-    in
-    let bsize = match batch_size with Some b -> b | None -> saved_bsize in
-    let t =
-      create ~batch_size:bsize ?domains ?key ?crash_plan ?attempt_ceiling
-        ~subject ~process ()
-    in
-    submit t items;
-    t.results_rev <- List.rev results;
-    t.processed <- List.length results;
-    t.skipped_rev <- List.rev skipped;
-    t.batches <- batches;
-    List.iter (fun (s, n) -> Hashtbl.replace t.fail_counts s n) failures;
-    Ok (t, extra)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: event-stream adapters for the obs layer                   *)
@@ -1218,7 +1044,7 @@ module Telemetry = struct
           Obs.Metrics.hinc batches_h;
           Obs.Metrics.hobserve batch_seconds_h elapsed;
           Obs.Metrics.hset crashes_h (float_of_int (crashes t));
-          Obs.Metrics.hset processed_h (float_of_int (processed_count t))
+          Obs.Metrics.hset processed_h (float_of_int t.processed)
       | Stage_started _ -> ()
       | Stage_finished { stage; timing; _ } ->
           let runs_h, seconds_h, api_h, steps_h = handles_for stage in

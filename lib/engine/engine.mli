@@ -42,15 +42,13 @@
     letter first, the supervisor respawns a fresh domain on the rest of
     the crashed worker's chain, and the input-order merge is preserved —
     a run with crashes still reports byte-identically to the sequential
-    engine given the same kill decisions.  A per-subject failure counter
-    (persisted in checkpoints) backs an optional {e attempt ceiling} so a
-    deterministically-crashing item is eventually left dead-lettered
-    instead of being requeued forever.
+    engine given the same kill decisions.
 
-    Runs are resumable: {!checkpoint} serializes the pending queue, the
-    completed results and the dead-letter list (items included) through
-    caller-supplied JSON converters, and {!restore} rebuilds an engine
-    that continues exactly where the serialized one stopped. *)
+    Runs are resumable: {!state} hands over the pending queue, the
+    completed results, the dead-letter list (items included) and the
+    batch counter as a plain value, and {!create} given that value
+    continues exactly where the engine it came from stopped.  The engine
+    keeps no serialized form; the caller owns the checkpoint format. *)
 
 (** The six analysis stages of the ProxioN pipeline, in execution order
     (§4–§5 of the paper): bytecode-hash dedup lookup, emulation probe,
@@ -85,13 +83,12 @@ type timing = {
     [Permanent] failures (malformed input, logic errors) are not.
     [Worker_crashed] marks an item whose worker domain died under it
     (fatal exception or injected kill); it is recoverable — the crash is
-    attributed to the worker, not the item — but counts toward the
-    attempt ceiling. *)
+    attributed to the worker, not the item. *)
 type skip_class = Transient | Permanent | Budget_exhausted | Worker_crashed
 
 val skip_class_name : skip_class -> string
 (** ["transient"], ["permanent"], ["budget-exhausted"],
-    ["worker-crashed"] — the checkpoint encoding. *)
+    ["worker-crashed"] — the names checkpoints and reports use. *)
 
 val skip_class_of_name : string -> skip_class option
 
@@ -134,7 +131,7 @@ val budget_exhausted : ?stage:stage -> ?attempts:int -> string -> skip_reason
 (** Constructors; [attempts] defaults to 1. *)
 
 (** A dead-letter entry: the skip reason plus the original item, so the
-    entry can be requeued and survives a checkpoint round-trip. *)
+    entry can be requeued, also after a checkpoint round-trip. *)
 type 'item skip_record = {
   sk_item : 'item;
   sk_subject : string;
@@ -222,6 +219,15 @@ type event =
 
 type ('item, 'res) t
 
+(** Everything a resumed run needs from the engine it continues. *)
+type ('item, 'res) state = {
+  st_queue : 'item list;  (** Pending items, head first. *)
+  st_results : 'res list;  (** Completed results, in completion order. *)
+  st_skipped : 'item skip_record list;
+      (** Dead letters, in occurrence order. *)
+  st_batches : int;  (** Batches completed. *)
+}
+
 type ('item, 'res) ctx
 (** What a [process] callback receives: a handle identifying the engine
     and the worker executing the item.  Stage timing and custom events
@@ -233,22 +239,21 @@ val create :
   ?domains:int ->
   ?key:('item -> string) ->
   ?crash_plan:crash_plan ->
-  ?attempt_ceiling:int ->
+  ?state:('item, 'res) state ->
   subject:('item -> string) ->
   process:(('item, 'res) ctx -> 'item -> ('res, skip_reason) result) ->
   unit ->
   ('item, 'res) t
-(** A fresh engine with an empty queue.  [batch_size] defaults to 32;
-    [domains] (default 1) sizes the per-batch worker pool; [key] groups
-    same-key items of a batch into one sequential chain (see the module
-    docs); [crash_plan] arms seeded worker kills (tests only);
-    [attempt_ceiling] caps how many dead-letter entries a single subject
-    may accumulate before {!requeue} refuses to recycle it (default:
-    unlimited; raises [Invalid_argument] when <= 0); [subject] renders
-    an item for event reporting; [process] analyzes one item (typically
-    calling {!timed_stage} for each stage it runs).  [process] must touch
-    shared mutable state only in ways that are safe under the declared
-    [domains] count. *)
+(** An engine that starts from [state] (default: empty).  [batch_size]
+    defaults to 32; [domains] (default 1) sizes the per-batch worker
+    pool; [key] groups same-key items of a batch into one sequential
+    chain (see the module docs); [crash_plan] arms seeded worker kills
+    (tests only); [subject] renders an item for event reporting;
+    [process] analyzes one item (typically calling {!timed_stage} for
+    each stage it runs).  [process] must touch shared mutable state only
+    in ways that are safe under the declared [domains] count.  The
+    worker count is never part of [state]: an engine resumed at any
+    [domains] finishes with the same results. *)
 
 val set_clock : ('item, 'res) t -> Obs.Clock.t -> unit
 (** Time every later stage, item, batch and run with this clock (until
@@ -319,19 +324,16 @@ val batch_size : ('item, 'res) t -> int
 val domains : ('item, 'res) t -> int
 val batches_done : ('item, 'res) t -> int
 
-val step_batch : ('item, 'res) t -> bool
-(** Process one batch from the queue head.  [false] when the queue was
-    empty.  Items whose [process] raises or returns [Error] are recorded
-    in the dead-letter list — with [Stage_errored]/[Item_skipped] events
-    — instead of aborting the batch.  With [domains > 1] the batch is
-    fanned across the worker pool and merged in input order before this
-    returns; the batch boundary is therefore also the parallel barrier,
-    and checkpoints taken between batches are identical to sequential
-    ones. *)
-
 val run : ?max_batches:int -> ('item, 'res) t -> unit
-(** Drain the queue ([max_batches] bounds how many batches this call may
-    process — the interruption point a checkpoint naturally follows). *)
+(** Drain the queue batch by batch ([max_batches] bounds how many
+    batches this call may process — the interruption point a checkpoint
+    naturally follows).  Items whose [process] raises or returns [Error]
+    are recorded in the dead-letter list — with
+    [Stage_errored]/[Item_skipped] events — instead of aborting the
+    batch.  With [domains > 1] each batch is fanned across the worker
+    pool and merged in input order at its end; the batch boundary is
+    therefore also the parallel barrier, and the {!state} taken between
+    batches is identical to the sequential one. *)
 
 val results : ('item, 'res) t -> 'res list
 (** Completed results in completion order (= submission order). *)
@@ -340,11 +342,8 @@ val drain_results : ('item, 'res) t -> 'res list
 (** Like {!results}, but also clears the engine's result buffer: each
     completed result is returned exactly once across successive drains.
     Long-lived callers (the query daemon) drain after every [run] so
-    the engine — and the checkpoints {!checkpoint} serializes — stay
-    bounded regardless of how many increments have been processed.
-    [processed_count] is unaffected. *)
-
-val processed_count : ('item, 'res) t -> int
+    the engine — and the {!state} a checkpoint is written from — stay
+    bounded regardless of how many increments have been processed. *)
 
 (** {1 Dead letters} *)
 
@@ -356,25 +355,16 @@ val skipped_pairs : ('item, 'res) t -> (string * string) list
 (** [(subject, message)] projection of {!skipped} — the compact form
     reports print. *)
 
-val skipped_by_class : ('item, 'res) t -> (skip_class * int) list
-(** Dead-letter counts per class, omitting empty classes, in declaration
-    order — what a live progress display prints. *)
-
 val crashes : ('item, 'res) t -> int
 (** How many worker deaths the supervisor has absorbed (injected kills,
-    stack overflows...) since this engine was created.  Not serialized. *)
-
-val failure_count : ('item, 'res) t -> string -> int
-(** Cumulative dead-letter entries recorded for a subject, across
-    requeues — the counter the attempt ceiling consults. *)
+    stack overflows...) since this engine was created.  Not part of
+    {!state}. *)
 
 val requeue : ?classes:skip_class list -> ('item, 'res) t -> int
 (** Move dead-letter entries whose class is in [classes] (default
     [[Transient; Budget_exhausted; Worker_crashed]] — the recoverable
     ones) back onto the work queue, preserving their original relative
-    order, and return how many moved.  Entries whose subject has reached
-    the engine's attempt ceiling are left in the dead-letter list
-    regardless of class.  A subsequent {!run} retries the moved ones;
+    order, and return how many moved.  A subsequent {!run} retries them;
     entries that fail again are re-recorded (with fresh attempt
     counts). *)
 
@@ -387,51 +377,11 @@ val stage_totals_table : ('item, 'res) t -> string
 (** [(stage, invocations, summed timing)] for every stage observed so
     far, in {!all_stages} order, as an aligned report table. *)
 
-(** {1 Checkpointing} *)
+(** {1 Resuming} *)
 
-val checkpoint_version : int
-(** Checkpoint format version (3: classified dead-letter records plus the
-    per-subject failure counters backing the attempt ceiling).  {!restore}
-    refuses every other version. *)
-
-val checkpoint :
-  item_to_json:('item -> Report.Json.t) ->
-  res_to_json:('res -> Report.Json.t) ->
-  ?extra:Report.Json.t ->
-  ('item, 'res) t ->
-  Report.Json.t
-(** Serialize queue, results, dead-letter list, batch counter and [extra]
-    (an opaque client payload: dedup caches, stat counters...).  Each
-    dead-letter entry embeds its item (via [item_to_json]), so a restored
-    engine can still {!requeue} it.  The worker count and any resilience
-    configuration are deliberately not serialized — they are execution
-    parameters, not state, and a checkpoint written under any
-    [domains]/fault plan restores and resumes identically under any
-    other. *)
-
-val restore :
-  ?batch_size:int ->
-  ?domains:int ->
-  ?key:('item -> string) ->
-  ?crash_plan:crash_plan ->
-  ?attempt_ceiling:int ->
-  subject:('item -> string) ->
-  process:(('item, 'res) ctx -> 'item -> ('res, skip_reason) result) ->
-  item_of_json:(Report.Json.t -> ('item, string) result) ->
-  res_of_json:(Report.Json.t -> ('res, string) result) ->
-  Report.Json.t ->
-  (('item, 'res) t * Report.Json.t, string) result
-(** Rebuild an engine from a version-3 {!checkpoint} value; returns it
-    together with the [extra] payload ([Report.Json.Null] when absent).
-    [batch_size] overrides the checkpointed one when given; [domains],
-    [key], [crash_plan] and [attempt_ceiling] configure the resumed
-    engine exactly as in {!create}.
-
-    Total over arbitrary JSON input: every truncation or corruption of a
-    checkpoint — missing fields, wrong types, unknown stage/class names,
-    other versions — comes back as [Error _]; no input makes it raise.
-    (Caller-supplied [item_of_json]/[res_of_json] must uphold the same
-    contract for their fragments.) *)
+val state : ('item, 'res) t -> ('item, 'res) state
+(** The queue, results, dead letters and batch counter as they stand;
+    {!create} [~state] continues from them. *)
 
 (** {1 Task channel}
 

@@ -266,3 +266,40 @@ let parse input =
   with
   | v -> Ok v
   | exception Parse_error msg -> Error msg
+
+(* Readers: each names what it found wanting in its [Error] and never
+   raises, whatever the input. *)
+
+let member name = function
+  | Obj kvs -> (
+      match List.assoc_opt name kvs with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "missing field %S" name))
+  | _ -> Error (Printf.sprintf "expected an object with field %S" name)
+
+let field name decode json = Result.bind (member name json) decode
+
+let opt name decode json =
+  match member name json with
+  | Error _ | Ok Null -> Ok None
+  | Ok v -> Result.map Option.some (decode v)
+
+let typed what get name =
+  field name (fun v ->
+      match get v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "field %S: expected %s" name what))
+
+let int = typed "an int" (function Int n -> Some n | _ -> None)
+let bool = typed "a bool" (function Bool b -> Some b | _ -> None)
+let string = typed "a string" (function String s -> Some s | _ -> None)
+
+let list name decode json =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+        match decode x with Ok y -> go (y :: acc) rest | Error e -> Error e)
+  in
+  Result.bind
+    (typed "a list" (function List l -> Some l | _ -> None) name json)
+    (go [])

@@ -421,39 +421,6 @@ let make_metrics registry =
 
 let ( let* ) = Result.bind
 
-let field what name = function
-  | Json.Obj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "%s: missing %S" what name))
-  | _ -> Error (what ^ ": expected an object")
-
-let int_field what name json =
-  match field what name json with
-  | Ok (Json.Int n) -> Ok n
-  | Ok _ -> Error (Printf.sprintf "%s: bad %S" what name)
-  | Error e -> Error e
-
-let list_field what name of_json json =
-  match field what name json with
-  | Ok (Json.List l) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest ->
-            let* v = of_json x in
-            go (v :: acc) rest
-      in
-      go [] l
-  | Ok _ -> Error (Printf.sprintf "%s: bad %S" what name)
-  | Error e -> Error e
-
-let address_of_json = function
-  | Json.String s -> (
-      match Hexutil.of_hex_opt s with
-      | Some b when String.length b = 20 -> Ok b
-      | _ -> Error ("journal delta: bad address " ^ s))
-  | _ -> Error "journal delta: address is not a string"
-
 (* The journaled state a warm start restores. *)
 type recovered = {
   rv_advances : int;
@@ -473,10 +440,10 @@ let fold_journal ~landscape records =
         Result.bind (Json.parse base)
           (Report.Schema.check ~kind:snapshot_kind ~landscape)
       in
-      let* advances = int_field "snapshot" "advances" base in
-      let* height = int_field "snapshot" "height" base in
-      let* analyzer = field "snapshot" "analyzer" base in
-      let* entries = list_field "snapshot" "entries" Store.entry_of_json base in
+      let* advances = Json.int "advances" base in
+      let* height = Json.int "height" base in
+      let* analyzer = Json.field "analyzer" Result.ok base in
+      let* entries = Json.list "entries" Store.entry_of_json base in
       let store = Store.create () in
       List.iter (Store.upsert store) entries;
       let rec fold (rv : recovered) = function
@@ -486,7 +453,7 @@ let fold_journal ~landscape records =
               Result.bind (Json.parse delta)
                 (Report.Schema.check ~kind:delta_kind)
             in
-            let* index = int_field "delta" "advance" d in
+            let* index = Json.int "advance" d in
             if index <> rv.rv_advances + 1 then
               Error
                 (Printf.sprintf
@@ -494,12 +461,12 @@ let fold_journal ~landscape records =
                     in the journal)"
                    index rv.rv_advances)
             else
-              let* height = int_field "delta" "height" d in
-              let* analyzer = field "delta" "analyzer" d in
-              let* removed = list_field "delta" "removed" address_of_json d in
-              let* upserted =
-                list_field "delta" "upserted" Store.entry_of_json d
+              let* height = Json.int "height" d in
+              let* analyzer = Json.field "analyzer" Result.ok d in
+              let* removed =
+                Json.list "removed" Serialize.address_of_json d
               in
+              let* upserted = Json.list "upserted" Store.entry_of_json d in
               List.iter (fun a -> ignore (Store.remove store a)) removed;
               List.iter (Store.upsert store) upserted;
               fold
@@ -650,8 +617,10 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
                 height %d"
                height (Chain.height chain))
         else
-          Analyzer.restore ~resilience:config.Config.resilience ~chain ~source
-            rv_analyzer
+          let analysis = config.Config.analysis in
+          Analyzer.restore ~batch_size:analysis.Analysis.Config.batch_size
+            ~domains:analysis.Analysis.Config.domains
+            ~resilience:config.Config.resilience ~chain ~source rv_analyzer
       in
       match restored with
       | Error e ->

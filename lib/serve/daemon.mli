@@ -91,7 +91,9 @@ module Config : sig
             recorded in the journal header. *)
     advance_seed : int;
     advance_spec : Advance.spec;
-    analysis : Proxion.Pipeline.Config.t;  (** Resident analyzer config. *)
+    analysis : Proxion.Pipeline.Config.t;
+        (** Resident analyzer config.  Its [batch_size] and [domains]
+            also govern a warm start: neither comes from the journal. *)
     resilience : Resilience.Transport.config;
         (** Chain-transport config for the resident analyzer: endpoint
             pool, quorum, fault plans, budgets (default

@@ -117,21 +117,9 @@ let entry_to_json e =
 let ( let* ) = Result.bind
 
 let entry_of_json json =
-  match json with
-  | Json.Obj kvs ->
-      let get name =
-        match List.assoc_opt name kvs with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "store entry: missing %S" name)
-      in
-      let int name =
-        match List.assoc_opt name kvs with
-        | Some (Json.Int n) -> Ok n
-        | _ -> Error (Printf.sprintf "store entry: bad %S" name)
-      in
-      let* rj = get "report" in
-      let* e_report = Proxion.Serialize.contract_report_of_json rj in
-      let* e_api_calls = int "api_calls" in
-      let* e_steps = int "steps" in
-      Ok { e_report; e_api_calls; e_steps }
-  | _ -> Error "store entry: expected an object"
+  let* e_report =
+    Json.field "report" Proxion.Serialize.contract_report_of_json json
+  in
+  let* e_api_calls = Json.int "api_calls" json in
+  let* e_steps = Json.int "steps" json in
+  Ok { e_report; e_api_calls; e_steps }

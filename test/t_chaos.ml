@@ -336,7 +336,7 @@ let test_call_budget_exhaustion () =
       check_s "evm-step scope" "evm-steps" scope
   | () -> Alcotest.fail "expected step-budget exhaustion"
 
-(* {1 Generic engine: dead-letter checkpoint round-trip and requeue} *)
+(* {1 Generic engine: dead letters across a state hand-over, and requeue} *)
 
 let test_dead_letter_checkpoint_roundtrip () =
   let t =
@@ -353,46 +353,13 @@ let test_dead_letter_checkpoint_roundtrip () =
   Engine.submit t [ 1; 2; 3; 4; 5; 6 ];
   Engine.run t;
   Alcotest.(check (list int)) "survivors in order" [ 2; 4; 8; 12 ] (Engine.results t);
-  let extra =
-    Report.Json.Obj
-      [
-        ("note", Report.Json.String "opaque client payload");
-        ("codes", Report.Json.List [ Report.Json.Int 1; Report.Json.Int 2 ]);
-      ]
+  let restored =
+    Engine.create ~batch_size:4 ~state:(Engine.state t) ~subject:string_of_int
+      ~process:(fun _ n -> Ok (n * 2))
+      ()
   in
-  let item_to_json n = Report.Json.Int n in
-  let res_to_json n = Report.Json.Int n in
-  let item_of_json = function
-    | Report.Json.Int n -> Ok n
-    | _ -> Error "item: expected int"
-  in
-  let res_of_json = function
-    | Report.Json.Int n -> Ok n
-    | _ -> Error "res: expected int"
-  in
-  let ck = Engine.checkpoint ~item_to_json ~res_to_json ~extra t in
-  let ck_text = Report.Json.to_string ~pretty:true ck in
-  let reparsed =
-    match Report.Json.parse ck_text with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "checkpoint does not reparse: %s" e
-  in
-  let restored, extra' =
-    match
-      Engine.restore ~subject:string_of_int
-        ~process:(fun _ n -> Ok (n * 2))
-        ~item_of_json ~res_of_json reparsed
-    with
-    | Ok pair -> pair
-    | Error e -> Alcotest.failf "restore failed: %s" e
-  in
-  check_s "extra payload survives the round-trip"
-    (Report.Json.to_string extra)
-    (Report.Json.to_string extra');
-  check_s "re-checkpoint is byte-identical"
-    (Report.Json.to_string ck)
-    (Report.Json.to_string
-       (Engine.checkpoint ~item_to_json ~res_to_json ~extra:extra' restored));
+  check_b "the hand-over keeps the whole state" true
+    (Engine.state restored = Engine.state t);
   (match Engine.skipped restored with
   | [ a; b ] ->
       check_i "transient item restored" 3 a.Engine.sk_item;
@@ -470,22 +437,8 @@ let transient_plan =
 (* A fault plan mild enough that the default retry policy always clears
    it: the chaos run's report, checkpoint and dead-letter list must be
    byte-identical to the fault-free run, at any worker count. *)
-(* The checkpoint embeds the declared run configuration (including the
-   worker count), which legitimately differs between the sequential and
-   parallel runs under comparison — null it out and compare the actual
-   state: queue, results, dead letters, caches, counters. *)
-let rec null_key key = function
-  | Report.Json.Obj kvs ->
-      Report.Json.Obj
-        (List.map
-           (fun (k, v) ->
-             if k = key then (k, Report.Json.Null) else (k, null_key key v))
-           kvs)
-  | Report.Json.List l -> Report.Json.List (List.map (null_key key) l)
-  | j -> j
-
 let checkpoint_state t =
-  Report.Json.to_string (null_key "config" (Proxion.Analyzer.checkpoint t))
+  Report.Json.to_string (Proxion.Analyzer.checkpoint t)
 
 let test_chaos_transient_identity () =
   let reference, _ = run_landscape ~domains:1 () in
@@ -552,6 +505,8 @@ let test_chaos_degrade_and_requeue () =
     | Ok t -> t
     | Error e -> Alcotest.failf "restore failed: %s" e
   in
+  check_b "class, stage, attempts and message survive the checkpoint" true
+    (Proxion.Analyzer.skipped resumed = dead);
   check_i "every dead letter requeued" (List.length dead)
     (Proxion.Analyzer.requeue_transients resumed);
   Proxion.Analyzer.run resumed;
@@ -584,7 +539,7 @@ let test_chaos_step_budget_degrade () =
   (* The landscape deploys more contracts than [total] (logic targets
      ride along); the universe is whatever the starved run scheduled. *)
   let universe =
-    Engine.processed_count (Proxion.Analyzer.engine t) + List.length dead
+    List.length (Engine.results (Proxion.Analyzer.engine t)) + List.length dead
   in
   check_b "step starvation produced dead letters" true (dead <> []);
   List.iter

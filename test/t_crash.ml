@@ -7,11 +7,12 @@
    pinned to the recovery contract: open never raises, and always lands
    on a committed prefix.  Engine level — seeded worker kills must be
    schedule-independent (DOMAINS 1 and N byte-identical), survivable
-   (the supervisor respawns and the batch completes), recoverable
-   (requeue converges to the fault-free figures) and bounded (the
-   attempt ceiling stops a poisoned subject).  Pipeline level — a
-   journaled run killed between batches must resume to a byte-identical
-   report with at most one batch re-executed.
+   (the supervisor respawns and the batch completes) and recoverable
+   (requeue converges to the fault-free figures).  Checkpoint level —
+   no truncation or corruption of an analyzer checkpoint makes its
+   restore raise.  Pipeline level — a journaled run killed between
+   batches must resume to a byte-identical report with at most one
+   batch re-executed.
 
    Knobs mirror the CI matrix: CHAOS_SEED seeds the crash plans
    (default 1) and DOMAINS the parallel worker count (default 4). *)
@@ -342,13 +343,6 @@ let test_watchdog_fuel_exhaustion () =
 (* Engine supervision                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let engine_checkpoint_string t =
-  Report.Json.to_string
-    (Engine.checkpoint
-       ~item_to_json:(fun n -> Report.Json.Int n)
-       ~res_to_json:(fun s -> Report.Json.String s)
-       t)
-
 let crashy_engine ~domains () =
   Engine.create ~batch_size:4 ~domains
     ~crash_plan:(Engine.crash_plan ~subjects:[ "3"; "7" ] ())
@@ -377,8 +371,13 @@ let test_engine_worker_crash_supervision () =
       check_b "the crash is named in the message" true
         (contains ~needle:"worker crashed" r.Engine.sk_message))
     dead;
-  check_b "class tallies agree" true
-    (List.mem (Engine.Worker_crashed, 2) (Engine.skipped_by_class t));
+  check_i "class tallies agree" 2
+    (List.length
+       (List.filter
+          (fun r -> r.Engine.sk_class = Engine.Worker_crashed)
+          (Engine.skipped t)));
+  check_b "crash rate must be a probability" true
+    (invalid (fun () -> Engine.crash_plan ~rate:1.5 ()));
   (* the plan kills each subject once: requeue converges *)
   check_i "default requeue recycles worker-crashed entries" 2
     (Engine.requeue_transients t);
@@ -399,16 +398,14 @@ let test_engine_crash_schedule_independence () =
        (Engine.skipped seq))
     (List.map (fun r -> r.Engine.sk_subject ^ ":" ^ r.Engine.sk_message)
        (Engine.skipped par));
-  check_s "checkpoint byte-identical across worker counts"
-    (engine_checkpoint_string seq)
-    (engine_checkpoint_string par);
+  check_b "state identical across worker counts" true
+    (Engine.state seq = Engine.state par);
   ignore (Engine.requeue_transients seq);
   ignore (Engine.requeue_transients par);
   Engine.run seq;
   Engine.run par;
-  check_s "still byte-identical after requeue and completion"
-    (engine_checkpoint_string seq)
-    (engine_checkpoint_string par)
+  check_b "still identical after requeue and completion" true
+    (Engine.state seq = Engine.state par)
 
 (* A worker dying of a real runtime fatal (deep non-tail recursion blowing
    the stack) must be supervised exactly like an injected kill. *)
@@ -442,98 +439,55 @@ let test_engine_stack_overflow_supervision () =
                (List.length l))
     [ 1; domains_under_test ]
 
-let test_engine_attempt_ceiling () =
-  check_b "ceiling must be positive" true
-    (invalid (fun () ->
-         Engine.create ~attempt_ceiling:0 ~subject:string_of_int
-           ~process:(fun _ n -> Ok n)
-           ()));
-  check_b "crash rate must be a probability" true
-    (invalid (fun () -> Engine.crash_plan ~rate:1.5 ()));
-  let t =
-    Engine.create ~batch_size:4 ~attempt_ceiling:2 ~subject:string_of_int
-      ~process:(fun _ n ->
-        if n = 5 then Error (Engine.transient "always flaky")
-        else Ok (string_of_int n))
-      ()
-  in
-  Engine.submit t [ 1; 2; 3; 4; 5; 6 ];
-  Engine.run t;
-  check_i "first failure recorded" 1 (Engine.failure_count t "5");
-  check_i "under the ceiling: requeued" 1 (Engine.requeue_transients t);
-  Engine.run t;
-  check_i "second failure recorded" 2 (Engine.failure_count t "5");
-  check_i "at the ceiling: refused" 0 (Engine.requeue_transients t);
-  check_i "the poisoned subject stays dead-lettered" 1
-    (List.length (Engine.skipped t));
-  check_i "healthy subjects unaffected" 5 (List.length (Engine.results t));
-  (* the ceiling survives a checkpoint round-trip (version 3 counters) *)
-  let json =
-    Engine.checkpoint
-      ~item_to_json:(fun n -> Report.Json.Int n)
-      ~res_to_json:(fun s -> Report.Json.String s)
-      t
-  in
-  let restored =
-    match
-      Engine.restore ~attempt_ceiling:2 ~subject:string_of_int
-        ~process:(fun _ n -> Ok (string_of_int n))
-        ~item_of_json:(function
-          | Report.Json.Int n -> Ok n
-          | _ -> Error "not an int")
-        ~res_of_json:(function
-          | Report.Json.String s -> Ok s
-          | _ -> Error "not a string")
-        json
-    with
-    | Ok (t', _) -> t'
-    | Error e -> Alcotest.failf "restore failed: %s" e
-  in
-  check_i "failure counters survive the round-trip" 2
-    (Engine.failure_count restored "5");
-  check_i "the restored ceiling still refuses" 0
-    (Engine.requeue_transients restored)
-
 (* ------------------------------------------------------------------ *)
-(* Engine.restore hardening                                           *)
+(* Analyzer.restore hardening                                          *)
 (* ------------------------------------------------------------------ *)
 
-let hardening_subject = string_of_int
-let hardening_process _ n = Ok (string_of_int n)
-
-let hardening_item_of_json = function
-  | Report.Json.Int n -> Ok n
-  | _ -> Error "not an int"
-
-let hardening_res_of_json = function
-  | Report.Json.String s -> Ok s
-  | _ -> Error "not a string"
-
-let hardening_restore json =
-  Engine.restore ~subject:hardening_subject ~process:hardening_process
-    ~item_of_json:hardening_item_of_json ~res_of_json:hardening_res_of_json
-    json
-
-(* A checkpoint exercising every field: pending queue, results, a
-   classified dead letter, failure counters and an extra payload. *)
-let hardening_checkpoint () =
-  let t =
-    Engine.create ~batch_size:3 ~subject:string_of_int
-      ~process:(fun _ n ->
-        if n = 2 then Error (Engine.transient ~stage:Engine.Logic_resolve "boom")
-        else Ok (string_of_int n))
+(* A chain whose checkpoint exercises every field: a pending queue,
+   results, a dead letter pinned to a stage (the source oracle fails on
+   [bad]'s collision check), and both caches, holding a verdict, a
+   storage-slot proxy and collision pairs. *)
+let hardening_fixture () =
+  let chain = Chain.create () in
+  let install ast =
+    Chain.install_contract chain ~runtime:(Minisol.Codegen.runtime ast) ()
+  in
+  let logic = install (Minisol.Patterns.counter_logic ()) in
+  let slot_proxy = install (Minisol.Patterns.slot_var_proxy ()) in
+  Chain.set_storage_direct chain slot_proxy U256.one
+    (Evm.Address.to_u256 logic);
+  let clone () =
+    Chain.install_contract chain
+      ~runtime:(Minisol.Patterns.eip1167_runtime logic)
       ()
   in
-  Engine.submit t [ 1; 2; 3; 4; 5; 6; 7; 8 ];
-  Engine.run ~max_batches:2 t;
-  Engine.checkpoint
-    ~item_to_json:(fun n -> Report.Json.Int n)
-    ~res_to_json:(fun s -> Report.Json.String s)
-    ~extra:(Report.Json.String "opaque")
-    t
+  let bad = clone () in
+  let p1 = clone () in
+  let p2 = clone () in
+  let source addr =
+    if Evm.Address.equal addr bad then failwith "source oracle outage"
+    else None
+  in
+  (chain, source, [ logic; slot_proxy; bad; p1; p2; logic ])
+
+let hardening_landscape = "hardening-fixture"
+
+let hardening_restore (chain, source, _) json =
+  Proxion.Analyzer.restore ~landscape:hardening_landscape ~chain ~source json
+
+let hardening_checkpoint (chain, source, subjects) =
+  let t =
+    Proxion.Analyzer.create
+      ~config:Proxion.Pipeline.Config.(default |> with_batch_size 2)
+      ~chain ~source ()
+  in
+  Proxion.Analyzer.submit t subjects;
+  Proxion.Analyzer.run ~max_batches:2 t;
+  Proxion.Analyzer.checkpoint ~landscape:hardening_landscape t
 
 let test_of_json_truncation_sweep () =
-  let ck = hardening_checkpoint () in
+  let fixture = hardening_fixture () in
+  let ck = hardening_checkpoint fixture in
   let text = Report.Json.to_string ck in
   check_b "the sweep has material to chew on" true (String.length text > 100);
   (* byte-level truncations: the parser rejects them, nothing raises *)
@@ -541,7 +495,7 @@ let test_of_json_truncation_sweep () =
     match Report.Json.parse (String.sub text 0 len) with
     | Error _ -> ()
     | Ok json -> (
-        match hardening_restore json with
+        match hardening_restore fixture json with
         | Ok _ | Error _ -> ()
         | exception e ->
             Alcotest.failf "restore raised at truncation %d: %s" len
@@ -568,8 +522,7 @@ let test_of_json_truncation_sweep () =
       in
       List.iter
         (fun (label, json) ->
-          match hardening_restore json with
-          | Ok _ when victim = "extra" -> () (* the only optional field *)
+          match hardening_restore fixture json with
           | Ok _ -> Alcotest.failf "checkpoint without %S accepted (%s)" victim label
           | Error _ -> ()
           | exception e ->
@@ -581,16 +534,19 @@ let test_of_json_truncation_sweep () =
   (match Report.Json.parse text with
   | Error e -> Alcotest.failf "valid checkpoint failed to parse: %s" e
   | Ok json -> (
-      match hardening_restore json with
-      | Ok (t, extra) ->
-          check_s "extra payload survives" "opaque"
-            (match extra with Report.Json.String s -> s | _ -> "?");
-          check_i "pending restored" 2 (Engine.pending t);
-          check_i "failure counter restored" 1 (Engine.failure_count t "2")
+      match hardening_restore fixture json with
+      | Ok t ->
+          check_i "pending restored" 2 (Proxion.Analyzer.pending t);
+          check_i "dead letter restored" 1
+            (List.length (Proxion.Analyzer.skipped t));
+          check_s "re-checkpoint is byte-identical" text
+            (Report.Json.to_string
+               (Proxion.Analyzer.checkpoint ~landscape:hardening_landscape t))
       | Error e -> Alcotest.failf "valid checkpoint rejected: %s" e))
 
 let test_of_json_corruption_sweep () =
-  let text = Report.Json.to_string (hardening_checkpoint ()) in
+  let fixture = hardening_fixture () in
+  let text = Report.Json.to_string (hardening_checkpoint fixture) in
   let sweep replacement =
     for i = 0 to String.length text - 1 do
       if text.[i] <> replacement then begin
@@ -599,7 +555,7 @@ let test_of_json_corruption_sweep () =
         match Report.Json.parse (Bytes.to_string b) with
         | Error _ -> ()
         | Ok json -> (
-            match hardening_restore json with
+            match hardening_restore fixture json with
             | Ok _ | Error _ -> ()
             | exception e ->
                 Alcotest.failf "restore raised on '%c' at %d: %s" replacement i
@@ -614,7 +570,7 @@ let test_of_json_corruption_sweep () =
   (* structurally valid garbage is rejected, never thrown *)
   List.iter
     (fun json ->
-      match hardening_restore json with
+      match hardening_restore fixture json with
       | Ok _ -> Alcotest.fail "garbage checkpoint accepted"
       | Error _ -> ()
       | exception e ->
@@ -628,25 +584,31 @@ let test_of_json_corruption_sweep () =
       Report.Json.List [ Report.Json.Int 1 ];
     ]
 
+(* A scan journal's checkpoint has one version gate, its schema stamp:
+   one stamped with schema_version 2 is refused by name. *)
 let test_restore_refuses_version_2 () =
-  let v3 = hardening_checkpoint () in
+  let fixture = hardening_fixture () in
+  let ck = hardening_checkpoint fixture in
+  check_b "the current schema is not version 2" true
+    (Report.Schema.version <> 2);
   let v2 =
-    match v3 with
+    match ck with
     | Report.Json.Obj kvs ->
         Report.Json.Obj
-          (List.filter_map
+          (List.map
              (fun (k, v) ->
-               if k = "failures" then None
-               else if k = "version" then Some (k, Report.Json.Int 2)
-               else Some (k, v))
+               if k = Report.Schema.version_key then (k, Report.Json.Int 2)
+               else (k, v))
              kvs)
     | _ -> Alcotest.fail "checkpoint is not an object"
   in
-  match hardening_restore v2 with
+  (match hardening_restore fixture v2 with
   | Ok _ -> Alcotest.fail "version-2 checkpoint accepted"
   | Error e ->
       check_b "the refusal names the version" true
-        (contains ~needle:"unsupported version 2" e)
+        (contains ~needle:"unsupported schema_version 2" e));
+  check_b "the unaltered checkpoint restores" true
+    (Result.is_ok (hardening_restore fixture ck))
 
 (* ------------------------------------------------------------------ *)
 (* Full-pipeline crash determinism                                     *)
@@ -685,18 +647,7 @@ let run_landscape ?(gen = crash_gen)
   Proxion.Analyzer.run t;
   (t, List.rev !events)
 
-let rec null_key key = function
-  | Report.Json.Obj kvs ->
-      Report.Json.Obj
-        (List.map
-           (fun (k, v) ->
-             if k = key then (k, Report.Json.Null) else (k, null_key key v))
-           kvs)
-  | Report.Json.List l -> Report.Json.List (List.map (null_key key) l)
-  | j -> j
-
-let checkpoint_state t =
-  Report.Json.to_string (null_key "config" (Proxion.Analyzer.checkpoint t))
+let checkpoint_state t = Report.Json.to_string (Proxion.Analyzer.checkpoint t)
 
 (* Seeded worker kills are a pure function of (seed, subject): the run's
    report, dead-letter list, checkpoint state and event skeleton must be
@@ -823,7 +774,7 @@ let kill_and_resume ~domains () =
   let land2 = Generate.generate crash_gen in
   let resumed =
     match
-      Proxion.Analyzer.restore ~chain:land2.Generate.chain
+      Proxion.Analyzer.restore ~domains ~chain:land2.Generate.chain
         ~source:land2.Generate.source_of ck
     with
     | Ok t -> t
@@ -1141,8 +1092,6 @@ let suite =
       test_engine_crash_schedule_independence;
     Alcotest.test_case "supervisor survives a real stack overflow" `Quick
       test_engine_stack_overflow_supervision;
-    Alcotest.test_case "attempt ceiling stops poisoned subjects" `Quick
-      test_engine_attempt_ceiling;
     Alcotest.test_case "of_json never raises on truncated checkpoints" `Quick
       test_of_json_truncation_sweep;
     Alcotest.test_case "of_json never raises on corrupted checkpoints" `Quick

@@ -135,6 +135,19 @@ let test_parallel_checkpoint_resume () =
     (report_string (Proxion.Analyzer.report seq))
     (report_string (Proxion.Analyzer.report resumed))
 
+(* The worker count is never checkpointed: runs stopped at the same batch
+   boundary at 1 and N domains write the same checkpoint bytes. *)
+let test_checkpoint_bytes_any_worker_count () =
+  let checkpoint_text domains =
+    let t, _ = analyze ~domains ~max_batches:2 () in
+    Report.Json.to_string (Proxion.Analyzer.checkpoint t)
+  in
+  check_s
+    (Printf.sprintf "checkpoint at %d domains equals the sequential one"
+       domains_under_test)
+    (checkpoint_text 1)
+    (checkpoint_text domains_under_test)
+
 let test_worker_failure_isolation () =
   let t =
     Engine.create ~batch_size:8 ~domains:domains_under_test
@@ -178,4 +191,6 @@ let suite =
       `Quick test_parallel_checkpoint_resume;
     Alcotest.test_case "worker failure skips only the failing item" `Quick
       test_worker_failure_isolation;
+    Alcotest.test_case "checkpoint bytes identical at any worker count" `Quick
+      test_checkpoint_bytes_any_worker_count;
   ]

@@ -86,11 +86,11 @@ let test_commit_bytes () =
             size () - before)
       in
       Serve.Daemon.stop d;
-      check_i "journal after the base snapshot" 319_884 base;
+      check_i "journal after the base snapshot" 319_803 base;
       List.iter2
         (fun (i, want) n ->
           check_i (Printf.sprintf "bytes appended by advance %d" i) want n)
-        [ (1, 79_842); (2, 82_899); (3, 85_956) ]
+        [ (1, 79_761); (2, 82_818); (3, 85_875) ]
         appended)
 
 let suite =

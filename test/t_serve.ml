@@ -1368,6 +1368,69 @@ let test_streamed_trace () =
       | Ok _ -> Alcotest.fail "the closed file is not a trace document"
       | Error e -> Alcotest.failf "the closed file does not parse: %s" e)
 
+(* Restarted warm, a daemon runs with the batch size and worker count
+   it was given, not those of the daemon that wrote its journal: a
+   journal written at 1 domain and batch size 16 resumes at 2 domains
+   and batch size 8, which the spans of a traced advance show. *)
+let test_warm_daemon_takes_its_flags () =
+  let path = temp_journal () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let gen = { Generate.quick_config with Generate.total = 300; seed = 5 } in
+      let config analysis =
+        Serve.Config.(
+          daemon_config |> with_analysis analysis |> with_journal (Some path)
+          |> with_journal_fsync false)
+      in
+      (match
+         Daemon.create ~config:(config analysis_config) (Generate.generate gen)
+       with
+      | Ok d -> Daemon.stop d
+      | Error e -> Alcotest.failf "cold start failed: %s" e);
+      let trace = Obs.Trace.create () in
+      let warm =
+        Proxion.Pipeline.Config.(default |> with_batch_size 8 |> with_domains 2)
+      in
+      match
+        Daemon.create ~config:(config warm) ~trace (Generate.generate gen)
+      with
+      | Error e -> Alcotest.failf "warm start failed: %s" e
+      | Ok d ->
+          check_b "recovered warm" true (Daemon.recovered d);
+          let ctx = Obs.Trace.next_ctx (Obs.Trace.gen ~seed:5) in
+          ignore (Daemon.advance ~ctx d);
+          ignore (Daemon.advance ~ctx d);
+          Daemon.stop d;
+          let trace_id = Obs.Trace.id_to_hex ctx.Obs.Trace.trace_id in
+          let member key = function
+            | Json.Obj kvs -> List.assoc_opt key kvs
+            | _ -> None
+          in
+          let joined cat ev =
+            member "cat" ev = Some (Json.String cat)
+            && Option.bind (member "args" ev) (member "trace_id")
+               = Some (Json.String trace_id)
+          in
+          let ints cat key of_ev =
+            List.filter_map
+              (fun ev ->
+                if not (joined cat ev) then None
+                else
+                  match Option.bind (of_ev ev) (member key) with
+                  | Some (Json.Int n) -> Some n
+                  | _ -> None)
+              (trace_events trace)
+          in
+          let sizes = ints "batch" "size" (member "args") in
+          check_b "the advances ran in batches" true (sizes <> []);
+          check_b "batches hold at most the daemon's 8 contracts" true
+            (List.for_all (fun n -> n <= 8) sizes);
+          check_b "a batch holds the daemon's 8 contracts" true
+            (List.mem 8 sizes);
+          check_b "items ran on the second worker's lane" true
+            (List.mem 2 (ints "item" "tid" Option.some)))
+
 let suite =
   [
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
@@ -1411,4 +1474,6 @@ let suite =
       test_golden_transcripts;
     Alcotest.test_case "a streaming trace holds each advance before the stop"
       `Quick test_streamed_trace;
+    Alcotest.test_case "a warm daemon runs with the flags it was started with"
+      `Quick test_warm_daemon_takes_its_flags;
   ]
