@@ -139,9 +139,8 @@ module Faults_spec = struct
             Resilience.Transport.endpoint ?plan:(plan_for i)
               (Printf.sprintf "archive-%d" (i + 1)))
       in
-      Resilience.Transport.config ?step_budget:t.watchdog_steps ()
-      |> Resilience.Transport.with_endpoints eps
-      |> Resilience.Transport.with_quorum t.quorum
+      Resilience.Transport.config ?step_budget:t.watchdog_steps
+        ~endpoints:eps ~quorum:t.quorum ()
 end
 
 (* --- trace: the streamed span timeline ------------------------------------ *)

@@ -857,7 +857,6 @@ let stage_totals_table t = Engine.stage_totals_table t.engine
 let skipped t = Engine.skipped t.engine
 let skipped_pairs t = Engine.skipped_pairs t.engine
 let requeue ?classes t = Engine.requeue ?classes t.engine
-let requeue_transients t = Engine.requeue_transients t.engine
 
 let report t =
   let contracts = Engine.results t.engine in

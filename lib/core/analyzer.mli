@@ -16,7 +16,7 @@
     exception escaping a stage dead-letters that contract with its fault
     class ([Transient] / [Permanent] / [Budget_exhausted]), stage and
     attempt count (with [Stage_errored]/[Item_skipped] events) instead of
-    aborting the run; {!requeue_transients} sends the recoverable ones
+    aborting the run; {!requeue} sends the recoverable ones
     around again.
 
     Runs are interruptible and resumable: {!checkpoint} serializes the
@@ -115,9 +115,6 @@ val requeue : ?classes:Engine.skip_class list -> t -> int
     recoverable [Transient], [Budget_exhausted] and [Worker_crashed])
     back onto the work queue; returns how many moved.  Run the analyzer
     again to retry them. *)
-
-val requeue_transients : t -> int
-(** {!requeue} with the default classes. *)
 
 (** {1 Results} *)
 

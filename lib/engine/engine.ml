@@ -405,8 +405,6 @@ let requeue ?(classes = [ Transient; Budget_exhausted; Worker_crashed ]) t =
   List.iter (fun r -> Queue.add r.sk_item t.queue) take;
   List.length take
 
-let requeue_transients t = requeue t
-
 (* An exception that escapes [process] without its own classification is a
    permanent failure of whatever stage the item last entered. *)
 let reason_of_exn ctx e =

@@ -79,7 +79,7 @@ type timing = {
     Why an item failed decides what happens to it next: [Transient]
     failures (rate limits, timeouts, node errors that outlived the retry
     budget) and [Budget_exhausted] ones (a per-item call/step budget ran
-    out) are recoverable — {!requeue_transients} sends them around again;
+    out) are recoverable — {!requeue} sends them around again;
     [Permanent] failures (malformed input, logic errors) are not.
     [Worker_crashed] marks an item whose worker domain died under it
     (fatal exception or injected kill); it is recoverable — the crash is
@@ -367,9 +367,6 @@ val requeue : ?classes:skip_class list -> ('item, 'res) t -> int
     order, and return how many moved.  A subsequent {!run} retries them;
     entries that fail again are re-recorded (with fresh attempt
     counts). *)
-
-val requeue_transients : ('item, 'res) t -> int
-(** [requeue t] with the default classes. *)
 
 (** {1 Per-stage aggregates} *)
 

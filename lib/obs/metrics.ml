@@ -304,32 +304,44 @@ let exemplar ?(labels = []) t fam =
 
 type summary = { s_count : int; s_p50 : float; s_p90 : float; s_p99 : float }
 
-(* Prometheus-style interpolation: find the bucket the rank falls in and
-   interpolate linearly between its bounds; ranks landing in the +Inf
-   bucket clamp to the largest finite bound. *)
-let quantile bounds counts total q =
-  let rank = q *. total in
+(* Prometheus-style interpolation over cumulative (upper bound, count)
+   buckets: find the bucket the rank falls in and interpolate linearly
+   between its bounds; ranks landing in the +Inf bucket clamp to the
+   largest finite bound. *)
+let quantile buckets q =
+  match (buckets, List.rev buckets) with
+  | (first, _) :: _, (_, total) :: _ when total > 0.0 ->
+      let rank = q *. total in
+      let rec walk lower prev = function
+        | [] -> lower
+        | (upper, _) :: _ when upper = Float.infinity -> lower
+        | (upper, cum) :: rest ->
+            if cum < rank then walk upper cum rest
+            else if cum -. prev <= 0.0 then upper
+            else
+              lower +. ((upper -. lower) *. ((rank -. prev) /. (cum -. prev)))
+      in
+      walk (Float.min 0.0 first) 0.0 buckets
+  | _ -> 0.0
+
+(* A series' per-bucket slots as cumulative (upper bound, count) pairs,
+   the last one +Inf. *)
+let cumulative bounds slots =
   let n = Array.length bounds in
-  let rec walk i cum =
-    if i >= n then bounds.(n - 1)
+  let rec go i cum =
+    if i > n then []
     else
-      let cum' = cum +. counts.(i) in
-      if cum' >= rank then begin
-        let lower = if i = 0 then Float.min 0.0 bounds.(0) else bounds.(i - 1) in
-        let upper = bounds.(i) in
-        if counts.(i) <= 0.0 then upper
-        else lower +. ((upper -. lower) *. ((rank -. cum) /. counts.(i)))
-      end
-      else walk (i + 1) cum'
+      let cum = cum +. slots.(i) in
+      ((if i < n then bounds.(i) else Float.infinity), cum) :: go (i + 1) cum
   in
-  walk 0 0.0
+  go 0 0.0
 
 let summarize ?(labels = []) t fam =
   match fam.f_kind with
   | Histogram bounds -> (
       match read t fam labels with
       | Some s when s.sr_count > 0.0 ->
-          let q p = quantile bounds s.sr_buckets s.sr_count p in
+          let q = quantile (cumulative bounds s.sr_buckets) in
           Some
             {
               s_count = int_of_float s.sr_count;
@@ -445,20 +457,14 @@ let to_prometheus ?suppress_volatile t =
                 (Printf.sprintf "%s%s %s\n" fam.f_name (label_string labels)
                    (fmt s.sr_value))
           | Histogram bounds ->
-              let cum = ref 0.0 in
-              Array.iteri
-                (fun i bound ->
-                  cum := !cum +. s.sr_buckets.(i);
+              List.iter
+                (fun (le, cum) ->
+                  let le = if le = Float.infinity then "+Inf" else fmt le in
                   Buffer.add_string buf
                     (Printf.sprintf "%s_bucket%s %s\n" fam.f_name
-                       (label_string (labels @ [ ("le", fmt bound) ]))
-                       (fmt !cum)))
-                bounds;
-              cum := !cum +. s.sr_buckets.(Array.length bounds);
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket%s %s\n" fam.f_name
-                   (label_string (labels @ [ ("le", "+Inf") ]))
-                   (fmt !cum));
+                       (label_string (labels @ [ ("le", le) ]))
+                       (fmt cum)))
+                (cumulative bounds s.sr_buckets);
               Buffer.add_string buf
                 (Printf.sprintf "%s_sum%s %s\n" fam.f_name (label_string labels)
                    (fmt s.sr_value));
@@ -496,36 +502,22 @@ let to_json ?suppress_volatile ?timestamp t =
                     [ ("labels", labels_json); ("value", json_number s.sr_value) ]
               | Histogram bounds ->
                   (* Cumulative counts, like the text exposition — the
-                     slots store per-bucket increments.  Built with
-                     explicit sequencing: [@]'s operand order is
-                     unspecified, so the +Inf total must not read the
-                     running sum via a side effect. *)
-                  let cum = ref 0.0 in
-                  let finite =
-                    List.mapi
-                      (fun i bound ->
-                        cum := !cum +. s.sr_buckets.(i);
-                        Json.Obj
-                          [
-                            ("le", Json.Float bound);
-                            ("count", json_number !cum);
-                          ])
-                      (Array.to_list bounds)
+                     slots store per-bucket increments. *)
+                  let bucket (le, cum) =
+                    Json.Obj
+                      [
+                        ( "le",
+                          if le = Float.infinity then Json.String "+Inf"
+                          else Json.Float le );
+                        ("count", json_number cum);
+                      ]
                   in
-                  let total = !cum +. s.sr_buckets.(Array.length bounds) in
                   Json.Obj
                     ([
                        ("labels", labels_json);
                       ( "buckets",
                         Json.List
-                          (finite
-                          @ [
-                              Json.Obj
-                                [
-                                  ("le", Json.String "+Inf");
-                                  ("count", json_number total);
-                                ];
-                            ]) );
+                          (List.map bucket (cumulative bounds s.sr_buckets)) );
                       ("sum", json_number s.sr_value);
                       ("count", json_number s.sr_count);
                     ]
@@ -800,12 +792,6 @@ let lint text =
   (* Exemplar comments: [# EXEMPLAR name{labels} trace_id value] —
      the series part must parse, the family must be a declared
      histogram, the id must be 16 hex chars and the value a float. *)
-  let is_trace_id s =
-    String.length s = 16
-    && String.for_all
-         (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-         s
-  in
   let rsplit s =
     match String.rindex_opt s ' ' with
     | None -> None
@@ -825,7 +811,7 @@ let lint text =
               if float_of_string_opt value_str = None then
                 err line_no
                   (Printf.sprintf "EXEMPLAR value %S is not a float" value_str);
-              if not (is_trace_id id) then
+              if Trace.id_of_hex id = None then
                 err line_no
                   (Printf.sprintf "EXEMPLAR trace_id %S is not 16 hex chars" id);
               match parse_sample ~line_no (head ^ " 0") with

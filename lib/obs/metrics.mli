@@ -118,13 +118,19 @@ val exemplar :
 (** The (trace_id, value) exemplar of a histogram series's max-valued
     observation, when one was recorded. *)
 
+val quantile : (float * float) list -> float -> float
+(** [quantile buckets q]: the [q]-quantile of a histogram given as its
+    cumulative [(upper bound, count)] buckets, [+Inf] last (as {!to_json}
+    writes them), linearly interpolated within the bucket the rank falls
+    in the way Prometheus' [histogram_quantile] does.  A rank in the
+    [+Inf] bucket clamps to the largest finite bound; an empty histogram
+    reads 0. *)
+
 type summary = { s_count : int; s_p50 : float; s_p90 : float; s_p99 : float }
 
 val summarize : ?labels:(string * string) list -> t -> family -> summary option
-(** Percentile estimates of a histogram series, linearly interpolated
-    within buckets the way Prometheus' [histogram_quantile] does
-    (observations in the [+Inf] bucket clamp to the largest finite
-    bound).  [None] when the series has no observations. *)
+(** Percentile estimates of a histogram series through {!quantile}.
+    [None] when the series has no observations. *)
 
 (** {1 Writers} *)
 

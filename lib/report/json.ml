@@ -153,10 +153,21 @@ let parse input =
           | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
           | Some 'u' ->
               advance ();
-              if !pos + 4 > len then fail "bad unicode escape";
-              let hex = String.sub input !pos 4 in
-              pos := !pos + 4;
-              let code = int_of_string ("0x" ^ hex) in
+              (* Exactly four hex digits, read one by one: [int_of_string]
+                 would raise on non-hex and accept OCaml's [_] and sign. *)
+              let digit () =
+                match peek () with
+                | Some ('0' .. '9' as c) -> advance (); Char.code c - 48
+                | Some ('a' .. 'f' as c) -> advance (); Char.code c - 87
+                | Some ('A' .. 'F' as c) -> advance (); Char.code c - 55
+                | _ -> fail "bad unicode escape"
+              in
+              let d1 = digit () in
+              let d2 = digit () in
+              let d3 = digit () in
+              let code =
+                (d1 lsl 12) lor (d2 lsl 8) lor (d3 lsl 4) lor digit ()
+              in
               if code < 0x80 then Buffer.add_char buf (Char.chr code)
               else begin
                 (* Minimal UTF-8 encoding for the BMP. *)
@@ -290,9 +301,20 @@ let typed what get name =
       | Some x -> Ok x
       | None -> Error (Printf.sprintf "field %S: expected %s" name what))
 
+let optional read name json =
+  match member name json with
+  | Error _ | Ok Null -> Ok None
+  | Ok _ -> Result.map Option.some (read name json)
+
 let int = typed "an int" (function Int n -> Some n | _ -> None)
 let bool = typed "a bool" (function Bool b -> Some b | _ -> None)
 let string = typed "a string" (function String s -> Some s | _ -> None)
+
+let float =
+  typed "a number" (function
+    | Int n -> Some (float_of_int n)
+    | Float f -> Some f
+    | _ -> None)
 
 let list name decode json =
   let rec go acc = function

@@ -23,10 +23,12 @@ val parse : string -> (t, string) result
 
 (** {1 Readers}
 
-    The one set of decoders every journal and checkpoint is read
-    through.  Each takes a field name and an object, and returns
-    [Error] naming the field and what it expected; none raises on any
-    input. *)
+    The one set of decoders for every document read: journals,
+    checkpoints, wire requests and responses, request params, schema
+    stamps and metrics snapshots.  Each takes a field name and an
+    object, and returns [Error] naming the field and what it expected;
+    none raises on any input.  {!opt} and {!optional} read an explicit
+    [null] as absent. *)
 
 val field :
   string -> (t -> ('a, string) result) -> t -> ('a, string) result
@@ -38,9 +40,21 @@ val opt :
 (** Like {!field}, but an absent or [Null] field is [None] (as is any
     field of a value that is not an object). *)
 
+val optional :
+  (string -> t -> ('a, string) result) ->
+  string ->
+  t ->
+  ('a option, string) result
+(** [optional read name obj] is [read name obj] as [Some], or [None]
+    when the field is absent or [Null] (the typed counterpart of
+    {!opt}: [optional int "limit" params]). *)
+
 val int : string -> t -> (int, string) result
 val bool : string -> t -> (bool, string) result
 val string : string -> t -> (string, string) result
+
+val float : string -> t -> (float, string) result
+(** A number: an [Int] reads as its float. *)
 
 val list :
   string -> (t -> ('a, string) result) -> t -> ('a list, string) result

@@ -18,56 +18,39 @@ let stamp ?kind ?landscape json =
   | Json.Obj kvs -> Json.Obj (tag @ strip kvs)
   | other -> Json.Obj (tag @ [ ("payload", other) ])
 
-let version_of = function
-  | Json.Obj kvs -> (
-      match List.assoc_opt version_key kvs with
-      | Some (Json.Int v) -> Some v
-      | _ -> None)
-  | _ -> None
+let version_of json = Result.to_option (Json.int version_key json)
+let kind_of json = Result.to_option (Json.string kind_key json)
 
-let kind_of = function
-  | Json.Obj kvs -> (
-      match List.assoc_opt kind_key kvs with
-      | Some (Json.String k) -> Some k
-      | _ -> None)
-  | _ -> None
-
-let landscape_of = function
-  | Json.Obj kvs -> (
-      match List.assoc_opt landscape_key kvs with
-      | Some (Json.String fp) -> Some fp
-      | _ -> None)
-  | _ -> None
-
-let check_landscape want json =
-  match landscape_of json with
-  | Some got when got = want -> Ok json
-  | Some got ->
+let check ?kind ?landscape json =
+  let ( let* ) = Result.bind in
+  let* () =
+    match version_of json with
+    | None ->
+        Error (Printf.sprintf "missing %s (expected %d)" version_key version)
+    | Some v when v <> version ->
+        Error
+          (Printf.sprintf "unsupported %s %d (expected %d)" version_key v
+             version)
+    | Some _ -> Ok ()
+  in
+  let* () =
+    match kind with
+    | None -> Ok ()
+    | Some want -> (
+        match kind_of json with
+        | Some got when got = want -> Ok ()
+        | Some got ->
+            Error (Printf.sprintf "wrong kind %S (expected %S)" got want)
+        | None -> Error (Printf.sprintf "missing kind (expected %S)" want))
+  in
+  match (landscape, Result.to_option (Json.string landscape_key json)) with
+  | None, _ -> Ok json
+  | Some want, Some got when got = want -> Ok json
+  | Some want, Some got ->
       Error
         (Printf.sprintf
            "landscape fingerprint mismatch: written for %s, this landscape \
             is %s (resume with the generation flags it was written with)"
            got want)
-  | None ->
+  | Some want, None ->
       Error (Printf.sprintf "missing landscape fingerprint (expected %s)" want)
-
-let check ?kind ?landscape json =
-  match version_of json with
-  | None -> Error (Printf.sprintf "missing %s (expected %d)" version_key version)
-  | Some v when v <> version ->
-      Error
-        (Printf.sprintf "unsupported %s %d (expected %d)" version_key v version)
-  | Some _ -> (
-      let checked =
-        match kind with
-        | None -> Ok json
-        | Some want -> (
-            match kind_of json with
-            | Some got when got = want -> Ok json
-            | Some got ->
-                Error (Printf.sprintf "wrong kind %S (expected %S)" got want)
-            | None -> Error (Printf.sprintf "missing kind (expected %S)" want))
-      in
-      match (checked, landscape) with
-      | Ok json, Some want -> check_landscape want json
-      | checked, _ -> checked)

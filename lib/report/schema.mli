@@ -15,9 +15,6 @@ val version : int
 val version_key : string
 (** The field name, ["schema_version"]. *)
 
-val kind_key : string
-(** The field name, ["kind"]. *)
-
 val stamp : ?kind:string -> ?landscape:string -> Json.t -> Json.t
 (** Prefix an object with [schema_version] (and [kind] and [landscape],
     the fingerprint of the landscape a journaled document was computed
@@ -26,9 +23,11 @@ val stamp : ?kind:string -> ?landscape:string -> Json.t -> Json.t
     [{schema_version; kind?; landscape?; payload}]. *)
 
 val version_of : Json.t -> int option
-(** The document's [schema_version], when present and an integer. *)
+(** The document's [schema_version] as {!Json.int} reads it: [None] when
+    it is absent, [null] or not an integer. *)
 
 val kind_of : Json.t -> string option
+(** The document's [kind] as {!Json.string} reads it. *)
 
 val check :
   ?kind:string -> ?landscape:string -> Json.t -> (Json.t, string) result

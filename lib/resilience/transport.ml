@@ -43,15 +43,6 @@ let config ?plan ?(policy = Retry.default) ?(breaker = Breaker.default_config)
   { plan; policy; breaker; call_budget; step_budget; endpoints; quorum;
     hedge_after }
 
-let with_plan plan cfg = { cfg with plan }
-let with_policy policy cfg = { cfg with policy }
-let with_breaker breaker cfg = { cfg with breaker }
-let with_call_budget call_budget cfg = { cfg with call_budget }
-let with_step_budget step_budget cfg = { cfg with step_budget }
-let with_endpoints endpoints cfg = { cfg with endpoints }
-let with_quorum quorum cfg = { cfg with quorum }
-let with_hedge_after hedge_after cfg = { cfg with hedge_after }
-
 let validate_config cfg =
   let module V = Report.Validate in
   let budget field = function

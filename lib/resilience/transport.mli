@@ -88,22 +88,6 @@ val config :
   unit ->
   config
 
-(** {2 Builders}
-
-    The repo-wide config idiom ([default_config |> with_*], validated
-    through {!Report.Validate}) — the same shape [Pipeline.Config] and
-    [Serve.Config] expose, so batch and server paths configure
-    identically. *)
-
-val with_plan : Fault_plan.spec option -> config -> config
-val with_policy : Retry.policy -> config -> config
-val with_breaker : Breaker.config -> config -> config
-val with_call_budget : int option -> config -> config
-val with_step_budget : int option -> config -> config
-val with_endpoints : endpoint_spec list -> config -> config
-val with_quorum : int -> config -> config
-val with_hedge_after : float option -> config -> config
-
 val validate_config : config -> (config, Report.Validate.error) result
 (** Reject non-positive attempt counts, thresholds, or budgets; a
     quorum outside [1 .. pool size]; duplicate or empty endpoint names;

@@ -200,7 +200,6 @@ let reorgs t =
   List.rev log
 let unique_codes t = Atomic.get t.uc
 let is_draining t = Atomic.get t.draining
-let open_connections t = Atomic.get t.open_conns
 
 let logf t level msg =
   match t.log with
@@ -773,42 +772,15 @@ let advance ?ctx t =
 (* Query dispatch                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let param params name =
-  match params with
-  | Json.Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
-let int_param ?default params name =
-  match param params name with
-  | Some (Json.Int n) -> Ok (Some n)
-  | Some _ ->
-      Error
-        {
-          Wire.code = Wire.err_invalid_params;
-          message = Printf.sprintf "%s must be an integer" name;
-        }
-  | None -> Ok default
-
-let address_param params =
-  match param params "address" with
-  | Some (Json.String s) -> (
-      match Hexutil.of_hex_opt s with
-      | Some b when String.length b = 20 -> Ok (Address.of_hex s)
-      | _ ->
-          Error
-            {
-              Wire.code = Wire.err_invalid_params;
-              message = "address must be 20 bytes of 0x-hex";
-            })
-  | Some _ | None ->
-      Error
-        {
-          Wire.code = Wire.err_invalid_params;
-          message = "missing string parameter \"address\"";
-        }
+(* Params are read through the Report.Json readers: an absent or [null]
+   param takes its default, and any reader [Error] is invalid params. *)
+let param r =
+  Result.map_error
+    (fun message -> { Wire.code = Wire.err_invalid_params; message })
+    r
 
 let entry_for t params =
-  let* addr = address_param params in
+  let* addr = param (Json.field "address" Serialize.address_of_json params) in
   match Store.find t.store addr with
   | Some e -> Ok (addr, e)
   | None ->
@@ -833,15 +805,14 @@ let severity_rank = function
   | Findings.Medium -> 1
   | Findings.Info -> 0
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let rec drop n = function
-  | l when n <= 0 -> l
-  | [] -> []
-  | _ :: rest -> drop (n - 1) rest
+(* The severity level param [name], when present. *)
+let severity_param params name =
+  param
+    (let* level = Json.optional Json.string name params in
+     match Option.map severity_of_string level with
+     | None -> Ok None
+     | Some (Some _ as sev) -> Ok sev
+     | Some None -> Error (name ^ " must be critical|high|medium|info"))
 
 (* Deadline budgets: [deadline] is an absolute time on the config clock;
    [None] (direct library calls) means no budget. *)
@@ -934,58 +905,28 @@ let handle_collisions t params =
        ])
 
 let handle_list_findings t params =
-  let* offset = int_param ~default:0 params "offset" in
-  let* limit = int_param ~default:50 params "limit" in
+  let* offset = param (Json.optional Json.int "offset" params) in
+  let* limit = param (Json.optional Json.int "limit" params) in
   let offset = max 0 (Option.value ~default:0 offset) in
   let limit = min 500 (max 0 (Option.value ~default:50 limit)) in
-  let* sev_filter =
-    match param params "severity" with
-    | Some (Json.String s) -> (
-        match severity_of_string s with
-        | Some sev -> Ok (Some (`Exact sev))
-        | None ->
-            Error
-              {
-                Wire.code = Wire.err_invalid_params;
-                message = "severity must be critical|high|medium|info";
-              })
-    | Some _ ->
-        Error
-          {
-            Wire.code = Wire.err_invalid_params;
-            message = "severity must be a string";
-          }
-    | None -> (
-        match param params "min_severity" with
-        | Some (Json.String s) -> (
-            match severity_of_string s with
-            | Some sev -> Ok (Some (`Min sev))
-            | None ->
-                Error
-                  {
-                    Wire.code = Wire.err_invalid_params;
-                    message = "min_severity must be critical|high|medium|info";
-                  })
-        | Some _ ->
-            Error
-              {
-                Wire.code = Wire.err_invalid_params;
-                message = "min_severity must be a string";
-              }
-        | None -> Ok None)
+  (* [severity] wins: [min_severity] is not read beside it. *)
+  let* keep =
+    let* exact = severity_param params "severity" in
+    match exact with
+    | Some sev -> Ok (Some (fun f -> f.Findings.f_severity = sev))
+    | None ->
+        let* least = severity_param params "min_severity" in
+        Ok
+          (Option.map
+             (fun sev f ->
+               severity_rank f.Findings.f_severity >= severity_rank sev)
+             least)
   in
   let all = Store.findings t.store ~unique_codes:(unique_codes t) in
-  let filtered =
-    match sev_filter with
-    | None -> all
-    | Some (`Exact sev) ->
-        List.filter (fun f -> f.Findings.f_severity = sev) all
-    | Some (`Min sev) ->
-        List.filter
-          (fun f -> severity_rank f.Findings.f_severity >= severity_rank sev)
-          all
+  let filtered = match keep with None -> all | Some p -> List.filter p all in
+  let page =
+    List.filteri (fun i _ -> i >= offset && i - offset < limit) filtered
   in
-  let page = take limit (drop offset filtered) in
   Ok
     (Json.Obj
        [
@@ -999,10 +940,11 @@ let handle_report t =
   Ok (Serialize.report_to_json (Store.report t.store ~unique_codes:(unique_codes t)))
 
 let handle_metrics t params =
-  match param params "format" with
-  | None | Some (Json.String "prometheus") ->
+  let* format = param (Json.optional Json.string "format" params) in
+  match format with
+  | None | Some "prometheus" ->
       Ok (Json.String (Metrics.to_prometheus t.registry))
-  | Some (Json.String "json") -> Ok (Metrics.to_json t.registry)
+  | Some "json" -> Ok (Metrics.to_json t.registry)
   | Some _ ->
       Error
         {
@@ -1061,7 +1003,7 @@ let handle_reorgs t =
        ])
 
 let handle_advance t ~deadline ?ctx params =
-  let* count = int_param ~default:1 params "count" in
+  let* count = param (Json.optional Json.int "count" params) in
   let count = min 64 (max 1 (Option.value ~default:1 count)) in
   let dirty = ref 0 and fresh = ref 0 and last = ref None in
   let reorgs = ref 0 and retracted = ref 0 in
@@ -1167,7 +1109,7 @@ let handle_query t ~deadline ?ctx params =
   end
 
 let handle_flight t params =
-  let* limit = int_param params "limit" in
+  let* limit = param (Json.optional Json.int "limit" params) in
   Ok (Obs.Flight.to_json ?limit t.flight)
 
 (* Methods a draining daemon still answers: the health surface (so
@@ -1233,13 +1175,19 @@ let request_span_ctx t (req : Wire.request) =
       | _ -> (Obs.Trace.next_ctx t.trace_gen, None))
   | None -> (Obs.Trace.next_ctx t.trace_gen, None)
 
-(* [(method, trace_id, spans, response)]: what the socket path needs of a
-   handled request — the method and trace id for the access log, the
-   latency exemplar and the flight recorder, and its span tree when the
-   slow-request log may want it. *)
+(* [(method, trace_id, spans, error code, response)]: what the socket
+   path needs of a handled request — the method and trace id for the
+   access log, the latency exemplar and the flight recorder, its span
+   tree when the slow-request log may want it, and the code of the error
+   it was answered with, if any. *)
 let handle_traced ?deadline t payload =
   match Wire.request_of_string payload with
-  | Error err -> (None, None, None, Wire.response_error ~id:Json.Null err)
+  | Error err ->
+      ( None,
+        None,
+        None,
+        Some err.Wire.code,
+        Wire.response_error ~id:Json.Null err )
   | Ok req -> (
       let id = req.Wire.rq_id in
       let meth = req.Wire.rq_method in
@@ -1259,15 +1207,20 @@ let handle_traced ?deadline t payload =
             Obs.Trace.start_span ~cat:"request" ?parent_ctx ~ctx tr meth)
           t.trace
       in
-      let finish ~ok response =
+      let finish outcome =
+        let err, response =
+          match outcome with
+          | Ok result -> (None, Wire.response_ok ~id result)
+          | Error e -> (Some e.Wire.code, Wire.response_error ~id e)
+        in
         (* One ceiling for both directions: a response too large to frame
            becomes a structured error for this request id, so the
            connection survives and the error is counted and logged. *)
-        let ok, response =
+        let err, response =
           let n = String.length response in
-          if n <= t.cfg.Config.max_frame then (ok, response)
+          if n <= t.cfg.Config.max_frame then (err, response)
           else
-            ( false,
+            ( Some Wire.err_oversized,
               Wire.response_error ~id
                 {
                   Wire.code = Wire.err_oversized;
@@ -1278,26 +1231,23 @@ let handle_traced ?deadline t payload =
         in
         Option.iter
           (Obs.Trace.finish_span
-             ~args:[ ("method", Json.String meth); ("ok", Json.Bool ok) ])
+             ~args:
+               [ ("method", Json.String meth); ("ok", Json.Bool (err = None)) ])
           sp;
         ( Some meth,
           Some (Obs.Trace.id_to_hex ctx.Obs.Trace.trace_id),
           Option.map (fun tr -> Obs.Trace.release tr ctx) held,
+          err,
           response )
       in
-      match dispatch t ~deadline ~ctx meth req.Wire.rq_params with
-      | Ok result -> finish ~ok:true (Wire.response_ok ~id result)
-      | Error err -> finish ~ok:false (Wire.response_error ~id err)
-      | exception e ->
-          finish ~ok:false
-            (Wire.response_error ~id
-               {
-                 Wire.code = Wire.err_internal;
-                 message = Printexc.to_string e;
-               }))
+      finish
+        (try dispatch t ~deadline ~ctx meth req.Wire.rq_params
+         with e ->
+           Error
+             { Wire.code = Wire.err_internal; message = Printexc.to_string e }))
 
 let handle ?deadline t payload =
-  let meth, _, _, response = handle_traced ?deadline t payload in
+  let meth, _, _, _, response = handle_traced ?deadline t payload in
   (meth, response)
 
 (* ------------------------------------------------------------------ *)
@@ -1324,11 +1274,6 @@ let access_log t meth ?trace_id ~ok ~bytes_in ~bytes_out ~elapsed () =
           | Some id -> [ ("trace_id", Json.String id) ])
         Obs.Log.Info "request";
       Mutex.unlock t.obs_lock
-
-let response_error_code payload =
-  match Wire.response_of_string payload with
-  | Ok { Wire.rs_result = Error e; _ } -> Some e.Wire.code
-  | _ -> None
 
 let observe_request t meth ~trace_id ~spans ~err ~bytes_in ~bytes_out
     ~elapsed =
@@ -1427,7 +1372,7 @@ let serve_connection t fd =
         let req_deadline =
           t0 +. (float_of_int t.cfg.Config.request_deadline_ms /. 1000.0)
         in
-        let meth, trace_id, spans, response =
+        let meth, trace_id, spans, err, response =
           handle_traced ~deadline:req_deadline t payload
         in
         let elapsed = Obs.Clock.now clock -. t0 in
@@ -1436,8 +1381,7 @@ let serve_connection t fd =
         (try Wire.write_frame ~max_frame:t.cfg.Config.max_frame fd response
          with Unix.Unix_error _ -> closed := true);
         (try
-           observe_request t meth ~trace_id ~spans
-             ~err:(response_error_code response)
+           observe_request t meth ~trace_id ~spans ~err
              ~bytes_in:(String.length payload)
              ~bytes_out:(String.length response) ~elapsed
          with _ ->

@@ -183,9 +183,6 @@ val unique_codes : t -> int
 val is_draining : t -> bool
 (** Whether the daemon has entered its drain phase. *)
 
-val open_connections : t -> int
-(** Client connections currently open (admission-gate view). *)
-
 val flight : t -> Obs.Flight.t
 (** The always-on flight recorder (the [flight] wire method serves its
     contents). *)
@@ -224,7 +221,11 @@ val handle : ?deadline:float -> t -> string -> string option * string
 (** [handle t request_payload] is [(method, response_payload)] — the
     full dispatch path minus the socket, exposed for in-process tests
     and for instrumentation ([method] is [None] when the request did
-    not parse far enough to name one).  [deadline] is an absolute time
+    not parse far enough to name one).  The request and its params are
+    read through the {!Report.Json} readers ({!Wire.request_of_string}):
+    a [null] param takes its default, [severity] wins over
+    [min_severity], and any reader [Error] in the params is
+    {!Wire.err_invalid_params}.  [deadline] is an absolute time
     on the config clock bounding the handler; past it the response is
     {!Wire.err_deadline_exceeded} (multi-step [advance] requests check
     between steps — completed steps stay committed).  A response larger

@@ -21,168 +21,112 @@ type view = {
   v_flight_tail : string list;  (* newest-last one-line renderings *)
 }
 
-let number = function
-  | Json.Int n -> Some (float_of_int n)
-  | Json.Float f -> Some f
-  | _ -> None
+let ( let* ) = Result.bind
 
-let obj_field kvs name = List.assoc_opt name kvs
+(* A label set: an object of string values. *)
+let labels_of_json = function
+  | Json.Obj kvs as obj ->
+      List.fold_right
+        (fun (k, _) acc ->
+          let* acc = acc in
+          let* v = Json.string k obj in
+          Ok ((k, v) :: acc))
+        kvs (Ok [])
+  | _ -> Error "labels: expected an object"
 
-let labels_of = function
-  | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) -> match v with Json.String s -> Some (k, s) | _ -> None)
-        kvs
-  | _ -> []
+let bucket_of_json json =
+  let* le =
+    match Json.string "le" json with
+    | Ok "+Inf" -> Ok infinity
+    | _ -> Json.float "le" json
+  in
+  let* count = Json.float "count" json in
+  Ok (le, count)
 
-let bucket_of = function
-  | Json.Obj kvs -> (
-      let le =
-        match obj_field kvs "le" with
-        | Some (Json.String "+Inf") -> Some infinity
-        | Some v -> number v
-        | None -> None
-      in
-      match (le, Option.bind (obj_field kvs "count") number) with
-      | Some le, Some count -> Some (le, count)
-      | _ -> None)
-  | _ -> None
+let exemplar_of_json json =
+  let* id = Json.string "trace_id" json in
+  let* v = Json.float "value" json in
+  Ok (id, v)
 
-let series_of_json kind json =
-  match json with
-  | Json.Obj kvs -> (
-      let labels = labels_of (obj_field kvs "labels") in
-      match kind with
-      | "histogram" ->
-          let buckets =
-            match obj_field kvs "buckets" with
-            | Some (Json.List l) -> List.filter_map bucket_of l
-            | _ -> []
-          in
-          let num name =
-            Option.value ~default:0.0
-              (Option.bind (obj_field kvs name) number)
-          in
-          let exemplar =
-            match obj_field kvs "exemplar" with
-            | Some (Json.Obj ex) -> (
-                match
-                  (obj_field ex "trace_id", Option.bind (obj_field ex "value") number)
-                with
-                | Some (Json.String id), Some v -> Some (id, v)
-                | _ -> None)
-            | _ -> None
-          in
-          `Histo
-            {
-              h_labels = labels;
-              h_buckets = buckets;
-              h_sum = num "sum";
-              h_count = num "count";
-              h_exemplar = exemplar;
-            }
-      | _ ->
-          let value =
-            Option.value ~default:0.0
-              (Option.bind (obj_field kvs "value") number)
-          in
-          `Scalar (labels, value))
-  | _ -> `Skip
+let histo_of_json json =
+  let* h_labels = Json.field "labels" labels_of_json json in
+  let* h_buckets = Json.list "buckets" bucket_of_json json in
+  let* h_sum = Json.float "sum" json in
+  let* h_count = Json.float "count" json in
+  let* h_exemplar = Json.opt "exemplar" exemplar_of_json json in
+  Ok { h_labels; h_buckets; h_sum; h_count; h_exemplar }
+
+let scalar_of_json json =
+  let* labels = Json.field "labels" labels_of_json json in
+  let* value = Json.float "value" json in
+  Ok (labels, value)
+
+(* A family's series land in exactly one of the two lists. *)
+let family_of_json json =
+  let* name = Json.string "name" json in
+  let* kind = Json.string "kind" json in
+  if kind = "histogram" then
+    let* hs = Json.list "series" histo_of_json json in
+    Ok ((name, []), (name, hs))
+  else
+    let* ss = Json.list "series" scalar_of_json json in
+    Ok ((name, ss), (name, []))
 
 let of_metrics_json json =
-  match json with
-  | Json.Obj top -> (
-      match obj_field top "metrics" with
-      | Some (Json.List fams) ->
-          let scalars = ref [] and histos = ref [] in
-          List.iter
-            (fun fam ->
-              match fam with
-              | Json.Obj kvs -> (
-                  match (obj_field kvs "name", obj_field kvs "kind") with
-                  | Some (Json.String name), Some (Json.String kind) ->
-                      let series =
-                        match obj_field kvs "series" with
-                        | Some (Json.List l) -> l
-                        | _ -> []
-                      in
-                      let parsed = List.map (series_of_json kind) series in
-                      let ss =
-                        List.filter_map
-                          (function `Scalar s -> Some s | _ -> None)
-                          parsed
-                      in
-                      let hs =
-                        List.filter_map
-                          (function `Histo h -> Some h | _ -> None)
-                          parsed
-                      in
-                      if ss <> [] then scalars := (name, ss) :: !scalars;
-                      if hs <> [] then histos := (name, hs) :: !histos
-                  | _ -> ())
-              | _ -> ())
-            fams;
-          Ok
-            {
-              v_scalars = List.rev !scalars;
-              v_histos = List.rev !histos;
-              v_draining = false;
-              v_flight = [];
-              v_flight_tail = [];
-            }
-      | _ -> Error "metrics snapshot: missing \"metrics\" list")
-  | _ -> Error "metrics snapshot: expected an object"
+  let* fams =
+    Result.map_error
+      (( ^ ) "metrics snapshot: ")
+      (Json.list "metrics" family_of_json json)
+  in
+  let nonempty l = List.filter (fun (_, series) -> series <> []) l in
+  Ok
+    {
+      v_scalars = nonempty (List.map fst fams);
+      v_histos = nonempty (List.map snd fams);
+      v_draining = false;
+      v_flight = [];
+      v_flight_tail = [];
+    }
 
 let with_health view json =
-  match json with
-  | Json.Obj kvs -> (
-      match obj_field kvs "draining" with
-      | Some (Json.Bool d) -> { view with v_draining = d }
-      | _ -> view)
-  | _ -> view
+  match Json.bool "draining" json with
+  | Ok d -> { view with v_draining = d }
+  | Error _ -> view
 
-let flight_line = function
-  | Json.Obj kvs ->
-      let kind =
-        match obj_field kvs "kind" with Some (Json.String k) -> k | _ -> "?"
-      in
-      let fields =
-        match obj_field kvs "fields" with
-        | Some (Json.Obj fs) ->
-            String.concat " "
-              (List.map
-                 (fun (k, v) -> k ^ "=" ^ Json.to_string ~pretty:false v)
-                 fs)
-        | _ -> ""
-      in
-      Some (kind, Printf.sprintf "%-18s %s" kind fields)
-  | _ -> None
+let flight_line ev =
+  let* kind = Json.string "kind" ev in
+  let* fields =
+    Json.opt "fields"
+      (function Json.Obj fs -> Ok fs | _ -> Error "fields: expected an object")
+      ev
+  in
+  Ok
+    ( kind,
+      Printf.sprintf "%-18s %s" kind
+        (String.concat " "
+           (List.map
+              (fun (k, v) -> k ^ "=" ^ Json.to_string ~pretty:false v)
+              (Option.value ~default:[] fields))) )
 
 let with_flight ?(tail = 8) view json =
-  match json with
-  | Json.Obj kvs -> (
-      match obj_field kvs "events" with
-      | Some (Json.List evs) ->
-          let lines = List.filter_map flight_line evs in
-          let counts = Hashtbl.create 16 in
-          List.iter
-            (fun (kind, _) ->
-              Hashtbl.replace counts kind
-                (1 + Option.value ~default:0 (Hashtbl.find_opt counts kind)))
-            lines;
-          let n = List.length lines in
-          let tail_lines =
-            List.filteri (fun i _ -> i >= n - tail) (List.map snd lines)
-          in
-          {
-            view with
-            v_flight =
-              List.sort compare
-                (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []);
-            v_flight_tail = tail_lines;
-          }
-      | _ -> view)
-  | _ -> view
+  match Json.list "events" flight_line json with
+  | Error _ -> view
+  | Ok lines ->
+      let counts = Hashtbl.create 16 in
+      List.iter
+        (fun (kind, _) ->
+          Hashtbl.replace counts kind
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts kind)))
+        lines;
+      let n = List.length lines in
+      {
+        view with
+        v_flight =
+          List.sort compare
+            (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []);
+        v_flight_tail =
+          List.filteri (fun i _ -> i >= n - tail) (List.map snd lines);
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Derived quantities                                                   *)
@@ -198,27 +142,6 @@ let scalar_total view name =
   List.fold_left (fun acc (_, v) -> acc +. v) 0.0 (scalar_series view name)
 
 let label_value labels key = List.assoc_opt key labels
-
-(* Standard Prometheus-style quantile estimation: find the bucket the
-   target rank falls in, interpolate linearly inside it. *)
-let quantile h q =
-  if h.h_count <= 0.0 then 0.0
-  else
-    let rank = q *. h.h_count in
-    let rec go prev_le prev_cum = function
-      | [] -> prev_le
-      | (le, cum) :: rest ->
-          if cum >= rank then
-            if le = infinity then prev_le
-            else
-              let in_bucket = cum -. prev_cum in
-              if in_bucket <= 0.0 then le
-              else
-                prev_le
-                +. ((le -. prev_le) *. ((rank -. prev_cum) /. in_bucket))
-          else go le cum rest
-    in
-    go 0.0 0.0 h.h_buckets
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -279,8 +202,8 @@ let render ?prev ?(dt = 0.0) view =
             0.0 errors
         in
         line "  %-16s %10.0f %9.2f %9.2f %9.0f  %s" meth h.h_count
-          (1000.0 *. quantile h 0.50)
-          (1000.0 *. quantile h 0.99)
+          (1000.0 *. Obs.Metrics.quantile h.h_buckets 0.50)
+          (1000.0 *. Obs.Metrics.quantile h.h_buckets 0.99)
           errs
           (match h.h_exemplar with
           | Some (id, v) -> Printf.sprintf "%s (%.1f ms)" id (1000.0 *. v)

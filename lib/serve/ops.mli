@@ -27,22 +27,22 @@ type view = {
 }
 
 val of_metrics_json : Report.Json.t -> (view, string) result
-(** Parse a [metrics {"format": "json"}] response body. *)
+(** Read a [metrics {"format": "json"}] response body through the
+    {!Report.Json} readers.  A snapshot they reject — a family, series,
+    bucket or exemplar missing a field or holding the wrong type — is an
+    [Error] naming the field.  Families without series are left out. *)
 
 val with_health : view -> Report.Json.t -> view
-(** Fold a [health] response into the view (draining flag). *)
+(** Fold a [health] response's [draining] flag into the view; a
+    response without a boolean [draining] leaves it unchanged. *)
 
 val with_flight : ?tail:int -> view -> Report.Json.t -> view
 (** Fold a [flight] response into the view: per-kind counts plus the
-    newest [tail] (default 8) events rendered one per line. *)
+    newest [tail] (default 8) events rendered one per line.  A response
+    the readers reject leaves the view unchanged. *)
 
 val scalar_total : view -> string -> float
 (** Sum of a family's series across all label sets (0 when absent). *)
-
-val quantile : histo -> float -> float
-(** Prometheus-style estimate: locate the target rank's bucket and
-    interpolate linearly inside it ([+Inf] clamps to the last finite
-    bound). *)
 
 val rate : prev:view option -> dt:float -> view -> string -> float
 (** Per-second increase of a counter family between two polls; 0 when

@@ -122,12 +122,6 @@ type request = {
   rq_trace : trace_ctx option;
 }
 
-let is_trace_id s =
-  String.length s = 16
-  && String.for_all
-       (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-       s
-
 let request_to_string ?trace ~id ~meth ~params () =
   Json.to_string ~pretty:false
     (Json.Obj
@@ -150,38 +144,46 @@ let request_to_string ?trace ~id ~meth ~params () =
                  ] );
            ]))
 
+let ( let* ) = Result.bind
+
 (* The trace field is strictly optional but, when present, strictly
    validated: a malformed context is an invalid request, never a crash
    and never a silently dropped correlation id. *)
-let trace_of_json = function
-  | None -> Ok None
-  | Some (Json.Obj kvs) -> (
-      match (List.assoc_opt "trace_id" kvs, List.assoc_opt "span_id" kvs) with
-      | Some (Json.String t), Some (Json.String s)
-        when is_trace_id t && is_trace_id s ->
-          Ok (Some { tc_trace_id = t; tc_span_id = s })
-      | _ -> Error "malformed trace context (want 16-hex trace_id/span_id)")
-  | Some _ -> Error "trace must be an object"
+let trace_of_json json =
+  let id name =
+    let* s = Json.string name json in
+    if Obs.Trace.id_of_hex s <> None then Ok s
+    else Error "malformed trace context (want 16-hex trace_id/span_id)"
+  in
+  let* tc_trace_id = id "trace_id" in
+  let* tc_span_id = id "span_id" in
+  Ok { tc_trace_id; tc_span_id }
+
+(* An absent or [null] [id] or [params] reads as [Null]. *)
+let value_or_null name json =
+  Result.map (Option.value ~default:Json.Null) (Json.opt name Result.ok json)
 
 let request_of_string payload =
   match Json.parse payload with
   | Error e -> Error { code = err_parse; message = "parse error: " ^ e }
-  | Ok (Json.Obj kvs) -> (
-      let bad message = Error { code = err_invalid_request; message } in
-      match List.assoc_opt "proxion_rpc" kvs with
-      | Some (Json.Int v) when v = protocol_version -> (
-          match List.assoc_opt "method" kvs with
-          | Some (Json.String m) -> (
-              let rq_id = Option.value ~default:Json.Null (List.assoc_opt "id" kvs) in
-              let rq_params =
-                Option.value ~default:Json.Null (List.assoc_opt "params" kvs)
-              in
-              match trace_of_json (List.assoc_opt "trace" kvs) with
-              | Ok rq_trace -> Ok { rq_id; rq_method = m; rq_params; rq_trace }
-              | Error e -> bad e)
-          | _ -> bad "missing method")
-      | Some _ -> bad "unsupported proxion_rpc version"
-      | None -> bad "missing proxion_rpc marker")
+  | Ok (Json.Obj _ as json) ->
+      let request =
+        let* marker = Json.optional Json.int "proxion_rpc" json in
+        let* () =
+          match marker with
+          | Some v when v = protocol_version -> Ok ()
+          | Some _ -> Error "unsupported proxion_rpc version"
+          | None -> Error "missing proxion_rpc marker"
+        in
+        let* rq_method = Json.string "method" json in
+        let* rq_id = value_or_null "id" json in
+        let* rq_params = value_or_null "params" json in
+        let* rq_trace = Json.opt "trace" trace_of_json json in
+        Ok { rq_id; rq_method; rq_params; rq_trace }
+      in
+      Result.map_error
+        (fun message -> { code = err_invalid_request; message })
+        request
   | Ok _ -> Error { code = err_invalid_request; message = "request must be an object" }
 
 let envelope ~id rest =
@@ -211,24 +213,22 @@ type response = {
   rs_result : (Json.t, error) result;
 }
 
+(* [result] may be any value, [null] included; [error] must be an
+   object with an integer [code] and a string [message]. *)
 let response_of_string payload =
   match Json.parse payload with
   | Error e -> Error ("response parse error: " ^ e)
-  | Ok (Json.Obj kvs) -> (
-      let rs_id = Option.value ~default:Json.Null (List.assoc_opt "id" kvs) in
-      let rs_schema_version =
-        match List.assoc_opt "schema_version" kvs with
-        | Some (Json.Int v) -> Some v
-        | _ -> None
-      in
-      match (List.assoc_opt "result" kvs, List.assoc_opt "error" kvs) with
+  | Ok (Json.Obj _ as json) -> (
+      let* rs_id = value_or_null "id" json in
+      let rs_schema_version = Report.Schema.version_of json in
+      let present name = Result.to_option (Json.field name Result.ok json) in
+      match (present "result", present "error") with
       | Some r, None -> Ok { rs_id; rs_schema_version; rs_result = Ok r }
-      | None, Some (Json.Obj e) -> (
-          match (List.assoc_opt "code" e, List.assoc_opt "message" e) with
-          | Some (Json.Int code), Some (Json.String message) ->
+      | None, Some e -> (
+          match (Json.int "code" e, Json.string "message" e) with
+          | Ok code, Ok message ->
               Ok { rs_id; rs_schema_version; rs_result = Error { code; message } }
           | _ -> Error "malformed error object")
-      | None, Some _ -> Error "malformed error object"
       | Some _, Some _ -> Error "response carries both result and error"
       | None, None -> Error "response carries neither result nor error")
   | Ok _ -> Error "response must be an object"

@@ -113,9 +113,6 @@ type request = {
   rq_trace : trace_ctx option;  (** [trace] field, when present. *)
 }
 
-val is_trace_id : string -> bool
-(** Exactly 16 lowercase hex characters. *)
-
 val request_to_string :
   ?trace:trace_ctx ->
   id:int ->
@@ -127,11 +124,14 @@ val request_to_string :
     trace context as the [trace] field. *)
 
 val request_of_string : string -> (request, error) result
-(** Parse and validate a request payload (the server side).  A [trace]
-    field, when present, must be an object with 16-hex-char
-    [trace_id]/[span_id] strings — anything else is
-    {!err_invalid_request} (totality: arbitrary trace payloads parse
-    or reject, never crash). *)
+(** Parse and validate a request payload (the server side) through the
+    {!Report.Json} readers.  A payload that is not JSON (a bad unicode
+    escape included) is {!err_parse}; any reader [Error] in the envelope
+    is {!err_invalid_request}.  An absent or [null] [id], [params] or
+    [trace] reads as absent.  A [trace] field, when present, must be an
+    object with 16-hex-char [trace_id]/[span_id] strings
+    ({!Obs.Trace.id_of_hex}) — anything else is {!err_invalid_request}
+    (totality: arbitrary trace payloads parse or reject, never crash). *)
 
 val response_ok : id:Report.Json.t -> Report.Json.t -> string
 (** A [result] response payload, stamped with the schema version. *)
@@ -145,4 +145,6 @@ type response = {
 }
 
 val response_of_string : string -> (response, string) result
-(** Parse a response payload (the client side). *)
+(** Parse a response payload (the client side) through the
+    {!Report.Json} readers.  [result] may be any value; [error] must be
+    an object with an integer [code] and a string [message]. *)

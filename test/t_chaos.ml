@@ -376,7 +376,7 @@ let test_dead_letter_checkpoint_roundtrip () =
       check_i "permanent attempts default" 1 b.Engine.sk_attempts
   | l -> Alcotest.failf "expected 2 dead letters, got %d" (List.length l));
   check_i "default requeue moves only the recoverable entry" 1
-    (Engine.requeue_transients restored);
+    (Engine.requeue restored);
   check_i "requeued entry pending" 1 (Engine.pending restored);
   Engine.run restored;
   Alcotest.(check (list int))
@@ -508,7 +508,7 @@ let test_chaos_degrade_and_requeue () =
   check_b "class, stage, attempts and message survive the checkpoint" true
     (Proxion.Analyzer.skipped resumed = dead);
   check_i "every dead letter requeued" (List.length dead)
-    (Proxion.Analyzer.requeue_transients resumed);
+    (Proxion.Analyzer.requeue resumed);
   Proxion.Analyzer.run resumed;
   check_i "no dead letters after the healthy retry" 0
     (List.length (Proxion.Analyzer.skipped resumed));
@@ -562,7 +562,7 @@ let test_chaos_step_budget_degrade () =
   in
   check_i "budget-exhausted entries are in the default requeue classes"
     (List.length dead)
-    (Proxion.Analyzer.requeue_transients resumed);
+    (Proxion.Analyzer.requeue resumed);
   Proxion.Analyzer.run resumed;
   check_i "all complete once the budget is lifted" 0
     (List.length (Proxion.Analyzer.skipped resumed));

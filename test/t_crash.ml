@@ -380,7 +380,7 @@ let test_engine_worker_crash_supervision () =
     (invalid (fun () -> Engine.crash_plan ~rate:1.5 ()));
   (* the plan kills each subject once: requeue converges *)
   check_i "default requeue recycles worker-crashed entries" 2
-    (Engine.requeue_transients t);
+    (Engine.requeue t);
   Engine.run t;
   check_i "no dead letters after the retry" 0 (List.length (Engine.skipped t));
   check_sl "every item eventually completed"
@@ -400,8 +400,8 @@ let test_engine_crash_schedule_independence () =
        (Engine.skipped par));
   check_b "state identical across worker counts" true
     (Engine.state seq = Engine.state par);
-  ignore (Engine.requeue_transients seq);
-  ignore (Engine.requeue_transients par);
+  ignore (Engine.requeue seq);
+  ignore (Engine.requeue par);
   Engine.run seq;
   Engine.run par;
   check_b "still identical after requeue and completion" true
@@ -695,7 +695,7 @@ let test_pipeline_crash_requeue_to_fault_free () =
   let dead = Proxion.Analyzer.skipped crashed in
   check_b "the plan produced casualties" true (dead <> []);
   check_i "every casualty requeued" (List.length dead)
-    (Proxion.Analyzer.requeue_transients crashed);
+    (Proxion.Analyzer.requeue crashed);
   Proxion.Analyzer.run crashed;
   check_i "kill-once: no dead letters after the retry" 0
     (List.length (Proxion.Analyzer.skipped crashed));

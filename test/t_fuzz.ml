@@ -178,8 +178,8 @@ let trace_field_totality =
             match r.Serve.Wire.rq_trace with
             | None -> true
             | Some tc ->
-                Serve.Wire.is_trace_id tc.Serve.Wire.tc_trace_id
-                && Serve.Wire.is_trace_id tc.Serve.Wire.tc_span_id)
+                Obs.Trace.id_of_hex tc.Serve.Wire.tc_trace_id <> None
+                && Obs.Trace.id_of_hex tc.Serve.Wire.tc_span_id <> None)
         | Error e -> e.Serve.Wire.code = Serve.Wire.err_invalid_request
         | exception _ -> false
       in

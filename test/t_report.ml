@@ -64,7 +64,18 @@ let test_json_parse_basics () =
     (fun bad ->
       check_b ("reject " ^ bad) true
         (match Json.parse bad with Error _ -> true | Ok _ -> false))
-    [ "{"; "[1,]"; "\"open"; "tru"; "1 2"; "" ]
+    [
+      "{";
+      "[1,]";
+      "\"open";
+      "tru";
+      "1 2";
+      "";
+      (* A \u escape takes exactly four hex digits. *)
+      {|"\uZZZZ"|};
+      {|"\u12_3"|};
+      {|"\u+0ff"|};
+    ]
 
 let test_json_unicode_escape () =
   match Json.parse "\"\\u0041\\u00e9\"" with

@@ -139,6 +139,11 @@ let test_frame_oversized () =
       | Error (Wire.Oversized n) -> check_i "declared size" 0x01000000 n
       | _ -> Alcotest.fail "expected oversized")
 
+(* A request frame whose method string holds a \u escape with no hex
+   digits. *)
+let bad_escape_request =
+  {|{"proxion_rpc": 1, "id": 1, "method": "get_status\uZZZZ"}|}
+
 let test_request_parse () =
   let ok =
     Wire.request_to_string ~id:3 ~meth:"is_proxy"
@@ -156,6 +161,7 @@ let test_request_parse () =
     | Ok _ -> Alcotest.fail "expected a parse failure"
   in
   expect_code Wire.err_parse "{not json";
+  expect_code Wire.err_parse bad_escape_request;
   expect_code Wire.err_invalid_request "[1,2]";
   expect_code Wire.err_invalid_request "{\"proxion_rpc\":99,\"method\":\"x\"}";
   expect_code Wire.err_invalid_request "{\"proxion_rpc\":1}";
@@ -178,13 +184,14 @@ let test_response_parse () =
   | _ -> Alcotest.fail "bad error response"
 
 let test_trace_field () =
+  let is_trace_id s = Obs.Trace.id_of_hex s <> None in
   check_b "is_trace_id accepts 16 lowercase hex" true
-    (Wire.is_trace_id (String.make 16 'a') && Wire.is_trace_id (String.make 16 '0'));
+    (is_trace_id (String.make 16 'a') && is_trace_id (String.make 16 '0'));
   List.iter
     (fun bad ->
       check_b
         (Printf.sprintf "is_trace_id rejects %S" bad)
-        false (Wire.is_trace_id bad))
+        false (is_trace_id bad))
     [ ""; "abc"; String.make 16 'A'; String.make 17 'a'; String.make 16 'g' ];
   (* A well-formed context rides the wire and comes back intact. *)
   let tc =
@@ -196,6 +203,13 @@ let test_trace_field () =
   (match Wire.request_of_string payload with
   | Ok r -> check_b "trace context round-trips" true (r.Wire.rq_trace = Some tc)
   | Error e -> Alcotest.failf "traced request rejected: %s" e.Wire.message);
+  (* An explicit null trace reads as absent. *)
+  (match
+     Wire.request_of_string
+       {|{"proxion_rpc": 1, "id": 9, "method": "get_status", "trace": null}|}
+   with
+  | Ok r -> check_b "null trace reads as untraced" true (r.Wire.rq_trace = None)
+  | Error e -> Alcotest.failf "null trace rejected: %s" e.Wire.message);
   (* Untraced payloads stay byte-identical to previous releases. *)
   check_b "no trace field when unset" false
     (contains ~needle:"trace"
@@ -370,10 +384,54 @@ let test_queries () =
    with
   | Error e -> check_i "unknown address" Wire.err_unknown_address e.Wire.code
   | Ok _ -> Alcotest.fail "expected unknown-address error");
-  (* invalid params / unknown method *)
-  (match call_daemon d "is_proxy" [ ("address", Json.String "zz") ] with
-  | Error e -> check_i "invalid params" Wire.err_invalid_params e.Wire.code
-  | Ok _ -> Alcotest.fail "expected invalid-params");
+  (* Param decoding: each row is rejected with -32602 or accepted. *)
+  let invalid = Some Wire.err_invalid_params and accepted = None in
+  List.iter
+    (fun (meth, params, want) ->
+      let what =
+        Printf.sprintf "%s %s" meth
+          (Json.to_string ~pretty:false (Json.Obj params))
+      in
+      match (call_daemon d meth params, want) with
+      | Error e, Some code -> check_i what code e.Wire.code
+      | Ok _, None -> ()
+      | Error e, None -> Alcotest.failf "%s: rejected with %d" what e.Wire.code
+      | Ok _, Some _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("is_proxy", [ ("address", Json.String "zz") ], invalid);
+      ("is_proxy", [], invalid);
+      ( "is_proxy",
+        [ ("address", Json.String ("0x" ^ String.make 38 'a')) ],
+        invalid );
+      ("list_findings", [ ("offset", Json.String "3") ], invalid);
+      ("list_findings", [ ("limit", Json.Float 2.5) ], invalid);
+      ("list_findings", [ ("severity", Json.String "urgent") ], invalid);
+      ("list_findings", [ ("severity", Json.Int 3) ], invalid);
+      ("list_findings", [ ("min_severity", Json.String "x") ], invalid);
+      ("list_findings", [ ("min_severity", Json.Bool true) ], invalid);
+      ("metrics", [ ("format", Json.String "xml") ], invalid);
+      ("flight", [ ("limit", Json.String "5") ], invalid);
+      ("advance", [ ("count", Json.String "2") ], invalid);
+      ("list_findings", [], accepted);
+      ( "list_findings",
+        [ ("severity", Json.String "critical"); ("min_severity", Json.Int 7) ],
+        accepted );
+    ];
+  (* An explicit null reads as absent: the reply is the default's. *)
+  List.iter
+    (fun (meth, params) ->
+      check_s
+        (Printf.sprintf "%s %s" meth
+           (Json.to_string ~pretty:false (Json.Obj params)))
+        (Json.to_string (get_ok (call_daemon d meth [])))
+        (Json.to_string (get_ok (call_daemon d meth params))))
+    [
+      ("list_findings", [ ("offset", Json.Null); ("limit", Json.Null) ]);
+      ( "list_findings",
+        [ ("severity", Json.Null); ("min_severity", Json.Null) ] );
+      ("metrics", [ ("format", Json.Null) ]);
+      ("flight", [ ("limit", Json.Null) ]);
+    ];
   (match call_daemon d "no_such_method" [] with
   | Error e -> check_i "unknown method" Wire.err_method_not_found e.Wire.code
   | Ok _ -> Alcotest.fail "expected method-not-found");
@@ -1166,28 +1224,18 @@ let test_flight_dump_determinism () =
       check_b "the drain recorded" true (List.mem "drain" kinds));
   check_s "drain dump byte-identical across identical runs" a (run ())
 
-(* The ops console: Prometheus-style quantile math, snapshot digestion
-   and the rendered dashboard. *)
+(* The ops console: Prometheus-style quantile math over a snapshot's
+   cumulative buckets, snapshot digestion and the rendered dashboard. *)
 let test_ops_console () =
   let checkf msg e a = Alcotest.(check (float 1e-9)) msg e a in
-  let h buckets count =
-    {
-      Serve.Ops.h_labels = [];
-      h_buckets = buckets;
-      h_sum = 0.0;
-      h_count = count;
-      h_exemplar = None;
-    }
-  in
-  let hist =
-    h [ (1.0, 50.0); (2.0, 90.0); (4.0, 100.0); (infinity, 100.0) ] 100.0
-  in
-  checkf "p50 lands on the first bound" 1.0 (Serve.Ops.quantile hist 0.50);
-  checkf "p90 lands on the second bound" 2.0 (Serve.Ops.quantile hist 0.90);
-  checkf "p99 interpolates inside the third" 3.8 (Serve.Ops.quantile hist 0.99);
+  let quantile = Obs.Metrics.quantile in
+  let hist = [ (1.0, 50.0); (2.0, 90.0); (4.0, 100.0); (infinity, 100.0) ] in
+  checkf "p50 lands on the first bound" 1.0 (quantile hist 0.50);
+  checkf "p90 lands on the second bound" 2.0 (quantile hist 0.90);
+  checkf "p99 interpolates inside the third" 3.8 (quantile hist 0.99);
   checkf "overflow clamps to the last finite bound" 1.0
-    (Serve.Ops.quantile (h [ (1.0, 2.0); (infinity, 5.0) ] 5.0) 0.99);
-  checkf "empty histogram reads zero" 0.0 (Serve.Ops.quantile (h [] 0.0) 0.5);
+    (quantile [ (1.0, 2.0); (infinity, 5.0) ] 0.99);
+  checkf "empty histogram reads zero" 0.0 (quantile [] 0.5);
   (* A live daemon's snapshot digests into the dashboard. *)
   let d, _ = make_daemon () in
   start_daemon d;
@@ -1214,6 +1262,35 @@ let test_ops_console () =
   in
   check_b "requests counted" true
     (Serve.Ops.scalar_total view "proxion_serve_requests_total" >= 2.0);
+  (* A series the readers reject is an error naming the field. *)
+  (match
+     Serve.Ops.of_metrics_json
+       (Json.Obj
+          [
+            ( "metrics",
+              Json.List
+                [
+                  Json.Obj
+                    [
+                      ("name", Json.String "proxion_serve_requests_total");
+                      ("kind", Json.String "counter");
+                      ( "series",
+                        Json.List
+                          [
+                            Json.Obj
+                              [
+                                ("labels", Json.Obj []);
+                                ("value", Json.String "3");
+                              ];
+                          ] );
+                    ];
+                ] );
+          ])
+   with
+  | Error e ->
+      check_b "the error names the field" true
+        (contains ~needle:"\"value\"" e)
+  | Ok _ -> Alcotest.fail "a string counter value was read");
   let view = Serve.Ops.with_health view health in
   check_b "health folds the draining flag" false view.Serve.Ops.v_draining;
   let view = Serve.Ops.with_flight ~tail:4 view fl in
@@ -1431,6 +1508,38 @@ let test_warm_daemon_takes_its_flags () =
           check_b "items ran on the second worker's lane" true
             (List.mem 2 (ints "item" "tid" Option.some)))
 
+(* A bad \u escape is a parse error like any other over TCP: -32700 with
+   a null id, and the same connection keeps serving. *)
+let test_bad_escape_over_tcp () =
+  let d, _ = make_daemon () in
+  start_daemon d;
+  let fd = connect_raw (Daemon.port d) in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let call what payload =
+    Wire.write_frame fd payload;
+    match Wire.read_frame fd with
+    | Error e -> Alcotest.failf "%s: %s" what (Wire.read_error_to_string e)
+    | Ok reply -> (
+        match Wire.response_of_string reply with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "%s reply: %s" what e)
+  in
+  let r = call "bad escape" bad_escape_request in
+  check_b "the id is null" true (r.Wire.rs_id = Json.Null);
+  (match r.Wire.rs_result with
+  | Error e ->
+      check_i "bad escape answered with -32700" Wire.err_parse e.Wire.code
+  | Ok _ -> Alcotest.fail "a bad escape was accepted");
+  (match
+     (call "get_status"
+        (Wire.request_to_string ~id:2 ~meth:"get_status" ~params:[] ()))
+       .Wire.rs_result
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "get_status after -32700: %s" e.Wire.message);
+  Unix.close fd;
+  Daemon.stop d
+
 let suite =
   [
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
@@ -1476,4 +1585,7 @@ let suite =
       `Quick test_streamed_trace;
     Alcotest.test_case "a warm daemon runs with the flags it was started with"
       `Quick test_warm_daemon_takes_its_flags;
+    Alcotest.test_case
+      "a bad escape over TCP gets -32700 and the connection serves on" `Quick
+      test_bad_escape_over_tcp;
   ]
