@@ -318,8 +318,8 @@ module Analysis_spec = struct
         & opt (some int) None
         & info [ "domains" ] ~docv:"N"
             ~doc:
-              "Worker domains per batch (default 1 = sequential).  Output \
-               is byte-identical for every value.  The worker count is \
+              "Worker domains per batch (default 1: no helper domain).  \
+               Output is byte-identical for every value.  The worker count is \
                never journaled: a resume runs with the --domains given, \
                default 1.")
     in

@@ -148,9 +148,6 @@ let run_stream_scan chain faults telemetry stream_batch analysis =
                 (fun sp ->
                   sp.Dataset.Generate.sp_label.Dataset.Generate.l_address)
                 specs));
-        (* Generation advanced the chain; re-snapshot the emulation host so
-           probes see the batch-boundary head. *)
-        Proxion.Analyzer.refresh_head analyzer;
         Proxion.Analyzer.run analyzer;
         let reports = Proxion.Analyzer.drain_results analyzer in
         Experiments.Stream_scan.absorb agg specs reports;

@@ -490,6 +490,7 @@ let get_storage_at t addr slot ~height =
 
 let api_call_count t = t.api_calls
 let reset_api_call_count t = t.api_calls <- 0
+let add_api_calls t n = t.api_calls <- t.api_calls + n
 
 let record_method_call t meth =
   Hashtbl.replace t.method_calls meth

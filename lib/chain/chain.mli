@@ -55,11 +55,14 @@ val worker_view : t -> t
 (** A share-safe view for one analysis worker: the history, contract,
     code-hash and transaction indexes are shared with the original (they
     must not be mutated while views are live), state writes go into a private
-    {!Evm.Host.overlay}, and the view carries its own API-call counter
-    starting at zero.  {!get_storage_at} / {!host_at_head} /
-    {!transactions_of} behave identically to the original chain; the
-    per-view {!api_call_count} lets parallel runs reproduce sequential
-    accounting exactly. *)
+    {!Evm.Host.overlay}, and the view carries its own API-call and
+    per-method counters starting at zero.  {!get_storage_at} /
+    {!host_at_head} / {!transactions_of} behave identically to the
+    original chain; the head height and block header are the original's
+    when the view is made, so a view is rebuilt after the chain advances.
+    A view's archive calls reach the original's {!api_call_count} only
+    when its owner adds them with {!add_api_calls} — the analyzer does,
+    per item. *)
 
 val host_at_head : t -> Evm.Host.t
 (** Host view of the current head state with a live block header; reads are
@@ -151,6 +154,11 @@ val get_storage_at : t -> Evm.Address.t -> U256.t -> height:int -> U256.t
 val api_call_count : t -> int
 val reset_api_call_count : t -> unit
 
+val add_api_calls : t -> int -> unit
+(** Count [n] archive calls made through a {!worker_view} against this
+    chain, so its {!api_call_count} is the same whichever view served
+    them. *)
+
 val record_method_call : t -> string -> unit
 (** Count one RPC method invocation against this chain (or view) —
     called by the RPC front end for every request it serves, whatever
@@ -159,8 +167,8 @@ val record_method_call : t -> string -> unit
 
 val method_call_counts : t -> (string * int) list
 (** Per-method RPC invocation counts, sorted by method name.  A
-    {!worker_view} carries its own table starting empty, so parallel
-    runs can merge per-item counts deterministically. *)
+    {!worker_view} carries its own table starting empty, so per-item
+    counts are deltas on the worker's own table. *)
 
 val storage_change_heights : t -> Evm.Address.t -> U256.t -> int list
 (** Ground truth for tests: ascending heights at which the slot changed. *)

@@ -83,8 +83,8 @@ module Config : sig
     batch_size : int;
         (** Contracts per scheduler batch (default 32). *)
     domains : int;
-        (** Worker domains per batch (default 1 = sequential).  Any value
-            produces byte-identical reports and checkpoints; larger values
+        (** Worker domains per batch (default 1: no helper domain).  Any
+            value produces byte-identical reports and checkpoints; larger values
             only change wall-clock time on multicore hosts.  Never
             checkpointed: a resumed run takes it from its caller. *)
   }

@@ -10,8 +10,10 @@ type cached_detection =
   | C_slot_proxy of U256.t
 
 (* Telemetry wiring: the shared registry, the metric families the
-   analyzer records per item (through input-order-merged shards), and the
-   optional span collector. *)
+   analyzer records per item, and the optional span collector.  Workers
+   record straight into the registry: every per-item series is
+   integer-valued (counts, steps, fuel), so its sums are exact in any
+   order and the snapshot is the same at every worker count. *)
 type telemetry = {
   tm_registry : Obs.Metrics.t;
   tm_trace : Obs.Trace.t option;
@@ -25,54 +27,37 @@ type telemetry = {
   tm_evm_frames : Obs.Metrics.family;
   tm_dedup_hits : Obs.Metrics.family;
   (* Pre-resolved handles for the hottest labeled series, keyed by label
-     values.  Only used on the sequential (coordinator) path, where
-     observations go straight into the root registry — worker shards are
-     short-lived, so handles into them would be orphaned by [absorb]. *)
-  tm_attempt_handles : (string * string, Obs.Metrics.handle) Hashtbl.t;
-  tm_method_handles : (string, Obs.Metrics.handle) Hashtbl.t;
+     values and filled lazily, one table per worker so a lookup takes no
+     lock; workers that resolve the same labels share one series. *)
+  tm_attempt_handles : (string * string, Obs.Metrics.handle) Hashtbl.t array;
+  tm_method_handles : (string, Obs.Metrics.handle) Hashtbl.t array;
   tm_item_steps_h : Obs.Metrics.handle;
   tm_fuel_used_h : Obs.Metrics.handle;
   tm_evm_frames_h : Obs.Metrics.handle;
   tm_dedup_hits_h : Obs.Metrics.handle;
 }
 
-let attempt_handle tm ~meth ~outcome =
-  match Hashtbl.find_opt tm.tm_attempt_handles (meth, outcome) with
+(* The handle for [key] in a worker's [tbl], resolved through [labels]
+   on first use. *)
+let cached_handle tm tbl key labels fam =
+  match Hashtbl.find_opt tbl key with
   | Some h -> h
   | None ->
-      let h =
-        Obs.Metrics.handle
-          ~labels:[ ("method", meth); ("outcome", outcome) ]
-          tm.tm_registry tm.tm_rpc_attempts
-      in
-      Hashtbl.replace tm.tm_attempt_handles (meth, outcome) h;
+      let h = Obs.Metrics.handle ~labels:(labels key) tm.tm_registry fam in
+      Hashtbl.replace tbl key h;
       h
 
-let method_handle tm meth =
-  match Hashtbl.find_opt tm.tm_method_handles meth with
-  | Some h -> h
-  | None ->
-      let h =
-        Obs.Metrics.handle
-          ~labels:[ ("method", meth) ]
-          tm.tm_registry tm.tm_api_methods
-      in
-      Hashtbl.replace tm.tm_method_handles meth h;
-      h
+let attempt_labels (meth, outcome) = [ ("method", meth); ("outcome", outcome) ]
+let method_labels meth = [ ("method", meth) ]
 
 (* Outside a request, 1 item in [trace_sample] records its RPC and EVM
    detail in a trace. *)
 let trace_sample = 16
 
-(* Per-item observation state: a private registry shard (absorbed at the
-   item's merge point) plus the sampling decision — a pure function of
-   the subject address, so worker count and scheduling never change which
-   items carry trace detail. *)
-type item_obs = {
-  io_shard : Obs.Metrics.t;
-  io_sampled : bool;
-  io_frames : int ref;
-}
+(* Per-item observation state: the sampling decision — a pure function
+   of the subject address, so worker count and scheduling never change
+   which items carry trace detail — and the item's call-frame count. *)
+type item_obs = { io_sampled : bool; io_frames : int ref }
 
 type t = {
   engine : (Address.t, Analysis.contract_report) Engine.t;
@@ -80,17 +65,14 @@ type t = {
   source : Analysis.source_lookup;
   cfg : Config.t;
   resilience : Resilience.Transport.config;
-  mutable host : Evm.Host.t;
-  par : bool; (* domains > 1: shared state needs locking *)
   views : (Chain.t * Evm.Host.t) option array;
       (* Per-worker chain view + head host, created lazily on the worker's
          first item and reused for the rest of the run — building an
-         overlay per item was the dominant per-item parallel overhead.
-         Safe to reuse because the sequential path already runs every item
-         against one shared head host (probe effects are fully reverted);
-         per-item API/method accounting samples deltas against the view's
-         running counters.  Cleared at run boundaries ([run],
-         [refresh_head]) so a mutated chain never leaks a stale view. *)
+         overlay per item costs more than the item.  Safe to reuse because
+         probe effects are fully reverted; per-item API/method accounting
+         samples deltas against the view's running counters.  Cleared at
+         the start of every [run], so each run sees the chain's current
+         head and a mutated chain never leaks a stale view. *)
   cache_lock : Mutex.t;
   merge_lock : Mutex.t;
   detection_cache : (string, cached_detection) Hashtbl.t;
@@ -114,12 +96,11 @@ type t = {
          thread-safe. *)
 }
 
-(* Per-item execution environment.  Sequentially it aliases the analyzer's
-   chain, head host and counters — the exact pre-parallel code path.  On a
-   worker domain it holds a private {!Chain.worker_view} (own API-call
-   counter, copy-on-write host) and fresh counters that are folded into
-   the analyzer's totals when the item completes; int sums commute, so the
-   totals at every batch barrier match a sequential run exactly. *)
+(* Per-item execution environment: the worker's private
+   {!Chain.worker_view} (own API-call counter, copy-on-write host) and
+   fresh counters that are folded into the analyzer's totals when the
+   item completes; int sums commute, so the totals at every batch barrier
+   are the same at every worker count. *)
 type env = {
   e_chain : Chain.t;
   e_host : Evm.Host.t;
@@ -147,14 +128,8 @@ let engine t = t.engine
 (* The dedup caches are shared across workers; chains grouped by bytecode
    hash (the engine key, [Chain.code_hash], which also keys both caches)
    guarantee all accesses to any given key happen in input order, and
-   this lock makes the table mutations themselves safe.  Sequential runs
-   skip the lock entirely. *)
-let with_caches t f =
-  if not t.par then f ()
-  else begin
-    Mutex.lock t.cache_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.cache_lock) f
-  end
+   this lock makes the table mutations themselves safe. *)
+let with_caches t f = Mutex.protect t.cache_lock f
 
 (* ------------------------------------------------------------------ *)
 (* Stage bodies                                                        *)
@@ -388,7 +363,7 @@ let trace_now tr = Obs.Clock.now (Obs.Trace.clock tr)
    pure function of (plan seed, address, attempt index) — independent of
    batch composition, worker count and scheduling order.  Transport
    events replay through [Engine.emit_from], which buffers them for the
-   input-order merge on worker domains. *)
+   input-order merge. *)
 let make_transport t ctx addr chain obs =
   let subject = Address.to_hex addr in
   let worker = Engine.worker_id ctx in
@@ -404,32 +379,29 @@ let make_transport t ctx addr chain obs =
     | Resilience.Transport.Circuit_closed { endpoint } ->
         Engine.emit_from ctx (Engine.Circuit_closed { endpoint; subject; worker })
     | Resilience.Transport.Quorum_disagreement { meth = _; endpoint } -> (
-        match (t.telemetry, obs) with
-        | Some tm, Some io ->
+        match t.telemetry with
+        | Some tm ->
             Obs.Metrics.inc
               ~labels:[ ("endpoint", endpoint) ]
-              io.io_shard tm.tm_endpoint_disagreements
-        | _ -> ())
+              tm.tm_registry tm.tm_endpoint_disagreements
+        | None -> ())
     | Resilience.Transport.Hedged { meth = _; primary = _; secondary } -> (
-        match (t.telemetry, obs) with
-        | Some tm, Some io ->
+        match t.telemetry with
+        | Some tm ->
             Obs.Metrics.inc
               ~labels:[ ("endpoint", secondary) ]
-              io.io_shard tm.tm_endpoint_hedges
-        | _ -> ())
+              tm.tm_registry tm.tm_endpoint_hedges
+        | None -> ())
     | Resilience.Transport.Dispatched { endpoint; meth; fault; latency } -> (
         match (t.telemetry, obs) with
         | Some tm, Some io -> (
             let outcome = Option.value ~default:"ok" fault in
-            (if io.io_shard == tm.tm_registry then
-               Obs.Metrics.hinc (attempt_handle tm ~meth ~outcome)
-             else
-               Obs.Metrics.inc
-                 ~labels:[ ("method", meth); ("outcome", outcome) ]
-                 io.io_shard tm.tm_rpc_attempts);
+            Obs.Metrics.hinc
+              (cached_handle tm tm.tm_attempt_handles.(worker) (meth, outcome)
+                 attempt_labels tm.tm_rpc_attempts);
             Obs.Metrics.inc
               ~labels:[ ("endpoint", endpoint); ("outcome", outcome) ]
-              io.io_shard tm.tm_endpoint_attempts;
+              tm.tm_registry tm.tm_endpoint_attempts;
             match tm.tm_trace with
             | Some tr when io.io_sampled ->
                 (* The archive node is in process, so a dispatch is a
@@ -456,15 +428,9 @@ let make_transport t ctx addr chain obs =
 let item_obs_for t addr =
   match t.telemetry with
   | None -> None
-  | Some tm ->
+  | Some _ ->
       Some
         {
-          (* Workers get a private shard absorbed at the merge point; the
-             sequential path IS the merge order, so it records straight
-             into the root registry and skips the shard round-trip. *)
-          io_shard =
-            (if t.par then Obs.Metrics.shard tm.tm_registry
-             else tm.tm_registry);
           io_sampled =
             (Atomic.get t.req_ctx <> None
             || Hashtbl.hash (Address.to_hex addr) mod trace_sample = 0);
@@ -500,59 +466,34 @@ let item_tracer t ctx obs =
       }
   | _ -> Evm.Interp.no_tracer
 
-(* Fold the item's observations into its shard and schedule the shard's
-   absorption at the merge point.  Deterministic families (steps, fuel,
-   frames, dedup hits, per-method counts) are recorded only for completed
-   items — mirroring the analyzer's own counters, so a dead-lettered item
-   contributes nothing and a later requeue converges to the fault-free
-   figures.  RPC-attempt counts (recorded live by the transport hook)
-   absorb either way. *)
-let finish_item_obs t ctx env ~meth0 ~ok obs =
+(* Record a completed item's observations.  Deterministic families
+   (steps, fuel, frames, dedup hits, per-method counts) are recorded only
+   for completed items — mirroring the analyzer's own counters, so a
+   dead-lettered item contributes nothing and a later requeue converges
+   to the fault-free figures.  RPC-attempt counts are recorded live by
+   the transport hook, whatever the outcome. *)
+let record_item_obs t env ~worker ~meth0 obs =
   match (t.telemetry, obs) with
   | Some tm, Some io ->
-      if ok then begin
-        let direct = io.io_shard == tm.tm_registry in
-        (if direct then
-           Obs.Metrics.hobserve tm.tm_item_steps_h (float_of_int !(env.e_steps))
-         else
-           Obs.Metrics.observe io.io_shard tm.tm_item_steps
-             (float_of_int !(env.e_steps)));
-        if !(env.e_dedup) > 0 then begin
-          let by = float_of_int !(env.e_dedup) in
-          if direct then Obs.Metrics.hinc ~by tm.tm_dedup_hits_h
-          else Obs.Metrics.inc ~by io.io_shard tm.tm_dedup_hits
-        end;
-        if !(io.io_frames) > 0 then begin
-          let by = float_of_int !(io.io_frames) in
-          if direct then Obs.Metrics.hinc ~by tm.tm_evm_frames_h
-          else Obs.Metrics.inc ~by io.io_shard tm.tm_evm_frames
-        end;
-        (match (env.e_fuel, t.resilience.Resilience.Transport.step_budget) with
-        | Some f, Some budget ->
-            let used = float_of_int (budget - Evm.Interp.fuel_remaining f) in
-            if direct then Obs.Metrics.hobserve tm.tm_fuel_used_h used
-            else Obs.Metrics.observe io.io_shard tm.tm_fuel_used used
-        | _ -> ());
-        List.iter
-          (fun (meth, n) ->
-            let base =
-              Option.value ~default:0 (List.assoc_opt meth meth0)
-            in
-            if n > base then
-              if io.io_shard == tm.tm_registry then
-                Obs.Metrics.hinc
-                  ~by:(float_of_int (n - base))
-                  (method_handle tm meth)
-              else
-                Obs.Metrics.inc
-                  ~labels:[ ("method", meth) ]
-                  ~by:(float_of_int (n - base))
-                  io.io_shard tm.tm_api_methods)
-          (Chain.method_call_counts env.e_chain)
-      end;
-      if io.io_shard != tm.tm_registry then
-        Engine.on_merged ctx (fun () ->
-            Obs.Metrics.absorb ~into:tm.tm_registry io.io_shard)
+      Obs.Metrics.hobserve tm.tm_item_steps_h (float_of_int !(env.e_steps));
+      if !(env.e_dedup) > 0 then
+        Obs.Metrics.hinc ~by:(float_of_int !(env.e_dedup)) tm.tm_dedup_hits_h;
+      if !(io.io_frames) > 0 then
+        Obs.Metrics.hinc ~by:(float_of_int !(io.io_frames)) tm.tm_evm_frames_h;
+      (match (env.e_fuel, t.resilience.Resilience.Transport.step_budget) with
+      | Some f, Some budget ->
+          Obs.Metrics.hobserve tm.tm_fuel_used_h
+            (float_of_int (budget - Evm.Interp.fuel_remaining f))
+      | _ -> ());
+      List.iter
+        (fun (meth, n) ->
+          let base = Option.value ~default:0 (List.assoc_opt meth meth0) in
+          if n > base then
+            Obs.Metrics.hinc
+              ~by:(float_of_int (n - base))
+              (cached_handle tm tm.tm_method_handles.(worker) meth
+                 method_labels tm.tm_api_methods))
+        (Chain.method_call_counts env.e_chain)
   | _ -> ()
 
 (* Transport failures carry their own classification (class, stage,
@@ -579,90 +520,64 @@ let skip_of_exn ctx env e =
         (Printf.sprintf "watchdog: evm-steps fuel exhausted (budget %d)" budget)
   | e -> raise e
 
+(* The calling worker's chain view and head host, built on its first
+   item of the run. *)
+let view_for t wid =
+  match t.views.(wid) with
+  | Some vh -> vh
+  | None ->
+      let v = Chain.worker_view t.chain in
+      let vh = (v, Chain.host_at_head v) in
+      t.views.(wid) <- Some vh;
+      vh
+
+(* Fold an item's counts in.  The chain's counter takes the view's
+   archive calls whatever the outcome, so it reads the same at every
+   worker count; the analyzer's totals take only completed items, so a
+   dead-lettered item contributes nothing and a later requeue brings them
+   to exactly the fault-free figures. *)
+let merge_counts t env ~api0 ~ok =
+  let calls = Chain.api_call_count env.e_chain - api0 in
+  Mutex.lock t.merge_lock;
+  Chain.add_api_calls t.chain calls;
+  if ok then begin
+    t.api_calls := !(t.api_calls) + calls;
+    t.steps_total := !(t.steps_total) + !(env.e_steps);
+    t.dedup_hits := !(t.dedup_hits) + !(env.e_dedup)
+  end;
+  Mutex.unlock t.merge_lock
+
+(* Every item runs on its worker's view, so stage deltas and the
+   Algorithm 1 accounting serialized into the report are the same at any
+   worker count. *)
 let process_item t ctx addr =
   let obs = item_obs_for t addr in
-  if not t.par then begin
-    (* Sequential: the analyzer's own chain and head host, but per-item
-       counters folded into the totals only on success — a dead-lettered
-       item contributes nothing, so the processed-state counters are the
-       same whether it failed here or on a worker domain, and a later
-       requeue brings the totals to exactly the fault-free figures. *)
-    let api0 = Chain.api_call_count t.chain in
-    let meth0 =
-      if obs = None then [] else Chain.method_call_counts t.chain
-    in
-    let env =
-      {
-        e_chain = t.chain;
-        e_host = t.host;
-        e_steps = ref 0;
-        e_dedup = ref 0;
-        e_transport = make_transport t ctx addr t.chain obs;
-        e_steps0 = 0;
-        e_fuel =
-          Option.map Evm.Interp.fuel
-            t.resilience.Resilience.Transport.step_budget;
-        e_tracer = item_tracer t ctx obs;
-      }
-    in
-    match analyze_contract t env ctx addr with
-    | report ->
-        t.api_calls := !(t.api_calls) + (Chain.api_call_count t.chain - api0);
-        t.steps_total := !(t.steps_total) + !(env.e_steps);
-        t.dedup_hits := !(t.dedup_hits) + !(env.e_dedup);
-        finish_item_obs t ctx env ~meth0 ~ok:true obs;
-        Ok report
-    | exception e ->
-        finish_item_obs t ctx env ~meth0 ~ok:false obs;
-        Error (skip_of_exn ctx env e)
-  end
-  else begin
-    (* Parallel: the worker's private chain view (API-call counter and
-       copy-on-write host of its own), so stage deltas and the Algorithm 1
-       accounting serialized into the report are identical to the
-       sequential run.  The view is per worker per run, so counters are
-       sampled before the item exactly as the sequential branch does. *)
-    let view, host =
-      let wid = Engine.worker_id ctx in
-      match t.views.(wid) with
-      | Some vh -> vh
-      | None ->
-          let v = Chain.worker_view t.chain in
-          let vh = (v, Chain.host_at_head v) in
-          t.views.(wid) <- Some vh;
-          vh
-    in
-    let api0 = Chain.api_call_count view in
-    let meth0 =
-      if obs = None then [] else Chain.method_call_counts view
-    in
-    let env =
-      {
-        e_chain = view;
-        e_host = host;
-        e_steps = ref 0;
-        e_dedup = ref 0;
-        e_transport = make_transport t ctx addr view obs;
-        e_steps0 = 0;
-        e_fuel =
-          Option.map Evm.Interp.fuel
-            t.resilience.Resilience.Transport.step_budget;
-        e_tracer = item_tracer t ctx obs;
-      }
-    in
-    match analyze_contract t env ctx addr with
-    | report ->
-        Mutex.lock t.merge_lock;
-        t.api_calls := !(t.api_calls) + (Chain.api_call_count view - api0);
-        t.steps_total := !(t.steps_total) + !(env.e_steps);
-        t.dedup_hits := !(t.dedup_hits) + !(env.e_dedup);
-        Mutex.unlock t.merge_lock;
-        finish_item_obs t ctx env ~meth0 ~ok:true obs;
-        Ok report
-    | exception e ->
-        finish_item_obs t ctx env ~meth0 ~ok:false obs;
-        Error (skip_of_exn ctx env e)
-  end
+  let worker = Engine.worker_id ctx in
+  let view, host = view_for t worker in
+  let api0 = Chain.api_call_count view in
+  let meth0 = if obs = None then [] else Chain.method_call_counts view in
+  let env =
+    {
+      e_chain = view;
+      e_host = host;
+      e_steps = ref 0;
+      e_dedup = ref 0;
+      e_transport = make_transport t ctx addr view obs;
+      e_steps0 = 0;
+      e_fuel =
+        Option.map Evm.Interp.fuel
+          t.resilience.Resilience.Transport.step_budget;
+      e_tracer = item_tracer t ctx obs;
+    }
+  in
+  match analyze_contract t env ctx addr with
+  | report ->
+      merge_counts t env ~api0 ~ok:true;
+      record_item_obs t env ~worker ~meth0 obs;
+      Ok report
+  | exception e ->
+      merge_counts t env ~api0 ~ok:false;
+      Error (skip_of_exn ctx env e)
 
 (* The one constructor: [create] starts it empty, [restore] from a
    decoded checkpoint. *)
@@ -685,8 +600,6 @@ let make ~config ~resilience ?crash_plan ?state ~chain ~source () =
       source;
       cfg = config;
       resilience;
-      host = Chain.host_at_head chain;
-      par = config.Config.domains > 1;
       views = Array.make (max 1 config.Config.domains) None;
       cache_lock = Mutex.create ();
       merge_lock = Mutex.create ();
@@ -804,6 +717,7 @@ let instrument ?trace ?log registry t =
       ~help:"Hedged requests raced per secondary chain endpoint"
       "proxion_chain_endpoint_hedges_total"
   in
+  let per_worker f = Array.init (Array.length t.views) (fun _ -> f ()) in
   let tm =
     {
       tm_registry = registry;
@@ -817,8 +731,8 @@ let instrument ?trace ?log registry t =
       tm_fuel_used = fuel_used;
       tm_evm_frames = evm_frames;
       tm_dedup_hits = dedup_hits;
-      tm_attempt_handles = Hashtbl.create 16;
-      tm_method_handles = Hashtbl.create 8;
+      tm_attempt_handles = per_worker (fun () -> Hashtbl.create 16);
+      tm_method_handles = per_worker (fun () -> Hashtbl.create 8);
       tm_item_steps_h = Obs.Metrics.handle registry item_steps;
       tm_fuel_used_h = Obs.Metrics.handle registry fuel_used;
       tm_evm_frames_h = Obs.Metrics.handle registry evm_frames;
@@ -874,10 +788,6 @@ let invalidate_code_hash t code_hash =
   Mutex.lock t.cache_lock;
   Hashtbl.remove t.detection_cache code_hash;
   Mutex.unlock t.cache_lock
-
-let refresh_head t =
-  t.host <- Chain.host_at_head t.chain;
-  Array.fill t.views 0 (Array.length t.views) None
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)

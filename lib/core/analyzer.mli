@@ -57,10 +57,11 @@ val instrument :
     ({!Engine.Telemetry}) plus the analyzer's own families — RPC attempts
     per method/outcome, node requests per method, per-item EVM
     step/fuel histograms, probe call-frame counts, dedup hits, and
-    (volatile) Keccak-memo statistics.  Per-item observations are
-    recorded into registry shards absorbed in input order at the
-    engine's merge barrier, so a snapshot with volatile families
-    suppressed is byte-identical at every worker count.  [trace] adds
+    (volatile) Keccak-memo statistics.  Workers record per-item
+    observations straight into [registry]; every such series is
+    integer-valued, so its sums are exact in any order and a snapshot
+    with volatile families suppressed is byte-identical at every worker
+    count.  [trace] adds
     span collection on the collector's clock, which the engine then
     times with: run > batch > item > stage spans stamped by the
     engine's own timing, and RPC-dispatch and EVM-frame detail for a
@@ -97,7 +98,12 @@ val submit_all : t -> unit
 
 val run : ?max_batches:int -> t -> unit
 (** Process queued batches; [max_batches] bounds this call, leaving the
-    rest of the queue for a later [run] or a {!checkpoint}. *)
+    rest of the queue for a later [run] or a {!checkpoint}.  Each worker
+    analyzes on a {!Chain.worker_view} built at the chain's head when the
+    run starts, so probes observe the block number and timestamp a fresh
+    analyzer would, also after the chain advanced under a live one.  The
+    views' archive calls are added to the chain's
+    {!Chain.api_call_count}. *)
 
 val pending : t -> int
 val subscribe : t -> (Engine.event -> unit) -> unit
@@ -140,12 +146,6 @@ val invalidate_code_hash : t -> string -> unit
     fresh.  The daemon's incremental mode calls this for every hash
     whose cache {e owner} (the earliest deployed holder) is dirty, so
     re-analysis repopulates the cache exactly as a cold run would. *)
-
-val refresh_head : t -> unit
-(** Re-snapshot the sequential-path emulation host at the chain's
-    current head, so probes observe the post-advance block number and
-    timestamp exactly as a fresh analyzer would.  Call after the chain
-    advances under a live analyzer. *)
 
 (** {1 Checkpointing} *)
 

@@ -208,20 +208,17 @@ type agg = {
   mutable a_retries : int;
 }
 
-(* Shard-local result slot.  A worker allocates one as it picks an item
-   up, appends it to its private buffer, and fills it while processing
-   off the coordinator thread: stage events, aggregate contributions,
-   merge thunks and the outcome all land here.  Nothing is shared while
-   the batch runs — the coordinator reassembles the slots into input
-   order at the batch barrier (the [Domain.join] provides the
+(* One item's result slot.  The worker that picks the item up fills it
+   while processing, off the coordinator thread: stage events, aggregate
+   contributions and the outcome all land here.  Nothing is shared while
+   the batch runs — the coordinator reads the slots in input order after
+   the batch barrier (the pool's acknowledgements provide the
    happens-before edge) and replays them, so subscribers and totals
-   observe exactly the sequential interleaving. *)
+   observe the input-order interleaving at every worker count. *)
 type 'res slot = {
-  s_index : int; (* input position within the batch *)
-  s_worker : int;
+  mutable s_worker : int;
   mutable s_events : event list; (* reverse order *)
   mutable s_aggs : (stage * timing) list; (* reverse order *)
-  mutable s_thunks : (unit -> unit) list; (* reverse order *)
   mutable s_outcome : ('res, skip_reason) result option;
 }
 
@@ -251,14 +248,13 @@ type ('item, 'res) t = {
 }
 
 (* What [process] sees: the engine, the id of the worker running the item
-   (0 = the coordinator, also the sequential path), the buffer standing in
-   for direct event/aggregate delivery when running on a worker, and the
-   last stage entered — the attribution default for exceptions that escape
-   [process]. *)
+   (0 = the coordinator), the slot buffering the item's events and
+   aggregates for the input-order merge, and the last stage entered — the
+   attribution default for exceptions that escape [process]. *)
 and ('item, 'res) ctx = {
   eng : ('item, 'res) t;
   worker : int;
-  sink : 'res slot option; (* [None]: deliver directly (sequential path) *)
+  sink : 'res slot;
   mutable last_stage : stage option;
 }
 
@@ -292,20 +288,12 @@ let worker_id ctx = ctx.worker
 let current_stage ctx = ctx.last_stage
 let set_clock t clock = t.clk <- clock
 
-(* Run [f] at the deterministic-merge point for this item: immediately on
-   the sequential path, buffered in the item's slot — and replayed in
-   input order at the batch barrier — on a worker domain.  This is how
-   per-item telemetry shards are absorbed into the root registry in the
-   same order a sequential run would have produced. *)
-let on_merged ctx f =
-  match ctx.sink with
-  | None -> f ()
-  | Some slot -> slot.s_thunks <- f :: slot.s_thunks
+(* Events are buffered only while someone listens: with no subscriber
+   the merge would replay them to nobody. *)
+let listening ctx = ctx.eng.subscribers <> []
 
 let emit_from ctx ev =
-  match ctx.sink with
-  | None -> emit ctx.eng ev
-  | Some slot -> slot.s_events <- ev :: slot.s_events
+  if listening ctx then ctx.sink.s_events <- ev :: ctx.sink.s_events
 
 let agg_of t stage =
   match Hashtbl.find_opt t.totals stage with
@@ -335,7 +323,8 @@ let timed_stage ctx ~stage ~subject ?api_calls ?steps ?retries f =
   let sample = function Some reader -> reader () | None -> 0 in
   let worker = ctx.worker in
   ctx.last_stage <- Some stage;
-  emit_from ctx (Stage_started { stage; subject; worker });
+  if listening ctx then
+    emit_from ctx (Stage_started { stage; subject; worker });
   let api0 = sample api_calls
   and steps0 = sample steps
   and retries0 = sample retries in
@@ -350,10 +339,10 @@ let timed_stage ctx ~stage ~subject ?api_calls ?steps ?retries f =
           t_retries = sample retries - retries0;
         }
       in
-      (match ctx.sink with
-      | None -> apply_agg ctx.eng stage timing
-      | Some slot -> slot.s_aggs <- (stage, timing) :: slot.s_aggs);
-      emit_from ctx (Stage_finished { stage; subject; start; timing; worker });
+      ctx.sink.s_aggs <- (stage, timing) :: ctx.sink.s_aggs;
+      if listening ctx then
+        emit_from ctx
+          (Stage_finished { stage; subject; start; timing; worker });
       ctx.last_stage <- None;
       v
   | exception e ->
@@ -442,58 +431,14 @@ let record_of ~subject reason item =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sequential batch (domains = 1): the reference code path              *)
-(* ------------------------------------------------------------------ *)
-
-let sequential_batch t n =
-  for _ = 1 to n do
-    let item = Queue.pop t.queue in
-    let subject = t.subject_of item in
-    let ctx = { eng = t; worker = 0; sink = None; last_stage = None } in
-    let start = Obs.Clock.now t.clk in
-    let outcome =
-      match
-        maybe_kill t subject;
-        t.process ctx item
-      with
-      | r -> r
-      | exception e when is_fatal e ->
-          (* The sequential path is its own supervisor: the "worker" is
-             the coordinator, so the crash demotes to a dead letter in
-             place and the loop moves on — the same observable outcome
-             the parallel supervisor produces. *)
-          t.crashes <- t.crashes + 1;
-          Error (crash_reason ctx e)
-      | exception e -> Error (reason_of_exn ctx e)
-    in
-    let elapsed = Obs.Clock.now t.clk -. start in
-    emit t (Item_finished { subject; start; elapsed; worker = 0 });
-    match outcome with
-    | Ok res ->
-        t.results_rev <- res :: t.results_rev;
-        t.processed <- t.processed + 1
-    | Error reason ->
-        t.skipped_rev <- record_of ~subject reason item :: t.skipped_rev;
-        emit t
-          (Item_skipped
-             {
-               subject;
-               message = reason.sr_message;
-               fault_class = reason.sr_class;
-               attempts = reason.sr_attempts;
-               worker = 0;
-             })
-  done
-
-(* ------------------------------------------------------------------ *)
 (* The closeable task channel (service work queues, e.g. the daemon)    *)
 (* ------------------------------------------------------------------ *)
 
 (* A multi-producer/multi-consumer closeable channel.  [pop] blocks until
    an element is available or the channel is closed and drained.  The
-   batch scheduler below no longer consumes this — its handoff is a
-   lock-free chunk dispenser — but long-lived consumer pools (the serve
-   daemon's connection workers) still do.
+   batch scheduler's pool parks its helper domains on one between
+   batches (within a batch, chains are handed out through an atomic
+   cursor), and the serve daemon's connection workers consume one.
 
    Waking strategy: [push] wakes exactly one sleeper ([Condition.signal]
    — one new element can satisfy at most one consumer, and a broadcast
@@ -569,118 +514,79 @@ end
 module Task_channel = Chan
 
 (* Partition the batch's item indices into ordered chains.  Items sharing a
-   group key form one chain, processed sequentially by a single worker in
-   input order; distinct chains run in parallel.  The analyzer keys on the
+   group key form one chain, processed by a single worker in input order;
+   distinct chains may run on different workers.  The analyzer keys on the
    bytecode hash, which is exactly the granularity of its dedup and pair
-   caches — so cache hits and misses replay in the sequential order and the
-   merged output is byte-identical. *)
+   caches — so every cache key sees its hits and misses in input order,
+   and the merged output is the same at every worker count. *)
 let group_indices t items n =
   match t.group_key with
-  | None -> List.init n (fun i -> [ i ])
+  | None -> Array.init n (fun i -> [ i ])
   | Some key ->
-      let order = ref [] in
-      let buckets : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
+      (* Number the chains in order of first appearance, then fill them
+         back to front so each list comes out in input order. *)
+      let ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
+      let chain_of = Array.make n 0 in
       for i = 0 to n - 1 do
         let k = key items.(i) in
-        match Hashtbl.find_opt buckets k with
-        | Some r -> r := i :: !r
+        match Hashtbl.find_opt ids k with
+        | Some c -> chain_of.(i) <- c
         | None ->
-            let r = ref [ i ] in
-            Hashtbl.replace buckets k r;
-            order := r :: !order
+            let c = Hashtbl.length ids in
+            Hashtbl.replace ids k c;
+            chain_of.(i) <- c
       done;
-      List.rev_map (fun r -> List.rev !r) !order
+      let chains = Array.make (Hashtbl.length ids) [] in
+      for i = n - 1 downto 0 do
+        let c = chain_of.(i) in
+        chains.(c) <- i :: chains.(c)
+      done;
+      chains
+
+let finish_item ctx ~subject ~start outcome =
+  ctx.sink.s_outcome <- Some outcome;
+  if listening ctx then
+    emit_from ctx
+      (Item_finished
+         {
+           subject;
+           start;
+           elapsed = Obs.Clock.now ctx.eng.clk -. start;
+           worker = ctx.worker;
+         })
 
 let run_item t slot item =
   let ctx =
-    { eng = t; worker = slot.s_worker; sink = Some slot; last_stage = None }
+    { eng = t; worker = slot.s_worker; sink = slot; last_stage = None }
   in
   let subject = t.subject_of item in
   let start = Obs.Clock.now t.clk in
-  let finish outcome =
-    slot.s_outcome <- Some outcome;
-    let elapsed = Obs.Clock.now t.clk -. start in
-    emit_from ctx
-      (Item_finished { subject; start; elapsed; worker = ctx.worker })
-  in
   match
     maybe_kill t subject;
     t.process ctx item
   with
-  | r -> finish r
+  | r -> finish_item ctx ~subject ~start r
   | exception e when is_fatal e ->
       (* The dying worker files its own death certificate: outcome and
-         stage attribution land in the slot before the exception tears the
-         domain down, so the supervisor only has to respawn a domain and
-         reschedule the rest of the chain. *)
-      finish (Error (crash_reason ctx e));
+         stage attribution land in the slot before the exception unwinds
+         to the worker's supervisor, which only has to resume the rest of
+         the chain. *)
+      finish_item ctx ~subject ~start (Error (crash_reason ctx e));
       raise e
-  | exception e -> finish (Error (reason_of_exn ctx e))
+  | exception e -> finish_item ctx ~subject ~start (Error (reason_of_exn ctx e))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel batch: chunked dispenser + per-worker stealing deques       *)
+(* The batch scheduler: a worker pool claiming chains off one cursor    *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-worker deque of chain ids, guarded by a tiny mutex.  The owner
-   pops single chains from the front; thieves take the back half in one
-   operation.  A deque holds at most one dispenser chunk (plus stolen
-   spillover), so every critical section is a handful of cons cells and
-   the lock is effectively uncontended — the expensive sleeping handoff
-   of the old condvar channel is gone entirely: workers never block
-   while a batch runs, they either hold work or exit. *)
-module Deque = struct
-  type t = { m : Mutex.t; mutable chains : int list (* front first *) }
-
-  let create () = { m = Mutex.create (); chains = [] }
-
-  let pop_front d =
-    Mutex.lock d.m;
-    let r =
-      match d.chains with
-      | [] -> None
-      | c :: rest ->
-          d.chains <- rest;
-          Some c
-    in
-    Mutex.unlock d.m;
-    r
-
-  let push_list d cs =
-    Mutex.lock d.m;
-    d.chains <- cs @ d.chains;
-    Mutex.unlock d.m
-
-  (* Thief side: take the back half (at least one when nonempty),
-     leaving the front — the owner's end — in place. *)
-  let steal_back d =
-    Mutex.lock d.m;
-    let stolen =
-      match d.chains with
-      | [] -> []
-      | l ->
-          let keep = List.length l / 2 in
-          let rec split i acc rest =
-            if i = 0 then (List.rev acc, rest)
-            else
-              match rest with
-              | [] -> (List.rev acc, [])
-              | x :: tl -> split (i - 1) (x :: acc) tl
-          in
-          let kept, taken = split keep [] l in
-          d.chains <- kept;
-          taken
-    in
-    Mutex.unlock d.m;
-    stolen
-end
-
-(* Per-run helper pool.  Spawning a domain costs on the order of a
-   millisecond — per batch that dwarfs the work at small batch sizes — so
-   [run] spawns the helpers once and parks them on a channel of batch
-   thunks between barriers.  Thunks are self-supervising (a fatal
-   exception never reaches the pool loop: the "crashed" worker resumes
-   its chain suffix in place, exactly what a respawned domain would have
-   done), so pool domains live for the whole run. *)
+(* Per-run worker pool: the coordinator is worker 0, and [domains - 1]
+   helper domains park on a channel of batch thunks between barriers.
+   Spawning a domain costs on the order of a millisecond — per batch that
+   dwarfs the work at small batch sizes — so [run] spawns the helpers
+   once.  At one domain the pool has no helpers and spawns nothing.
+   Thunks are self-supervising (a fatal exception never reaches the pool
+   loop: the "crashed" worker resumes its chain suffix in place), so pool
+   domains live for the whole run. *)
 type pool = {
   pl_work : (unit -> unit) Chan.t;
   pl_done : unit Chan.t;
@@ -704,100 +610,53 @@ let destroy_pool pool =
   Chan.close pool.pl_work;
   List.iter Domain.join pool.pl_domains
 
-let parallel_batch t pool n =
+(* [List.iter f (List.rev l)] without the copy; slot lists are short. *)
+let rec iter_rev f = function
+  | [] -> ()
+  | x :: rest ->
+      iter_rev f rest;
+      f x
+
+let run_items t pool n =
   let items = Array.init n (fun _ -> Queue.pop t.queue) in
-  let chains = Array.of_list (group_indices t items n) in
+  let chains = group_indices t items n in
   let nchains = Array.length chains in
-  (* Chunked handoff: a lock-free fetch-and-add cursor over the chains
-     array.  One claim hands a worker a contiguous run of chains, so the
-     per-item synchronization of the old channel (one mutex/condvar
-     round trip per chain) amortizes to a few atomic adds per worker per
-     batch.  Chunks are sized so each worker claims a handful of times,
-     leaving enough unclaimed tail for late stealing to balance. *)
+  (* Self-scheduling: a worker takes the next unclaimed chain with one
+     atomic add, so no worker idles while a chain is left and the tail
+     balances itself.  A claim costs less than the smallest item. *)
   let cursor = Atomic.make 0 in
-  let chunk = max 1 ((nchains + (t.n_domains * 4) - 1) / (t.n_domains * 4)) in
-  let claim () =
-    let lo = Atomic.fetch_and_add cursor chunk in
-    if lo >= nchains then None else Some (lo, min nchains (lo + chunk))
+  (* One result slot per input position, each written only by the worker
+     that runs its item and read by the coordinator after the barrier.
+     [inflight.(w)] is the suffix of the chain worker [w] is running,
+     current (or crashed) item at the head. *)
+  let slots =
+    Array.init n (fun _ ->
+        { s_worker = 0; s_events = []; s_aggs = []; s_outcome = None })
   in
-  (* Shard-local state, one slot per worker, written only by that worker
-     while the batch runs and read by the coordinator after the joins:
-     [buffers.(w)] accumulates the result slots worker [w] produced;
-     [inflight.(w)] is the suffix of the chain worker [w] is currently
-     running, crashed/current item at the head. *)
-  let buffers = Array.make t.n_domains [] in
-  let deques = Array.init t.n_domains (fun _ -> Deque.create ()) in
   let inflight = Array.make t.n_domains [] in
-  let run_chain wid idxs =
-    let rec go = function
-      | [] -> inflight.(wid) <- []
-      | i :: rest ->
-          inflight.(wid) <- i :: rest;
-          let slot =
-            {
-              s_index = i;
-              s_worker = wid;
-              s_events = [];
-              s_aggs = [];
-              s_thunks = [];
-              s_outcome = None;
-            }
-          in
-          (* Published before the item runs, so a crash mid-item leaves
-             the death certificate reachable from the worker's buffer. *)
-          buffers.(wid) <- slot :: buffers.(wid);
-          run_item t slot items.(i);
-          go rest
-    in
-    go idxs
+  let rec run_chain wid = function
+    | [] -> inflight.(wid) <- []
+    | i :: rest as suffix ->
+        inflight.(wid) <- suffix;
+        let slot = slots.(i) in
+        slot.s_worker <- wid;
+        run_item t slot items.(i);
+        run_chain wid rest
   in
-  (* Steal scan: visit the other deques round-robin starting after our
-     own id, taking the first nonempty victim's back half. *)
-  let try_steal wid =
-    let rec scan k =
-      if k >= t.n_domains - 1 then None
-      else
-        let v = (wid + 1 + k) mod t.n_domains in
-        match Deque.steal_back deques.(v) with
-        | [] -> scan (k + 1)
-        | stolen -> Some stolen
-    in
-    scan 0
+  let rec worker_loop wid =
+    let c = Atomic.fetch_and_add cursor 1 in
+    if c < nchains then begin
+      run_chain wid chains.(c);
+      worker_loop wid
+    end
   in
-  (* A worker drains its own deque, claims a fresh chunk from the
-     dispenser when the deque runs dry, and turns thief once the
-     dispenser is exhausted.  It exits only when every deque it can see
-     is empty — any chains still in flight at that point belong to live
-     workers that will finish them. *)
-  let worker_loop wid =
-    let d = deques.(wid) in
-    let rec loop () =
-      match Deque.pop_front d with
-      | Some c ->
-          run_chain wid chains.(c);
-          loop ()
-      | None -> (
-          match claim () with
-          | Some (lo, hi) ->
-              Deque.push_list d (List.init (hi - lo) (fun k -> lo + k));
-              loop ()
-          | None -> (
-              match try_steal wid with
-              | Some stolen ->
-                  Deque.push_list d stolen;
-                  loop ()
-              | None -> ()))
-    in
-    loop ()
-  in
-  (* The coordinator is worker 0 and works alongside the helpers, so a
-     batch of [nchains] chains dispatches at most [nchains - 1] thunks to
-     the parked pool.  Every worker supervises itself: a fatal exception
-     has already been recorded in the crashed item's slot by [run_item],
-     so resume with the rest of the chain — the crashed worker's own
-     deque is still intact — then fall back into the loop.  Crash counts
-     are shard-local while the batch runs and folded in at the barrier so
-     no two workers ever race on [t.crashes]. *)
+  (* The coordinator works alongside the helpers, so a batch of [nchains]
+     chains dispatches at most [nchains - 1] thunks to the parked pool.
+     Every worker supervises itself: a fatal exception has already been
+     recorded in the crashed item's slot by [run_item], so resume with the
+     rest of the chain, then fall back into the loop.  Crash counts are
+     worker-local while the batch runs and folded in at the barrier so no
+     two workers ever race on [t.crashes]. *)
   let helper_count = min (t.n_domains - 1) (max 0 (nchains - 1)) in
   let crash_counts = Array.make t.n_domains 0 in
   let self_supervised wid =
@@ -821,58 +680,43 @@ let parallel_batch t pool n =
     (List.init helper_count (fun k () -> self_supervised (k + 1)));
   self_supervised 0;
   (* Batch barrier: every dispatched thunk acknowledges completion, so
-     once the loop exits no worker can still be touching the shard-local
-     buffers. *)
+     once the loop exits no worker can still be touching the slots. *)
   for _ = 1 to helper_count do
     ignore (Chan.pop pool.pl_done)
   done;
   t.crashes <- t.crashes + Array.fold_left ( + ) 0 crash_counts;
-  (* Single deterministic merge at the batch barrier: reassemble the
-     input-order slot table from the shard-local buffers, then replay
-     every item's buffered events, aggregate contributions and merge
-     thunks, and apply its outcome — byte-for-byte the order the
-     sequential path would have produced.  Stage aggregates are applied
-     here rather than summed shard-side because float accumulation is
-     order-sensitive; replaying in input order keeps totals bit-equal. *)
-  let slots = Array.make n None in
-  Array.iter
-    (fun buf -> List.iter (fun s -> slots.(s.s_index) <- Some s) buf)
-    buffers;
+  (* The one deterministic merge: replay every item's buffered events and
+     aggregate contributions, and apply its outcome, in input order.
+     Stage aggregates are applied here rather than summed worker-side
+     because float accumulation is order-sensitive; replaying in input
+     order keeps totals bit-equal at every worker count. *)
   Array.iteri
-    (fun i entry ->
-      match entry with
+    (fun i slot ->
+      iter_rev (emit t) slot.s_events;
+      iter_rev (fun (stage, tm) -> apply_agg t stage tm) slot.s_aggs;
+      match slot.s_outcome with
+      | Some (Ok res) ->
+          t.results_rev <- res :: t.results_rev;
+          t.processed <- t.processed + 1
+      | Some (Error reason) ->
+          let subject = t.subject_of items.(i) in
+          t.skipped_rev <- record_of ~subject reason items.(i) :: t.skipped_rev;
+          emit t
+            (Item_skipped
+               {
+                 subject;
+                 message = reason.sr_message;
+                 fault_class = reason.sr_class;
+                 attempts = reason.sr_attempts;
+                 worker = slot.s_worker;
+               })
       | None ->
           (* Unreachable: every chain is claimed exactly once and every
-             claimed chain fills a slot per item before the joins. *)
-          assert false
-      | Some slot -> (
-          List.iter (emit t) (List.rev slot.s_events);
-          List.iter
-            (fun (stage, tm) -> apply_agg t stage tm)
-            (List.rev slot.s_aggs);
-          List.iter (fun f -> f ()) (List.rev slot.s_thunks);
-          match slot.s_outcome with
-          | Some (Ok res) ->
-              t.results_rev <- res :: t.results_rev;
-              t.processed <- t.processed + 1
-          | Some (Error reason) ->
-              let subject = t.subject_of items.(i) in
-              t.skipped_rev <-
-                record_of ~subject reason items.(i) :: t.skipped_rev;
-              emit t
-                (Item_skipped
-                   {
-                     subject;
-                     message = reason.sr_message;
-                     fault_class = reason.sr_class;
-                     attempts = reason.sr_attempts;
-                     worker = slot.s_worker;
-                   })
-          | None -> assert false))
+             item of a claimed chain fills its slot before the barrier. *)
+          assert false)
     slots
 
-(* One batch from the queue head; [false] when the queue was empty.  The
-   pool is [run]'s, spawned once per run when [domains > 1]. *)
+(* One batch from the queue head; [false] when the queue was empty. *)
 let run_batch pool t =
   if Queue.is_empty t.queue then false
   else begin
@@ -880,9 +724,7 @@ let run_batch pool t =
     let index = t.batches in
     emit t (Batch_started { index; size = n });
     let start = Obs.Clock.now t.clk in
-    (match pool with
-    | Some p -> parallel_batch t p n
-    | None -> sequential_batch t n);
+    run_items t pool n;
     t.batches <- t.batches + 1;
     let elapsed = Obs.Clock.now t.clk -. start in
     emit t (Batch_finished { index; size = n; start; elapsed });
@@ -895,11 +737,9 @@ let run ?max_batches t =
        { pending = pending t; batch_size = t.bsize; domains = t.n_domains });
   let start = Obs.Clock.now t.clk in
   let continue = function None -> true | Some n -> n > 0 in
-  let pool =
-    if t.n_domains > 1 then Some (create_pool (t.n_domains - 1)) else None
-  in
+  let pool = create_pool (t.n_domains - 1) in
   Fun.protect
-    ~finally:(fun () -> Option.iter destroy_pool pool)
+    ~finally:(fun () -> destroy_pool pool)
     (fun () ->
       let rec loop budget =
         if continue budget && run_batch pool t then
@@ -955,8 +795,8 @@ module Telemetry = struct
   (* Since every event is delivered from the coordinator in input order
      (the deterministic merge replays worker-side buffers), these
      subscribers can record straight into the root registry: counter
-     and float additions happen in the same order a sequential run
-     would produce. *)
+     and float additions happen in input order at every worker
+     count. *)
 
   let seconds_buckets =
     [ 1e-6; 1e-5; 1e-4; 1e-3; 0.01; 0.1; 0.5; 1.0; 5.0; 10.0; 60.0 ]

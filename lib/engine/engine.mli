@@ -1,4 +1,4 @@
-(** A staged, batched analysis engine with optional domain parallelism.
+(** A staged, batched analysis engine run by a pool of domain workers.
 
     The engine is the generic half of ProxioN's production pipeline: it
     owns a persistent work queue, schedules items in fixed-size batches,
@@ -8,23 +8,20 @@
     [process] callback, so this library depends on nothing but the report
     substrate and can drive any per-item analysis.
 
-    With [~domains:n] (n > 1) each batch is fanned out across a pool of
-    OCaml domains through a chunked work-stealing scheduler — no
-    dependency on domainslib: a lock-free fetch-and-add cursor hands each
-    worker a contiguous chunk of chains (amortizing one synchronization
-    over many items), per-worker deques let idle workers steal the back
-    half of a busy worker's remaining chunk to balance the tail, and each
-    worker buffers its events, aggregates and outcomes in shard-local
-    slots.  The coordinator performs a single input-order merge at the
-    batch barrier: results, skip records, per-stage aggregates, and every
-    subscriber-visible event reproduce the sequential interleaving
-    exactly, so reports and checkpoints are byte-identical whatever the
-    worker count.
-    [~domains:1] (the default) takes the plain sequential code path with
-    no domain machinery at all.  An optional [~key] groups items of a
-    batch into chains that are processed sequentially on one worker —
-    callers whose [process] shares caches keyed by that value (the
-    analyzer's bytecode-hash dedup) use this to keep cache effects
+    Every batch runs on one path.  With [~domains:n] a pool of [n]
+    workers — the coordinator plus [n - 1] helper domains; at [n = 1]
+    the pool has no helpers — takes the batch, with no dependency on
+    domainslib: each worker claims the next chain with one atomic
+    fetch-and-add on a shared cursor until none is left, so the tail
+    balances itself, and buffers its events, aggregates and outcomes in
+    the item's result slot.  The coordinator performs a single
+    input-order merge at the batch barrier: results, skip records,
+    per-stage aggregates, and every subscriber-visible event come out in
+    input order, so reports and checkpoints are byte-identical whatever
+    the worker count.  An optional [~key] groups items of a batch into
+    chains that are processed in input order on one worker — callers
+    whose [process] shares caches keyed by that value (the analyzer's
+    bytecode-hash dedup) use this to keep cache effects
     deterministic.
 
     Failures are isolated and {e classified}: an [Error] or exception
@@ -37,12 +34,12 @@
 
     Workers are {e supervised}: an exception no [process] should be
     expected to survive ([Stack_overflow], [Out_of_memory], or an
-    injected {!Crash_injected}) kills only the domain it escaped on.  The
+    injected {!Crash_injected}) ends only the item it escaped from.  The
     dying worker records its in-flight item as a [Worker_crashed] dead
-    letter first, the supervisor respawns a fresh domain on the rest of
-    the crashed worker's chain, and the input-order merge is preserved —
-    a run with crashes still reports byte-identically to the sequential
-    engine given the same kill decisions.
+    letter first, its supervisor resumes the rest of the crashed
+    worker's chain, and the input-order merge is preserved — a run with
+    crashes reports byte-identically at every worker count given the
+    same kill decisions.
 
     Runs are resumable: {!state} hands over the pending queue, the
     completed results, the dead-letter list (items included) and the
@@ -145,10 +142,10 @@ type 'item skip_record = {
     coordinator (and the only id seen with [domains:1]); helper domains
     are 1..domains-1.  Worker-side events are buffered and delivered from
     the coordinator at the batch barrier, in input order — subscribers
-    never run concurrently.  A timed event carries the [start] its timing
-    read from the engine's clock (see {!set_clock}), in seconds, so a
-    subscriber can place it on that clock's timeline whenever the event
-    is delivered. *)
+    never run concurrently; with no subscriber nothing is buffered.  A
+    timed event carries the [start] its timing read from the engine's
+    clock (see {!set_clock}), in seconds, so a subscriber can place it on
+    that clock's timeline whenever the event is delivered. *)
 type event =
   | Run_started of { pending : int; batch_size : int; domains : int }
   | Batch_started of { index : int; size : int }
@@ -231,8 +228,7 @@ type ('item, 'res) state = {
 type ('item, 'res) ctx
 (** What a [process] callback receives: a handle identifying the engine
     and the worker executing the item.  Stage timing and custom events
-    routed through the ctx are delivered directly on the sequential path
-    and buffered for the deterministic merge on worker domains. *)
+    routed through the ctx are buffered for the input-order merge. *)
 
 val create :
   ?batch_size:int ->
@@ -246,14 +242,14 @@ val create :
   ('item, 'res) t
 (** An engine that starts from [state] (default: empty).  [batch_size]
     defaults to 32; [domains] (default 1) sizes the per-batch worker
-    pool; [key] groups same-key items of a batch into one sequential
-    chain (see the module docs); [crash_plan] arms seeded worker kills
-    (tests only); [subject] renders an item for event reporting;
-    [process] analyzes one item (typically calling {!timed_stage} for
-    each stage it runs).  [process] must touch shared mutable state only
-    in ways that are safe under the declared [domains] count.  The
-    worker count is never part of [state]: an engine resumed at any
-    [domains] finishes with the same results. *)
+    pool; [key] groups same-key items of a batch into one chain, run in
+    input order on one worker (see the module docs); [crash_plan] arms
+    seeded worker kills (tests only); [subject] renders an item for
+    event reporting; [process] analyzes one item (typically calling
+    {!timed_stage} for each stage it runs).  [process] must touch shared
+    mutable state only in ways that are safe under the declared
+    [domains] count.  The worker count is never part of [state]: an
+    engine resumed at any [domains] finishes with the same results. *)
 
 val set_clock : ('item, 'res) t -> Obs.Clock.t -> unit
 (** Time every later stage, item, batch and run with this clock (until
@@ -271,23 +267,14 @@ val subscribe : ('item, 'res) t -> (event -> unit) -> unit
 val emit_from : ('item, 'res) ctx -> event -> unit
 (** Deliver an event to every subscriber through the ctx (how [process]
     callbacks add domain-specific events to the scheduling ones the
-    engine emits): directly on the sequential path, buffered for the
-    input-order merge when running on a worker domain.  This is how the
-    analyzer surfaces transport events ([Retry_attempted],
-    [Circuit_opened]...) without breaking the determinism of the merged
-    stream. *)
-
-val on_merged : ('item, 'res) ctx -> (unit -> unit) -> unit
-(** Run a thunk at this item's deterministic-merge point: immediately on
-    the sequential path, buffered — and replayed in input order at the
-    batch barrier, after the item's events — on a worker domain.  The
-    telemetry layer uses this to absorb per-item metric shards into the
-    root registry in sequential order, which keeps even float sums
-    byte-identical across [domains] counts. *)
+    engine emits): buffered in the item's slot and delivered at the
+    batch barrier, in input order.  This is how the analyzer surfaces
+    transport events ([Retry_attempted], [Circuit_opened]...) without
+    breaking the determinism of the merged stream. *)
 
 val worker_id : ('item, 'res) ctx -> int
-(** Id of the worker running this item: 0 on the sequential path and the
-    coordinator, 1..domains-1 on helper domains. *)
+(** Id of the worker running this item: 0 for the coordinator,
+    1..domains-1 for helper domains. *)
 
 val current_stage : ('item, 'res) ctx -> stage option
 (** The stage the item is currently inside (set by {!timed_stage} on
@@ -309,10 +296,9 @@ val timed_stage :
     their deltas land in the event's {!timing} and in the per-stage
     aggregates.  When [f] raises, a [Stage_errored] event is emitted and
     the exception is re-raised (the scheduler then dead-letters the
-    item).  Under parallel execution the readers must observe
-    worker-local counters (the analyzer passes each worker's private
-    chain-view and transport counters), and the events/aggregates are
-    buffered for the ordered merge. *)
+    item).  The readers must observe worker-local counters (the analyzer
+    passes each worker's private chain-view and transport counters); the
+    events and aggregates are buffered for the ordered merge. *)
 
 (** {1 Scheduling} *)
 
@@ -330,10 +316,10 @@ val run : ?max_batches:int -> ('item, 'res) t -> unit
     naturally follows).  Items whose [process] raises or returns [Error]
     are recorded in the dead-letter list — with
     [Stage_errored]/[Item_skipped] events — instead of aborting the
-    batch.  With [domains > 1] each batch is fanned across the worker
-    pool and merged in input order at its end; the batch boundary is
-    therefore also the parallel barrier, and the {!state} taken between
-    batches is identical to the sequential one. *)
+    batch.  Each batch is spread across the worker pool and merged in
+    input order at its end; the batch boundary is therefore also the
+    pool's barrier, and the {!state} taken between batches is the same
+    at every worker count. *)
 
 val results : ('item, 'res) t -> 'res list
 (** Completed results in completion order (= submission order). *)
@@ -384,8 +370,8 @@ val state : ('item, 'res) t -> ('item, 'res) state
 
     A multi-producer/multi-consumer closeable channel for long-lived
     domain-parallel accept loops (the query daemon feeds client
-    connections to worker domains through one; the batch scheduler
-    itself now dispatches through a lock-free chunk cursor instead).
+    connections to worker domains through one; the batch scheduler's
+    pool parks its helpers on one between batches).
     [pop] blocks until an element arrives or the channel has been closed
     {e and} drained: a close never drops queued elements — consumers
     drain everything in flight before their [pop] returns [None].
@@ -423,10 +409,9 @@ end
     builder lives with the analyzer's RPC and EVM spans).  Both
     subscribe on the coordinator, where the deterministic merge has
     already serialized worker-side events into input order — so metric
-    updates (including float backoff sums) happen in the exact order a
-    sequential run would produce, and registry snapshots are
-    byte-identical across [domains] counts once volatile (wall-clock)
-    families are suppressed. *)
+    updates (including float backoff sums) happen in input order, and
+    registry snapshots are byte-identical across [domains] counts once
+    volatile (wall-clock) families are suppressed. *)
 module Telemetry : sig
   val instrument : Obs.Metrics.t -> ('item, 'res) t -> unit
   (** Register the [proxion_*] metric families (stage runs/latency/API

@@ -200,7 +200,9 @@ let with_code host addr code = host.create_account addr ~code
 (* Copy-on-write view: reads fall through to [base], writes land in private
    override tables with their own undo journal.  The base host is never
    mutated, so any number of overlays can share one base concurrently as
-   long as the base itself is no longer written. *)
+   long as the base itself is no longer written.  Probes revert their
+   writes, so between probes every override table is empty: a read then
+   goes straight to the base without hashing its key twice. *)
 
 module Slot_tbl = Hashtbl.Make (struct
   type t = Address.t * U256.t
@@ -230,12 +232,16 @@ let overlay base =
     incr journal_len
   in
   let get_code addr =
-    match Hashtbl.find_opt code_ov addr with
-    | Some (code, alive) -> if alive then code else ""
-    | None -> base.get_code addr
+    if Hashtbl.length code_ov = 0 then base.get_code addr
+    else
+      match Hashtbl.find_opt code_ov addr with
+      | Some (code, alive) -> if alive then code else ""
+      | None -> base.get_code addr
   in
   let eff_alive addr =
-    match Hashtbl.find_opt code_ov addr with
+    match
+      if Hashtbl.length code_ov = 0 then None else Hashtbl.find_opt code_ov addr
+    with
     | Some (_, alive) -> alive
     | None ->
         (* Approximation: a base account that is alive with empty code is
@@ -245,9 +251,11 @@ let overlay base =
         base.get_code addr <> ""
   in
   let get_storage addr slot =
-    match Slot_tbl.find_opt storage_ov (addr, slot) with
-    | Some v -> v
-    | None -> base.get_storage addr slot
+    if Slot_tbl.length storage_ov = 0 then base.get_storage addr slot
+    else
+      match Slot_tbl.find_opt storage_ov (addr, slot) with
+      | Some v -> v
+      | None -> base.get_storage addr slot
   in
   let set_storage addr slot value =
     let key = (addr, slot) in
@@ -255,18 +263,22 @@ let overlay base =
     Slot_tbl.replace storage_ov key value
   in
   let get_balance addr =
-    match Hashtbl.find_opt balance_ov addr with
-    | Some v -> v
-    | None -> base.get_balance addr
+    if Hashtbl.length balance_ov = 0 then base.get_balance addr
+    else
+      match Hashtbl.find_opt balance_ov addr with
+      | Some v -> v
+      | None -> base.get_balance addr
   in
   let set_balance addr v =
     push (Ov_balance (addr, Hashtbl.find_opt balance_ov addr));
     Hashtbl.replace balance_ov addr v
   in
   let get_nonce addr =
-    match Hashtbl.find_opt nonce_ov addr with
-    | Some n -> n
-    | None -> base.get_nonce addr
+    if Hashtbl.length nonce_ov = 0 then base.get_nonce addr
+    else
+      match Hashtbl.find_opt nonce_ov addr with
+      | Some n -> n
+      | None -> base.get_nonce addr
   in
   let set_nonce addr n =
     push (Ov_nonce (addr, Hashtbl.find_opt nonce_ov addr));

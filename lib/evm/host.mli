@@ -74,7 +74,9 @@ val overlay : t -> t
     journal, and [base] is never mutated.  Many overlays can share one base
     concurrently provided the base itself is no longer written — this is
     how each analysis worker domain gets a private writable host over the
-    shared immutable chain snapshot.
+    shared immutable chain snapshot.  While the overlay holds no write —
+    as between probes, which revert theirs — every read is the base's
+    read, with no lookup in the overlay's own tables.
 
     One documented approximation: [account_exists] reports a base account
     that is alive with {e empty} code as absent (the overlay cannot observe

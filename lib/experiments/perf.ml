@@ -12,8 +12,6 @@ type numbers = {
   storage_check_ms : float;
   pipeline_s_with_dedup : float;
   pipeline_s_without_dedup : float;
-  parallel_domains : int;
-  pipeline_s_parallel : float;
 }
 
 let time clk f =
@@ -21,8 +19,7 @@ let time clk f =
   let result = f () in
   (result, Obs.Clock.now clk -. t0)
 
-let run ?(config = Generate.quick_config) ?(domains = 4)
-    ?(clock = Obs.Clock.real) () =
+let run ?(config = Generate.quick_config) ?(clock = Obs.Clock.real) () =
   let time f = time clock f in
   let land_ = Generate.generate config in
   let chain = land_.Generate.chain in
@@ -105,15 +102,6 @@ let run ?(config = Generate.quick_config) ?(domains = 4)
           (Pipeline.analyze ~config:no_dedup ~chain
              ~source:land_.Generate.source_of ()))
   in
-  (* Domain-parallel pipeline: same work, fanned across worker domains.
-     Identical output by construction; only wall-clock changes. *)
-  let par = Pipeline.Config.(default |> with_domains domains) in
-  let _, parallel_elapsed =
-    time (fun () ->
-        ignore
-          (Pipeline.analyze ~config:par ~chain ~source:land_.Generate.source_of
-             ()))
-  in
   {
     contracts_checked = n;
     probe_ms_per_contract = probe_elapsed /. float_of_int n *. 1000.0;
@@ -125,8 +113,6 @@ let run ?(config = Generate.quick_config) ?(domains = 4)
     storage_check_ms = storage_elapsed /. float_of_int (reps * 2) *. 1000.0;
     pipeline_s_with_dedup = with_dedup;
     pipeline_s_without_dedup = without_dedup;
-    parallel_domains = domains;
-    pipeline_s_parallel = parallel_elapsed;
   }
 
 let render p =
@@ -173,13 +159,5 @@ let render p =
         "pipeline without dedup";
         Printf.sprintf "%.2f s" p.pipeline_s_without_dedup;
         "(48 days for storage checks)";
-      ];
-      [
-        Printf.sprintf "pipeline with dedup, %d domains" p.parallel_domains;
-        Printf.sprintf "%.2f s (%.2fx vs 1 domain)" p.pipeline_s_parallel
-          (if p.pipeline_s_parallel > 0.0 then
-             p.pipeline_s_with_dedup /. p.pipeline_s_parallel
-           else 0.0);
-        "(embarrassingly parallel per contract)";
       ];
     ]

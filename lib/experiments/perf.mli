@@ -16,18 +16,10 @@ type numbers = {
   storage_check_ms : float;
   pipeline_s_with_dedup : float;
   pipeline_s_without_dedup : float;
-  parallel_domains : int;  (** Worker count used for the parallel row. *)
-  pipeline_s_parallel : float;
-      (** Dedup pipeline fanned across [parallel_domains] domains;
-          identical output, different wall-clock. *)
 }
 
 val run :
-  ?config:Dataset.Generate.config ->
-  ?domains:int ->
-  ?clock:Obs.Clock.t ->
-  unit ->
-  numbers
+  ?config:Dataset.Generate.config -> ?clock:Obs.Clock.t -> unit -> numbers
 (** [clock] (default {!Obs.Clock.real}) is the timing source for every
     wall-clock figure — a {!Obs.Clock.virtual_} clock makes the numbers
     deterministic for tests. *)

@@ -25,8 +25,8 @@ type series = {
 type key = string * (string * string) list
 
 type t = {
-  specs : (string, family) Hashtbl.t; (* shared with shards *)
-  specs_lock : Mutex.t; (* shared with shards *)
+  specs : (string, family) Hashtbl.t;
+  specs_lock : Mutex.t;
   series : (key, series) Hashtbl.t;
   lock : Mutex.t;
 }
@@ -36,14 +36,6 @@ let create () =
     specs = Hashtbl.create 32;
     specs_lock = Mutex.create ();
     series = Hashtbl.create 64;
-    lock = Mutex.create ();
-  }
-
-let shard t =
-  {
-    specs = t.specs;
-    specs_lock = t.specs_lock;
-    series = Hashtbl.create 16;
     lock = Mutex.create ();
   }
 
@@ -179,7 +171,8 @@ let set ?(labels = []) t fam v =
 
 (* The exemplar tracks the max-value observation: first observation
    always wins an empty slot, later ones only on a strictly greater
-   value, so ties keep the earliest id and merges stay deterministic. *)
+   value, so ties keep the earliest id and the result is deterministic
+   for a given observation order. *)
 let note_exemplar s v id =
   match id with
   | None -> ()
@@ -208,9 +201,7 @@ let observe ?(labels = []) ?exemplar t fam v =
 (* ------------------------------------------------------------------ *)
 
 (* A handle pins one (family, label set) series so hot paths skip the
-   per-call label canonicalization and hash lookup.  Valid only against
-   long-lived registries: [absorb] resets a shard's series table, which
-   would orphan any handle into it. *)
+   per-call label canonicalization and hash lookup. *)
 type handle = { h_lock : Mutex.t; h_kind : kind; h_series : series }
 
 let handle ?(labels = []) t fam =
@@ -250,35 +241,6 @@ let hobserve ?exemplar h v =
       note_exemplar s v exemplar;
       Mutex.unlock h.h_lock
   | _ -> invalid_arg "Metrics.hobserve: not a histogram"
-
-(* ------------------------------------------------------------------ *)
-(* Shard merge                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let absorb ~into sh =
-  Mutex.lock into.lock;
-  Mutex.lock sh.lock;
-  Hashtbl.iter
-    (fun (name, labels) src ->
-      match Hashtbl.find_opt into.specs name with
-      | None -> () (* unreachable: shards share the spec table *)
-      | Some fam -> (
-          let dst = find_series into fam labels in
-          match fam.f_kind with
-          | Counter -> dst.sr_value <- dst.sr_value +. src.sr_value
-          | Gauge -> dst.sr_value <- src.sr_value
-          | Histogram _ ->
-              dst.sr_value <- dst.sr_value +. src.sr_value;
-              dst.sr_count <- dst.sr_count +. src.sr_count;
-              Array.iteri
-                (fun i c -> dst.sr_buckets.(i) <- dst.sr_buckets.(i) +. c)
-                src.sr_buckets;
-              if src.sr_ex_id <> "" then
-                note_exemplar dst src.sr_ex_value (Some src.sr_ex_id)))
-    sh.series;
-  Hashtbl.reset sh.series;
-  Mutex.unlock sh.lock;
-  Mutex.unlock into.lock
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)

@@ -8,28 +8,27 @@
 
     {b Determinism.}  Exposition output is fully sorted (families by
     name, series by label set), values are formatted canonically, and
-    counter/histogram merges are pure additions — so two runs that make
+    counter/histogram updates are pure additions — so two runs that make
     the same observations produce byte-identical output regardless of
     registration or observation interleaving, {e except} for
     wall-clock-derived values.  Families carry a [volatile] flag for
     those; writers can suppress volatile families (and the snapshot
     timestamp), which is how the CI diff job asserts a [DOMAINS=4] scan
-    snapshots byte-identically to the sequential one.
+    snapshots byte-identically to a [DOMAINS=1] one.
 
-    {b Sharding.}  Worker domains record into private {!shard}s (same
-    family specs, private series) which the coordinator {!absorb}s in
-    input order at the engine's deterministic-merge barrier.  Counter and
-    histogram merges commute over integers; float sums (backoff seconds)
-    are replayed in input order, so even their rounding is
-    order-identical to a sequential run. *)
+    {b One registry, many writers.}  Worker domains record straight into
+    the one registry.  A series whose observations are all
+    integer-valued (counts, steps) sums exactly in any order, so its
+    value does not depend on which worker recorded first; a series with
+    float observations (backoff seconds) is recorded from one thread in
+    a fixed order — the engine's input-order merge — so its rounding is
+    the same at every worker count. *)
 
 type t
-(** A registry (or a shard of one).  All operations are thread-safe. *)
+(** A registry.  All operations are thread-safe. *)
 
 type family
-(** A handle to one metric family (name, kind, buckets, volatility).
-    Handles are registry-independent: the same handle records into
-    whichever registry or shard it is applied to. *)
+(** A handle to one metric family (name, kind, buckets, volatility). *)
 
 val create : unit -> t
 
@@ -76,9 +75,8 @@ val find : t -> string -> family option
 
     A {!handle} pins one (family, label set) series so hot paths pay a
     mutex and an array update per observation instead of label
-    canonicalization plus a hash lookup.  Handles must only target
-    long-lived registries — {!absorb} resets a shard's series table,
-    orphaning any handle into the shard. *)
+    canonicalization plus a hash lookup.  A handle stays valid for the
+    registry's lifetime and may be used from any domain. *)
 
 type handle
 
@@ -93,19 +91,6 @@ val hset : handle -> float -> unit
 
 val hobserve : ?exemplar:string -> handle -> float -> unit
 (** {!observe} through a pre-resolved histogram handle. *)
-
-(** {1 Shards} *)
-
-val shard : t -> t
-(** A private shard: shares the parent's family registrations, starts
-    with no series.  Observations through any family handle land in the
-    shard; {!absorb} folds them into the parent. *)
-
-val absorb : into:t -> t -> unit
-(** Merge a shard's series into [into]: counters and histogram
-    bucket/sum/count pairs add; gauges overwrite; exemplars keep the
-    max-valued one (the destination wins ties).  The shard is left
-    empty and reusable. *)
 
 (** {1 Reading} *)
 

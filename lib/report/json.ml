@@ -55,7 +55,9 @@ let to_string ?(pretty = true) value =
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float f ->
-        if Float.is_integer f && Float.abs f < 1e15 then
+        (* JSON has no spelling for an infinity or a NaN. *)
+        if not (Float.is_finite f) then Buffer.add_string buf "null"
+        else if Float.is_integer f && Float.abs f < 1e15 then
           Buffer.add_string buf (Printf.sprintf "%.1f" f)
         else
           (* Shortest decimal form that parses back to the same float, so
@@ -191,23 +193,52 @@ let parse input =
     go ();
     Buffer.contents buf
   in
+  (* Character tests for the number scanner, made once per parse so a
+     number allocates nothing beyond its text. *)
+  let at c = !pos < len && input.[!pos] = c in
+  let at_digit () =
+    !pos < len && input.[!pos] >= '0' && input.[!pos] <= '9'
+  in
+  let digits () =
+    if not (at_digit ()) then fail "bad number";
+    while at_digit () do
+      advance ()
+    done
+  in
+  (* RFC 8259's number grammar: an optional minus; [0] or a digit run
+     without a leading zero; an optional fraction of one or more digits;
+     an optional exponent [e]/[E], optionally signed, of one or more
+     digits.  An integer literal must fit an [int] and any other number
+     must be a finite float: the reader never holds a value other than
+     the one written. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
+    if at '-' then advance ();
+    if at '0' then begin
+      advance ();
+      if at_digit () then fail "bad number: leading zero"
+    end
+    else digits ();
+    let integral = ref true in
+    if at '.' then begin
+      advance ();
+      integral := false;
+      digits ()
+    end;
+    if at 'e' || at 'E' then begin
+      advance ();
+      integral := false;
+      if at '+' || at '-' then advance ();
+      digits ()
+    end;
     let text = String.sub input start (!pos - start) in
-    match int_of_string_opt text with
-    | Some n -> Int n
-    | None -> (
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail "bad number")
+    if !integral then
+      match int_of_string_opt text with
+      | Some n -> Int n
+      | None -> fail "integer out of range"
+    else
+      let f = float_of_string text in
+      if Float.is_finite f then Float f else fail "number out of range"
   in
   let rec parse_value () =
     skip_ws ();

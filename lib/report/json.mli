@@ -14,12 +14,16 @@ val to_string : ?pretty:bool -> t -> string
 (** Serialize.  [pretty] (default true) indents with two spaces.
     Strings escape quotes, backslashes and control characters ([\n],
     [\r], [\t], otherwise [\u00XX]); every other byte is copied as it
-    is. *)
+    is.  A non-finite [Float] (an infinity or a NaN, which JSON cannot
+    spell) is written as [null]. *)
 
 val parse : string -> (t, string) result
 (** Recursive-descent JSON parsing (objects, arrays, strings with the
     escapes {!to_string} emits, integers, floats, booleans, null).  Numbers
-    without a fraction or exponent parse as [Int]. *)
+    follow RFC 8259's grammar, so [+1], [007], [.5] and [1.] are errors.
+    Numbers without a fraction or exponent parse as [Int], and one that
+    does not fit an [int] is an error; any other number must be a finite
+    float ([1e400] is an error). *)
 
 (** {1 Readers}
 

@@ -631,7 +631,6 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
           t.reorg_log <- !replayed_reorgs;
           subscribe_counters t.counters analyzer;
           Analyzer.instrument ?trace t.registry analyzer;
-          Analyzer.refresh_head analyzer;
           ignore (Analyzer.drain_results analyzer);
           logf t Obs.Log.Info
             (Printf.sprintf "recovered warm: %d subjects, %d advances"
@@ -676,7 +675,6 @@ let advance ?ctx t =
       Mutex.unlock t.advance_lock)
     (fun () ->
       let summary = Advance.apply t.advancer in
-      Analyzer.refresh_head t.analyzer;
       let reports = Store.reports t.store in
       let orphaned, reverted =
         match summary.Advance.a_reorg with
@@ -1121,6 +1119,10 @@ let allowed_while_draining = function
   | "health" | "ready" | "metrics" | "flight" | "shutdown" -> true
   | _ -> false
 
+(* A present [params] is an object; anything else would read as no
+   params and run the method with its defaults. *)
+let params_shape_ok = function Json.Obj _ | Json.Null -> true | _ -> false
+
 let dispatch t ~deadline ?ctx meth params =
   if Atomic.get t.draining && not (allowed_while_draining meth) then
     Error
@@ -1129,6 +1131,12 @@ let dispatch t ~deadline ?ctx meth params =
         message = "daemon is draining; request shed";
       }
   else if deadline_passed t deadline then Error deadline_error
+  else if not (params_shape_ok params) then
+    Error
+      {
+        Wire.code = Wire.err_invalid_params;
+        message = "params must be an object";
+      }
   else
     match meth with
     | "get_status" -> handle_get_status t

@@ -109,7 +109,9 @@ type trace_ctx = { tc_trace_id : string; tc_span_id : string }
 type request = {
   rq_id : Report.Json.t;  (** Echoed verbatim; conventionally an int. *)
   rq_method : string;
-  rq_params : Report.Json.t;  (** [Obj]; [Null] when omitted. *)
+  rq_params : Report.Json.t;
+      (** [Null] when omitted; as sent otherwise (the daemon answers a
+          non-object with invalid params). *)
   rq_trace : trace_ctx option;  (** [trace] field, when present. *)
 }
 

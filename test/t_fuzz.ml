@@ -190,11 +190,60 @@ let trace_field_totality =
       in
       parse_ok && dispatch_ok)
 
+(* Every reply the daemon writes parses.  The request text is assembled
+   raw, so it can carry number spellings no [Json.t] prints — a leading
+   plus, leading zeros, a bare fraction, an integer beyond 63 bits, a
+   float that overflows — in the marker, the id, the params value and a
+   param's value.  Whatever the daemon makes of them, its reply must be
+   JSON its own parser reads back. *)
+let replies_parse =
+  let open QCheck.Gen in
+  let numbers =
+    [
+      "1"; "+1"; "007"; ".5"; "1."; "-0"; "1E5"; "1e-3"; "0.5";
+      "99999999999999999999"; "-99999999999999999999"; "1e400"; "-1e400";
+      "4611686018427387904";
+    ]
+  in
+  let value = oneofl (numbers @ [ "null"; "\"x\""; "[5]"; "{}"; "true" ]) in
+  let payload_gen =
+    map
+      (fun ((marker, id, meth), (params, key, v)) ->
+        let params =
+          match params with
+          | `Value p -> p
+          | `Field -> Printf.sprintf "{\"%s\": %s}" key v
+        in
+        Printf.sprintf
+          "{\"proxion_rpc\": %s, \"id\": %s, \"method\": \"%s\", \
+           \"params\": %s}"
+          marker id meth params)
+      (pair
+         (triple (oneofl ("1" :: numbers)) value
+            (oneofl
+               [
+                 "get_status"; "health"; "list_findings"; "flight"; "is_proxy";
+                 "no_such_method";
+               ]))
+         (triple
+            (oneof [ map (fun p -> `Value p) value; return `Field ])
+            (oneofl [ "limit"; "offset"; "address"; "severity" ])
+            value))
+  in
+  QCheck.Test.make ~name:"every reply the daemon writes parses" ~count:300
+    (QCheck.make ~print:Fun.id payload_gen) (fun payload ->
+      let _meth, reply = Serve.Daemon.handle (Lazy.force fuzz_daemon) payload in
+      match Report.Json.parse reply with
+      | Ok _ -> true
+      | Error e ->
+          QCheck.Test.fail_reportf "reply %s does not parse: %s" reply e)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       quorum_canonicality;
       trace_field_totality;
+      replies_parse;
       total "disassembler total" Evm.Disasm.disassemble;
       total "basic blocks total" Evm.Disasm.basic_blocks;
       total "cfg build total" (fun c -> Evm.Cfg.build c);

@@ -119,61 +119,20 @@ let test_lint_catches_breakage () =
      h_count 6\n"
 
 let test_bucket_determinism () =
-  (* The same multiset of observations, in different interleavings and
-     through different shard topologies, must render byte-identically. *)
+  (* The same multiset of observations, in different interleavings, must
+     render byte-identically. *)
   let values = [ 0.05; 0.5; 0.5; 5.0; 50.0; 0.25 ] in
-  let build order shards =
+  let build order =
     let m = Obs.Metrics.create () in
     let h =
       Obs.Metrics.histogram m ~help:"Latency" ~buckets:[ 0.1; 1.0; 10.0 ]
         "d_latency_seconds"
     in
     let c = Obs.Metrics.counter m ~help:"Hits" "d_hits_total" in
-    (match shards with
-    | [] -> List.iter (fun v -> Obs.Metrics.observe m h v; Obs.Metrics.inc m c) order
-    | shard_sizes ->
-        let rec split vs = function
-          | [] -> []
-          | n :: rest ->
-              let taken = List.filteri (fun i _ -> i < n) vs in
-              let left = List.filteri (fun i _ -> i >= n) vs in
-              taken :: split left rest
-        in
-        List.iter
-          (fun chunk ->
-            let sh = Obs.Metrics.shard m in
-            List.iter
-              (fun v ->
-                Obs.Metrics.observe sh h v;
-                Obs.Metrics.inc sh c)
-              chunk;
-            Obs.Metrics.absorb ~into:m sh)
-          (split order shard_sizes));
+    List.iter (fun v -> Obs.Metrics.observe m h v; Obs.Metrics.inc m c) order;
     Obs.Metrics.to_prometheus m
   in
-  let base = build values [] in
-  check_s "reversed observation order" base (build (List.rev values) []);
-  check_s "sharded 2+4" base (build values [ 2; 4 ]);
-  check_s "sharded 3+3, reversed" base (build (List.rev values) [ 3; 3 ])
-
-let test_shard_semantics () =
-  let m = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter m "s_total" in
-  let g = Obs.Metrics.gauge m "s_gauge" in
-  Obs.Metrics.inc m c ~by:3.0;
-  Obs.Metrics.set m g 5.0;
-  let sh = Obs.Metrics.shard m in
-  Obs.Metrics.inc sh c ~by:4.0;
-  Obs.Metrics.set sh g 9.0;
-  checkf "shard records privately" 3.0
-    (Option.get (Obs.Metrics.value m c));
-  Obs.Metrics.absorb ~into:m sh;
-  checkf "counters add on absorb" 7.0 (Option.get (Obs.Metrics.value m c));
-  checkf "gauges overwrite on absorb" 9.0 (Option.get (Obs.Metrics.value m g));
-  Obs.Metrics.absorb ~into:m sh;
-  checkf "absorb empties the shard" 7.0 (Option.get (Obs.Metrics.value m c));
-  check_b "untouched series read as None" true
-    (Obs.Metrics.value sh c = None)
+  check_s "reversed observation order" (build values) (build (List.rev values))
 
 let test_summarize () =
   let m = Obs.Metrics.create () in
@@ -644,17 +603,7 @@ let test_exemplars () =
   Obs.Metrics.observe m h 5.0;
   check_b "exemplar-less observations leave the slot" true
     (Obs.Metrics.exemplar m h = Some (id 'c', 0.9));
-  (* Absorb keeps the max-valued exemplar; the destination wins ties. *)
-  let sh = Obs.Metrics.shard m in
-  Obs.Metrics.observe ~exemplar:(id 'd') sh h 2.0;
-  Obs.Metrics.absorb ~into:m sh;
-  check_b "absorb keeps the max" true
-    (Obs.Metrics.exemplar m h = Some (id 'd', 2.0));
-  let sh2 = Obs.Metrics.shard m in
-  Obs.Metrics.observe ~exemplar:(id 'e') sh2 h 2.0;
-  Obs.Metrics.absorb ~into:m sh2;
-  check_b "destination wins absorb ties" true
-    (Obs.Metrics.exemplar m h = Some (id 'd', 2.0));
+  Obs.Metrics.observe ~exemplar:(id 'd') m h 2.0;
   (* The exposition carries the EXEMPLAR comment and still lints. *)
   let text = Obs.Metrics.to_prometheus m in
   check_b "EXEMPLAR comment present" true
@@ -862,8 +811,6 @@ let suite =
       test_lint_catches_breakage;
     Alcotest.test_case "metrics: histogram rendering is order-independent"
       `Quick test_bucket_determinism;
-    Alcotest.test_case "metrics: shard absorb semantics" `Quick
-      test_shard_semantics;
     Alcotest.test_case "metrics: percentile interpolation" `Quick
       test_summarize;
     Alcotest.test_case "instrumented chaos snapshot identical across domains"

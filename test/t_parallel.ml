@@ -103,7 +103,16 @@ let test_parallel_report_identical () =
     (report_string (Proxion.Analyzer.report seq))
     (report_string (Proxion.Analyzer.report par));
   check_sl "event order is identical to sequential"
-    (List.rev !seq_events) (List.rev !par_events)
+    (List.rev !seq_events) (List.rev !par_events);
+  (* Workers read the archive through views; their calls still reach the
+     chain's own counter, the figure a caller of the analyzer reads. *)
+  let root_calls land_ = Chain.api_call_count land_.Generate.chain in
+  check_i "the chain's API-call counter is the same at any worker count"
+    (root_calls land_seq) (root_calls land_par);
+  check_i "the chain's API-call counter agrees with the report"
+    (Proxion.Analyzer.report par).Proxion.Pipeline.stats
+      .Proxion.Pipeline.s_api_calls
+    (root_calls land_par)
 
 let test_parallel_checkpoint_resume () =
   (* Reference: uninterrupted sequential run. *)

@@ -59,6 +59,14 @@ let test_json_parse_basics () =
   ok "{}" (Json.Obj []);
   ok "[1, 2]" (Json.List [ Json.Int 1; Json.Int 2 ]);
   ok "{\"k\": [true]}" (Json.Obj [ ("k", Json.List [ Json.Bool true ]) ]);
+  (* RFC 8259 numbers: a negative zero, either exponent letter, a
+     negative exponent. *)
+  ok "-0" (Json.Int 0);
+  ok "1E5" (Json.Float 1e5);
+  ok "1e-3" (Json.Float 1e-3);
+  (* A float JSON cannot spell is written as null, which parses. *)
+  ok (Json.to_string (Json.Float infinity)) Json.Null;
+  ok (Json.to_string (Json.Float nan)) Json.Null;
   (* Errors. *)
   List.iter
     (fun bad ->
@@ -75,6 +83,16 @@ let test_json_parse_basics () =
       {|"\uZZZZ"|};
       {|"\u12_3"|};
       {|"\u+0ff"|};
+      (* Numbers outside RFC 8259's grammar, an integer no [int] holds,
+         and a float that overflows to infinity. *)
+      "+1";
+      "007";
+      ".5";
+      "1.";
+      "-";
+      "1e";
+      "99999999999999999999";
+      "1e400";
     ]
 
 let test_json_unicode_escape () =

@@ -384,39 +384,69 @@ let test_queries () =
    with
   | Error e -> check_i "unknown address" Wire.err_unknown_address e.Wire.code
   | Ok _ -> Alcotest.fail "expected unknown-address error");
-  (* Param decoding: each row is rejected with -32602 or accepted. *)
+  (* Param decoding: each row is rejected with -32602 or accepted.  A
+     row's params is the whole [params] value sent. *)
   let invalid = Some Wire.err_invalid_params and accepted = None in
+  let call_params meth params =
+    let payload =
+      Json.to_string ~pretty:false
+        (Json.Obj
+           [
+             ("proxion_rpc", Json.Int Wire.protocol_version);
+             ("id", Json.Int 1);
+             ("method", Json.String meth);
+             ("params", params);
+           ])
+    in
+    match Wire.response_of_string (snd (Daemon.handle d payload)) with
+    | Ok r -> r.Wire.rs_result
+    | Error e -> Alcotest.failf "unparsable response: %s" e
+  in
   List.iter
     (fun (meth, params, want) ->
       let what =
-        Printf.sprintf "%s %s" meth
-          (Json.to_string ~pretty:false (Json.Obj params))
+        Printf.sprintf "%s %s" meth (Json.to_string ~pretty:false params)
       in
-      match (call_daemon d meth params, want) with
+      match (call_params meth params, want) with
       | Error e, Some code -> check_i what code e.Wire.code
       | Ok _, None -> ()
       | Error e, None -> Alcotest.failf "%s: rejected with %d" what e.Wire.code
       | Ok _, Some _ -> Alcotest.failf "%s: accepted" what)
     [
-      ("is_proxy", [ ("address", Json.String "zz") ], invalid);
-      ("is_proxy", [], invalid);
+      ("is_proxy", Json.Obj [ ("address", Json.String "zz") ], invalid);
+      ("is_proxy", Json.Obj [], invalid);
       ( "is_proxy",
-        [ ("address", Json.String ("0x" ^ String.make 38 'a')) ],
+        Json.Obj [ ("address", Json.String ("0x" ^ String.make 38 'a')) ],
         invalid );
-      ("list_findings", [ ("offset", Json.String "3") ], invalid);
-      ("list_findings", [ ("limit", Json.Float 2.5) ], invalid);
-      ("list_findings", [ ("severity", Json.String "urgent") ], invalid);
-      ("list_findings", [ ("severity", Json.Int 3) ], invalid);
-      ("list_findings", [ ("min_severity", Json.String "x") ], invalid);
-      ("list_findings", [ ("min_severity", Json.Bool true) ], invalid);
-      ("metrics", [ ("format", Json.String "xml") ], invalid);
-      ("flight", [ ("limit", Json.String "5") ], invalid);
-      ("advance", [ ("count", Json.String "2") ], invalid);
-      ("list_findings", [], accepted);
+      ("list_findings", Json.Obj [ ("offset", Json.String "3") ], invalid);
+      ("list_findings", Json.Obj [ ("limit", Json.Float 2.5) ], invalid);
       ( "list_findings",
-        [ ("severity", Json.String "critical"); ("min_severity", Json.Int 7) ],
+        Json.Obj [ ("severity", Json.String "urgent") ],
+        invalid );
+      ("list_findings", Json.Obj [ ("severity", Json.Int 3) ], invalid);
+      ( "list_findings",
+        Json.Obj [ ("min_severity", Json.String "x") ],
+        invalid );
+      ( "list_findings",
+        Json.Obj [ ("min_severity", Json.Bool true) ],
+        invalid );
+      ("metrics", Json.Obj [ ("format", Json.String "xml") ], invalid);
+      ("flight", Json.Obj [ ("limit", Json.String "5") ], invalid);
+      ("advance", Json.Obj [ ("count", Json.String "2") ], invalid);
+      (* A present params that is not an object runs nothing. *)
+      ("advance", Json.List [ Json.Int 5 ], invalid);
+      ("list_findings", Json.String "severity=critical", invalid);
+      ("list_findings", Json.Obj [], accepted);
+      ("list_findings", Json.Null, accepted);
+      ( "list_findings",
+        Json.Obj
+          [
+            ("severity", Json.String "critical"); ("min_severity", Json.Int 7);
+          ],
         accepted );
     ];
+  check_i "no rejected advance ran" 0
+    (int_field "advances" (get_ok (call_daemon d "get_status" [])));
   (* An explicit null reads as absent: the reply is the default's. *)
   List.iter
     (fun (meth, params) ->
