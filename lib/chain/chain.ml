@@ -63,7 +63,7 @@ type t = {
   tx_index : (Address.t, tx_record list ref) Hashtbl.t;
   mutable txs : tx_record list; (* reverse order *)
   mutable api_calls : int;
-  method_calls : (string, int) Hashtbl.t;
+  method_calls : (string, int ref) Hashtbl.t;
   mutable install_nonce : int;
   (* (deploy height, nonce after the install), newest first — the undo
      log that lets a reorg rewind the installer nonce so re-mined
@@ -477,27 +477,27 @@ let rewind_to t ~height =
 (* Archive queries                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let rec value_at height = function
+  | [] -> U256.zero
+  | (h, v) :: rest -> if h <= height then v else value_at height rest
+
 let get_storage_at t addr slot ~height =
   t.api_calls <- t.api_calls + 1;
-  match Slot_tbl.find_opt t.history { sk_addr = addr; sk_slot = slot } with
-  | None -> U256.zero
-  | Some entries ->
-      let rec find = function
-        | [] -> U256.zero
-        | (h, v) :: rest -> if h <= height then v else find rest
-      in
-      find !entries
+  match Slot_tbl.find t.history { sk_addr = addr; sk_slot = slot } with
+  | entries -> value_at height !entries
+  | exception Not_found -> U256.zero
 
 let api_call_count t = t.api_calls
 let reset_api_call_count t = t.api_calls <- 0
 let add_api_calls t n = t.api_calls <- t.api_calls + n
 
 let record_method_call t meth =
-  Hashtbl.replace t.method_calls meth
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.method_calls meth))
+  match Hashtbl.find t.method_calls meth with
+  | n -> incr n
+  | exception Not_found -> Hashtbl.add t.method_calls meth (ref 1)
 
 let method_call_counts t =
-  Hashtbl.fold (fun meth n acc -> (meth, n) :: acc) t.method_calls []
+  Hashtbl.fold (fun meth n acc -> (meth, !n) :: acc) t.method_calls []
   |> List.sort compare
 
 let storage_change_heights t addr slot =

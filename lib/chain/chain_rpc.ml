@@ -60,8 +60,35 @@ let latest_only chain ~meth s =
   let* h = parse_block chain s in
   if h = Chain.height chain then Ok () else Error (Unsupported_height meth)
 
-let call chain ~meth ~params =
-  Chain.record_method_call chain meth;
+type 'a codec = { encode : 'a -> string; decode : string -> 'a }
+
+type 'a request = {
+  meth : string;
+  answer : Chain.t -> ('a, error) result;
+  codec : 'a codec;
+}
+
+let serve chain r =
+  Chain.record_method_call chain r.meth;
+  r.answer chain
+
+let word_codec = { encode = U256.to_hex_padded; decode = U256.of_hex }
+let string_codec = { encode = Fun.id; decode = Fun.id }
+
+(* The one function that serves [eth_getStorageAt]. *)
+let storage_word chain address slot ~height =
+  if height > Chain.height chain then
+    Error (Invalid_params ("block beyond head: " ^ quantity height))
+  else Ok (Chain.get_storage_at chain address slot ~height)
+
+let storage_at address slot ~height =
+  {
+    meth = "eth_getStorageAt";
+    answer = (fun chain -> storage_word chain address slot ~height);
+    codec = word_codec;
+  }
+
+let answer_wire ~meth ~params chain =
   match (meth, params) with
   | "eth_blockNumber", [] -> Ok (quantity (Chain.height chain))
   | "eth_chainId", [] ->
@@ -75,7 +102,7 @@ let call chain ~meth ~params =
       let* a = parse_address addr in
       let* s = parse_word slot in
       let* height = parse_block chain block in
-      Ok (U256.to_hex_padded (Chain.get_storage_at chain a s ~height))
+      Result.map word_codec.encode (storage_word chain a s ~height)
   | "eth_getBalance", [ addr; block ] ->
       let* a = parse_address addr in
       let* () = latest_only chain ~meth block in
@@ -113,8 +140,7 @@ let call chain ~meth ~params =
       Error (Invalid_params (Printf.sprintf "wrong arity for %s" meth))
   | _ -> Error (Unknown_method meth)
 
-let call_batch chain requests =
-  List.map (fun (meth, params) -> call chain ~meth ~params) requests
+let request ~meth ~params =
+  { meth; answer = answer_wire ~meth ~params; codec = string_codec }
 
-let get_storage_at chain ~address ~slot ~block =
-  call chain ~meth:"eth_getStorageAt" ~params:[ address; slot; block ]
+let call chain ~meth ~params = serve chain (request ~meth ~params)

@@ -3,10 +3,18 @@
     This is the exact method surface ProxioN consumes from a real archive
     node (§7.1): [eth_getStorageAt] with historical block tags (what
     Algorithm 1 binary-searches), [eth_getCode], and the block-metadata
-    calls.  Parameters and results are 0x-hex strings with Ethereum's
-    conventions ("latest" tag, quantity encoding without leading zeros),
-    so code written against this facade would port to a real node
-    unchanged. *)
+    calls.
+
+    {b Requests.}  A {!request} carries its method name, how the node
+    serves it, and the wire codec of its answer.  In-process callers
+    build typed requests ({!storage_at} answers a [U256.t]) and never
+    touch hex.  Hex lives at the edges only: the string facade {!call}
+    decodes its 0x-hex params into the same typed functions and encodes
+    their answers with Ethereum's conventions ("latest" tag, quantity
+    encoding without leading zeros), so code written against it would
+    port to a real node unchanged; and a Byzantine endpoint of the
+    resilient transport garbles an answer in its wire form (through the
+    request's codec). *)
 
 (** The retryable failure modes of a real provider.  The simulated node
     never produces them on its own; the resilient transport
@@ -38,13 +46,42 @@ val is_transient : error -> bool
     is a permanent capability statement, which is exactly why it is a
     distinct constructor. *)
 
+(** {1 Requests} *)
+
+(** An answer's JSON-RPC result string: [decode (encode v) = v]. *)
+type 'a codec = { encode : 'a -> string; decode : string -> 'a }
+
+type 'a request = {
+  meth : string;  (** The JSON-RPC method name. *)
+  answer : Chain.t -> ('a, error) result;
+      (** How the node answers it, without accounting: call it through
+          {!serve}. *)
+  codec : 'a codec;  (** The answer's wire form. *)
+}
+
+val serve : Chain.t -> 'a request -> ('a, error) result
+(** Answer one request: count the method against [chain]
+    ({!Chain.record_method_call}), then run [answer].  Every request,
+    typed or string, is served here. *)
+
+val storage_at : Evm.Address.t -> U256.t -> height:int -> U256.t request
+(** [eth_getStorageAt] at a block height, answering the word itself
+    through {!Chain.get_storage_at} (one §6.1 archive call).  A height
+    beyond the head is [Invalid_params], with the message the string
+    facade gives for the same height as a hex quantity. *)
+
+val request : meth:string -> params:string list -> string request
+(** The string facade's request: [params] are decoded when it is served
+    and the answer is encoded, both as {!call} describes. *)
+
 val call :
   Chain.t -> meth:string -> params:string list -> (string, error) result
-(** Supported methods:
+(** [serve chain (request ~meth ~params)].  Supported methods:
     - [eth_blockNumber] () -> hex height
     - [eth_chainId] () -> hex chain id
     - [eth_getCode] (address, block) -> hex bytecode
-    - [eth_getStorageAt] (address, slot, block) -> 32-byte hex word
+    - [eth_getStorageAt] (address, slot, block) -> 32-byte hex word,
+      served by {!storage_at}
     - [eth_getBalance] (address, block) -> hex quantity
     - [eth_getTransactionCount] (address, block) -> hex nonce
     - [eth_call] (to, data, block) -> hex return data (read-only execution
@@ -56,17 +93,3 @@ val call :
     paper's use of the node); a valid historical block tag on them
     returns [Unsupported_height] with the method name, while a malformed
     or beyond-head tag stays [Invalid_params]. *)
-
-val call_batch :
-  Chain.t -> (string * string list) list -> (string, error) result list
-(** JSON-RPC batch semantics: one [(method, params)] request per entry,
-    one response per request in the same order.  A failing request yields
-    its own [Error] without affecting its neighbours — exactly how a
-    batched archive-node round-trip degrades.  Against a real node this
-    is where ProxioN amortizes HTTP round-trips; the simulated chain
-    serves the batch sequentially, so per-call accounting (the §6.1 API
-    counter) is identical to issuing the calls one by one. *)
-
-val get_storage_at :
-  Chain.t -> address:string -> slot:string -> block:string -> (string, error) result
-(** Typed convenience wrapper over the eponymous method. *)

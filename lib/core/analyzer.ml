@@ -30,6 +30,7 @@ type telemetry = {
      values and filled lazily, one table per worker so a lookup takes no
      lock; workers that resolve the same labels share one series. *)
   tm_attempt_handles : (string * string, Obs.Metrics.handle) Hashtbl.t array;
+  tm_endpoint_handles : (string * string, Obs.Metrics.handle) Hashtbl.t array;
   tm_method_handles : (string, Obs.Metrics.handle) Hashtbl.t array;
   tm_item_steps_h : Obs.Metrics.handle;
   tm_fuel_used_h : Obs.Metrics.handle;
@@ -48,6 +49,10 @@ let cached_handle tm tbl key labels fam =
       h
 
 let attempt_labels (meth, outcome) = [ ("method", meth); ("outcome", outcome) ]
+
+let endpoint_labels (endpoint, outcome) =
+  [ ("endpoint", endpoint); ("outcome", outcome) ]
+
 let method_labels meth = [ ("method", meth) ]
 
 (* Outside a request, 1 item in [trace_sample] records its RPC and EVM
@@ -399,9 +404,9 @@ let make_transport t ctx addr chain obs =
             Obs.Metrics.hinc
               (cached_handle tm tm.tm_attempt_handles.(worker) (meth, outcome)
                  attempt_labels tm.tm_rpc_attempts);
-            Obs.Metrics.inc
-              ~labels:[ ("endpoint", endpoint); ("outcome", outcome) ]
-              tm.tm_registry tm.tm_endpoint_attempts;
+            Obs.Metrics.hinc
+              (cached_handle tm tm.tm_endpoint_handles.(worker)
+                 (endpoint, outcome) endpoint_labels tm.tm_endpoint_attempts);
             match tm.tm_trace with
             | Some tr when io.io_sampled ->
                 (* The archive node is in process, so a dispatch is a
@@ -732,6 +737,7 @@ let instrument ?trace ?log registry t =
       tm_evm_frames = evm_frames;
       tm_dedup_hits = dedup_hits;
       tm_attempt_handles = per_worker (fun () -> Hashtbl.create 16);
+      tm_endpoint_handles = per_worker (fun () -> Hashtbl.create 16);
       tm_method_handles = per_worker (fun () -> Hashtbl.create 8);
       tm_item_steps_h = Obs.Metrics.handle registry item_steps;
       tm_fuel_used_h = Obs.Metrics.handle registry fuel_used;

@@ -10,10 +10,11 @@ type resolution = {
 (* Algorithm 1 (PartitionBlocks), phrased as a level-synchronous breadth
    first search so every level of the divide-and-conquer tree issues its
    storage probes in one batched round-trip — the shape a real archive
-   node is queried in.  The probes go through the resilient transport
+   node is queried in.  The probes are typed [eth_getStorageAt] requests
+   answering words, sent through the resilient transport
    ([Transport.direct] when the caller passes none), which retries
-   transient faults per batch entry and raises [Transport.Rpc_error] when
-   an entry is exhausted or permanently rejected.  The memo table avoids
+   transient faults per batch entry; an entry exhausted or permanently
+   rejected raises [Transport.Rpc_error].  The memo table of words avoids
    re-querying a height that serves as both an upper and a lower endpoint
    of adjacent ranges, so the set of heights fetched (and hence the
    API-call count the paper reports in §6.1) is identical to the
@@ -28,26 +29,21 @@ let algorithm1 ?transport chain address ~slot ~lower ~upper =
       | None -> Resilience.Transport.direct chain
     in
     let memo = Hashtbl.create 64 in
-    let addr_hex = Address.to_hex address in
-    let slot_hex = U256.to_hex slot in
     let fetch_missing heights =
       let missing =
-        List.sort_uniq compare heights
+        List.sort_uniq Int.compare heights
         |> List.filter (fun h -> not (Hashtbl.mem memo h))
       in
-      if missing <> [] then begin
-        let requests =
-          List.map
-            (fun h ->
-              ( "eth_getStorageAt",
-                [ addr_hex; slot_hex; U256.to_hex (U256.of_int h) ] ))
-            missing
-        in
+      if missing <> [] then
         List.iter2
-          (fun h hex -> Hashtbl.replace memo h (U256.of_hex hex))
+          (fun h -> function
+            | Ok word -> Hashtbl.replace memo h word
+            | Error e -> raise (Resilience.Transport.Rpc_error e))
           missing
-          (Resilience.Transport.call_batch_exn transport requests)
-      end
+          (Resilience.Transport.call_batch transport
+             (List.map
+                (fun height -> Chain_rpc.storage_at address slot ~height)
+                missing))
     in
     let rec loop ranges acc =
       match ranges with

@@ -23,7 +23,8 @@ val algorithm1 :
   Chain.t -> Evm.Address.t -> slot:U256.t -> lower:int -> upper:int -> U256.Set.t
 (** The paper's Algorithm 1 verbatim: the set of values the slot held at any
     height in [lower, upper], assuming values are not reused (§4.3).  The
-    storage probes go through [transport] (default: a pass-through
+    storage probes are typed {!Chain_rpc.storage_at} requests sent through
+    [transport] (default: a pass-through
     {!Resilience.Transport.direct} over [chain]), so transient archive
     faults are retried per batch entry; an exhausted or permanently
     rejected probe raises {!Resilience.Transport.Rpc_error}. *)

@@ -1,21 +1,30 @@
-let strip_0x s =
-  if String.length s >= 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X') then
-    String.sub s 2 (String.length s - 2)
-  else s
+let has_0x s =
+  String.length s >= 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X')
 
-let hex_value c =
+let strip_0x s = if has_0x s then String.sub s 2 (String.length s - 2) else s
+
+let hex_digit c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'
   | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> invalid_arg (Printf.sprintf "Hexutil: invalid hex character %C" c)
 
+(* Both codecs write their result once, into one buffer.  A byte's low
+   digit is checked before its high one, so a pair with two bad digits
+   names the second. *)
 let of_hex s =
-  let s = strip_0x s in
-  let n = String.length s in
+  let off = if has_0x s then 2 else 0 in
+  let n = String.length s - off in
   if n mod 2 <> 0 then invalid_arg "Hexutil.of_hex: odd-length hex string";
-  String.init (n / 2) (fun i ->
-      Char.chr ((hex_value s.[2 * i] lsl 4) lor hex_value s.[(2 * i) + 1]))
+  let b = Bytes.create (n / 2) in
+  for i = 0 to (n / 2) - 1 do
+    let j = off + (2 * i) in
+    let lo = hex_digit s.[j + 1] in
+    let hi = hex_digit s.[j] in
+    Bytes.unsafe_set b i (Char.unsafe_chr ((hi lsl 4) lor lo))
+  done;
+  Bytes.unsafe_to_string b
 
 let of_hex_opt s = match of_hex s with b -> Some b | exception _ -> None
 
@@ -23,12 +32,15 @@ let hex_digits = "0123456789abcdef"
 
 let to_hex ?(prefix = true) bytes =
   let n = String.length bytes in
-  let body =
-    String.init (2 * n) (fun i ->
-        let b = Char.code bytes.[i / 2] in
-        hex_digits.[if i mod 2 = 0 then b lsr 4 else b land 0xf])
-  in
-  if prefix then "0x" ^ body else body
+  let off = if prefix then 2 else 0 in
+  let b = Bytes.create (off + (2 * n)) in
+  if prefix then Bytes.blit_string "0x" 0 b 0 2;
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get bytes i) in
+    Bytes.unsafe_set b (off + (2 * i)) hex_digits.[c lsr 4];
+    Bytes.unsafe_set b (off + (2 * i) + 1) hex_digits.[c land 0xf]
+  done;
+  Bytes.unsafe_to_string b
 
 let is_hex s =
   let s = strip_0x s in

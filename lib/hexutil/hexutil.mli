@@ -9,6 +9,10 @@ val of_hex : string -> string
 val of_hex_opt : string -> string option
 (** Like {!of_hex} but returns [None] instead of raising. *)
 
+val hex_digit : char -> int
+(** The value of one hex digit, either case.  Raises [Invalid_argument]
+    naming the character otherwise. *)
+
 val to_hex : ?prefix:bool -> string -> string
 (** [to_hex bytes] encodes raw bytes as lowercase hex.  [prefix] (default
     [true]) prepends ["0x"]. *)

@@ -24,20 +24,16 @@ type series = {
 
 type key = string * (string * string) list
 
+(* One lock guards both tables: registrations, lookups, observations
+   and snapshots all take [lock], and only it. *)
 type t = {
   specs : (string, family) Hashtbl.t;
-  specs_lock : Mutex.t;
   series : (key, series) Hashtbl.t;
   lock : Mutex.t;
 }
 
 let create () =
-  {
-    specs = Hashtbl.create 32;
-    specs_lock = Mutex.create ();
-    series = Hashtbl.create 64;
-    lock = Mutex.create ();
-  }
+  { specs = Hashtbl.create 32; series = Hashtbl.create 64; lock = Mutex.create () }
 
 (* ------------------------------------------------------------------ *)
 (* Name validation (Prometheus data model)                             *)
@@ -73,30 +69,20 @@ let same_kind a b =
 let register t ~help ~volatile ~kind name =
   if not (is_metric_name name) then
     invalid_arg (Printf.sprintf "Metrics: invalid metric name %S" name);
-  Mutex.lock t.specs_lock;
-  let fam =
-    match Hashtbl.find_opt t.specs name with
-    | Some existing ->
-        if not (same_kind existing.f_kind kind) then begin
-          Mutex.unlock t.specs_lock;
-          invalid_arg
-            (Printf.sprintf "Metrics: %S re-registered with a different kind"
-               name)
-        end;
-        existing
-    | None ->
-        let fam = { f_name = name; f_help = help; f_kind = kind; f_volatile = volatile } in
-        Hashtbl.replace t.specs name fam;
-        fam
-  in
-  Mutex.unlock t.specs_lock;
-  fam
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.specs name with
+      | Some existing ->
+          if not (same_kind existing.f_kind kind) then
+            invalid_arg
+              (Printf.sprintf "Metrics: %S re-registered with a different kind"
+                 name);
+          existing
+      | None ->
+          let fam = { f_name = name; f_help = help; f_kind = kind; f_volatile = volatile } in
+          Hashtbl.replace t.specs name fam;
+          fam)
 
-let find t name =
-  Mutex.lock t.specs_lock;
-  let fam = Hashtbl.find_opt t.specs name in
-  Mutex.unlock t.specs_lock;
-  fam
+let find t name = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.specs name)
 
 let counter t ?(help = "") ?(volatile = false) name =
   register t ~help ~volatile ~kind:Counter name
@@ -380,16 +366,14 @@ let snapshot ?(suppress_volatile = false) t =
       | Some r -> r := (labels, copy) :: !r
       | None -> Hashtbl.replace by_family name (ref [ (labels, copy) ]))
     t.series;
-  Mutex.unlock t.lock;
-  Mutex.lock t.specs_lock;
   let fams =
     Hashtbl.fold
       (fun _ fam acc ->
         if suppress_volatile && fam.f_volatile then acc else fam :: acc)
       t.specs []
-    |> List.sort (fun a b -> compare a.f_name b.f_name)
   in
-  Mutex.unlock t.specs_lock;
+  Mutex.unlock t.lock;
+  let fams = List.sort (fun a b -> compare a.f_name b.f_name) fams in
   List.filter_map
     (fun fam ->
       match Hashtbl.find_opt by_family fam.f_name with

@@ -143,6 +143,7 @@ let () =
    health score that ranks endpoints for failover order. *)
 type endpoint_state = {
   e_spec : endpoint_spec;
+  e_index : int;  (* position in the pool: the rank tie-break *)
   e_breaker : Breaker.t;
   e_plan : Fault_plan.t option;
   e_byz : Fault_plan.t option;
@@ -157,6 +158,7 @@ type t = {
   cfg : config;
   clock : Obs.Clock.t;
   pool : endpoint_state array;
+  order : endpoint_state array;  (* the pool in rank order; see [rerank] *)
   quorum : int;
   seed : int;
   on_event : event -> unit;
@@ -192,7 +194,7 @@ let create ?(config = default_config) ?(salt = 0) ?(on_event = fun _ -> ())
         ]
     | eps -> eps
   in
-  let make_endpoint spec =
+  let make_endpoint index spec =
     let breaker =
       Breaker.create ~config:config.breaker ~clock ~endpoint:spec.ep_name ()
     in
@@ -212,6 +214,7 @@ let create ?(config = default_config) ?(salt = 0) ?(on_event = fun _ -> ())
     in
     {
       e_spec = spec;
+      e_index = index;
       e_breaker = breaker;
       e_plan = Option.map (Fault_plan.instantiate ~salt) spec.ep_plan;
       e_byz = byz;
@@ -224,11 +227,13 @@ let create ?(config = default_config) ?(salt = 0) ?(on_event = fun _ -> ())
   let seed =
     match config.plan with Some s -> s.Fault_plan.seed lxor salt | None -> salt
   in
+  let pool = Array.of_list (List.mapi make_endpoint specs) in
   {
     chain;
     cfg = config;
     clock;
-    pool = Array.of_list (List.map make_endpoint specs);
+    pool;
+    order = Array.copy pool;
     quorum = max 1 (min config.quorum (List.length specs));
     seed;
     on_event;
@@ -293,22 +298,36 @@ let health_ok es = es.e_health <- (es.e_health *. 0.9) +. 0.1
 let health_fault es = es.e_health <- es.e_health *. 0.9
 let health_disagree es = es.e_health <- es.e_health *. 0.5
 
-let ranked t =
-  Array.to_list (Array.mapi (fun i es -> (i, es)) t.pool)
-  |> List.stable_sort (fun (i, a) (j, b) ->
-         match compare b.e_health a.e_health with
-         | 0 -> compare i j
-         | c -> c)
-  |> List.map snd
+let ranks_before a b =
+  a.e_health > b.e_health || (a.e_health = b.e_health && a.e_index < b.e_index)
+
+(* Restore rank order in place.  Health moves a little per attempt, so
+   the order is nearly sorted already and an insertion sort takes about
+   one comparison per endpoint, allocating nothing. *)
+let rerank t =
+  let o = t.order in
+  for i = 1 to Array.length o - 1 do
+    let es = o.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && ranks_before es o.(!j) do
+      o.(!j + 1) <- o.(!j);
+      decr j
+    done;
+    o.(!j + 1) <- es
+  done
 
 (* Admit at least [quorum] endpoints: already-admitted (closed or
    half-open) breakers are free; when too few, advance the virtual
    clock past blocked cooldowns in rank order — the pool analogue of
    the single breaker's [await_ready] before every attempt. *)
 let ensure_ready t =
-  let order = ranked t in
+  rerank t;
   let ready, blocked =
-    List.partition (fun es -> Breaker.state es.e_breaker <> Breaker.Open) order
+    Array.fold_right
+      (fun es (ready, blocked) ->
+        if Breaker.state es.e_breaker <> Breaker.Open then (es :: ready, blocked)
+        else (ready, es :: blocked))
+      t.order ([], [])
   in
   if List.length ready >= t.quorum then ready
   else
@@ -340,28 +359,31 @@ let check_step_budget t ~steps =
    endpoints answer it: every honest endpoint relays the same canonical
    chain state, so per-call accounting (the §6.1 counter identity) is
    one API call per served request even under quorum fan-out. *)
-let canonical t ~meth ~params cache =
+let canonical t req cache =
   match !cache with
   | Some r -> r
   | None ->
       check_call_budget t;
-      let r = Chain_rpc.call t.chain ~meth ~params in
+      let r = Chain_rpc.serve t.chain req in
       t.dispatched <- t.dispatched + 1;
       cache := Some r;
       r
 
 (* A Byzantine endpoint's wrong answer: a deterministic function of the
-   canonical payload, the endpoint identity and its seed — two lying
-   endpoints therefore lie {e differently}, so fabricated answers can
-   never assemble a quorum of their own. *)
-let corrupt es s =
-  Printf.sprintf "0xbad%07x"
-    (Hashtbl.hash (es.e_spec.ep_byz_seed, es.e_spec.ep_name, s) land 0xfffffff)
+   canonical answer's wire string, the endpoint identity and its seed —
+   two lying endpoints therefore lie {e differently}, so fabricated
+   answers can never assemble a quorum of their own.  The one place the
+   transport touches a wire codec. *)
+let corrupt es (codec : _ Chain_rpc.codec) v =
+  codec.decode
+    (Printf.sprintf "0xbad%07x"
+       (Hashtbl.hash (es.e_spec.ep_byz_seed, es.e_spec.ep_name, codec.encode v)
+       land 0xfffffff))
 
-let ep_answer t es ~meth ~params cache =
-  let r = canonical t ~meth ~params cache in
+let ep_answer t es (req : _ Chain_rpc.request) cache =
+  let r = canonical t req cache in
   match r with
-  | Ok s when ep_corrupts es -> Ok (corrupt es s)
+  | Ok v when ep_corrupts es -> Ok (corrupt es req.codec v)
   | r -> r
 
 let record_fault t es ~meth (f : Fault_plan.fault) ~latency =
@@ -392,9 +414,10 @@ let fault_error (f : Fault_plan.fault) =
    endpoints in rank order; the first non-faulting answer wins, each
    faulting endpoint is charged on its own breaker, and a slow primary
    is hedged to the next endpoint when the pool has one. *)
-let attempt_failover t ready (meth, params) cache =
+let attempt_failover t ready (req : _ Chain_rpc.request) cache =
+  let meth = req.meth in
   let serve es ~latency =
-    let r = ep_answer t es ~meth ~params cache in
+    let r = ep_answer t es req cache in
     record_served t es ~meth ~latency;
     r
   in
@@ -457,10 +480,11 @@ let attempt_failover t ready (meth, params) cache =
 
 (* Quorum >= 2: consult every admitted endpoint in parallel (virtual
    latency is the slowest consulted leg), then require [quorum]
-   byte-identical answers.  An endpoint whose answer loses the vote is
+   identical answers.  An endpoint whose answer loses the vote is
    quarantined on the spot — disagreement is stronger evidence than any
    transient-failure streak. *)
-let attempt_quorum t ready (meth, params) cache =
+let attempt_quorum t ready (req : _ Chain_rpc.request) cache =
+  let meth = req.meth in
   let consults = List.map (fun es -> (es, ep_decide es)) ready in
   let lat =
     List.fold_left
@@ -476,7 +500,7 @@ let attempt_quorum t ready (meth, params) cache =
             record_fault t es ~meth f ~latency:d.Fault_plan.d_latency;
             (answers, Some f)
         | None ->
-            let r = ep_answer t es ~meth ~params cache in
+            let r = ep_answer t es req cache in
             record_served t es ~meth ~latency:d.Fault_plan.d_latency;
             (answers @ [ (es, r) ], last_fault))
       ([], None) consults
@@ -523,10 +547,10 @@ let attempt_quorum t ready (meth, params) cache =
                    (match winner with Some (_, c) -> c | None -> 0)
                    t.quorum )))
 
-let attempt_one t req cache =
-  let ready = ensure_ready t in
-  if t.quorum <= 1 then attempt_failover t ready req cache
-  else attempt_quorum t ready req cache
+(* One attempt at [req] over the admitted endpoints [ready]. *)
+let one_attempt t ready req =
+  if t.quorum <= 1 then attempt_failover t ready req (ref None)
+  else attempt_quorum t ready req (ref None)
 
 let backoff t ~attempt ~reason =
   let delay = Retry.delay t.cfg.policy ~seed:t.seed ~attempt in
@@ -534,9 +558,9 @@ let backoff t ~attempt ~reason =
   t.on_event (Retry { attempt; reason; delay });
   Obs.Clock.sleep t.clock delay
 
-let call t ~meth ~params =
+let call t req =
   let rec go attempt =
-    match attempt_one t (meth, params) (ref None) with
+    match one_attempt t (ensure_ready t) req with
     | Error (Chain_rpc.Transient _ as e)
       when attempt < t.cfg.policy.Retry.max_attempts ->
         backoff t ~attempt ~reason:(Chain_rpc.error_to_string e);
@@ -562,11 +586,7 @@ let call_batch t requests =
     let failed =
       List.filter
         (fun i ->
-          let attempt_round =
-            if t.quorum <= 1 then attempt_failover t ready reqs.(i)
-            else attempt_quorum t ready reqs.(i)
-          in
-          match attempt_round (ref None) with
+          match one_attempt t ready reqs.(i) with
           | Error (Chain_rpc.Transient _ as e) ->
               responses.(i) <- Error e;
               true
@@ -587,11 +607,6 @@ let call_batch t requests =
   in
   if n > 0 then round 1 (List.init n Fun.id);
   Array.to_list responses
-
-let call_batch_exn t requests =
-  List.map
-    (function Ok v -> v | Error e -> raise (Rpc_error e))
-    (call_batch t requests)
 
 (* The pool's confirmed head: the [quorum]-th largest height reported
    by admitted endpoints (a lagging endpoint reports the canonical head

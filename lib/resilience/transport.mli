@@ -1,6 +1,9 @@
 (** The resilient (and deterministically unreliable) RPC transport.
 
-    Wraps {!Chain_rpc.call}/[call_batch] with the full production client
+    Serves {!Chain_rpc.request}s — typed reads such as
+    {!Chain_rpc.storage_at} and the string facade's
+    {!Chain_rpc.request} alike, through one entry per call shape
+    ({!call}, {!call_batch}) — with the full production client
     stack ProxioN needs against real archive nodes: seeded fault
     injection ({!Fault_plan}), capped exponential backoff with
     deterministic jitter ({!Retry}), per-endpoint circuit breakers
@@ -19,11 +22,13 @@
     run's once every transient is retried to success.
 
     Quorum safety: with [quorum >= 2] a returned answer always gathered
-    at least [quorum] byte-identical endpoint votes.  A Byzantine
-    endpoint's fabricated answer is a deterministic function of its own
-    identity and seed, so two liars lie differently and fabrications
-    can never assemble a quorum; a disagreeing endpoint is quarantined
-    through its breaker on the spot.
+    at least [quorum] identical endpoint answers (equal typed values).
+    A Byzantine endpoint's fabricated answer is a deterministic function
+    of the canonical answer's wire string, its own identity and seed,
+    decoded back through the request's codec — the only place the
+    transport touches hex — so two liars lie differently and
+    fabrications can never assemble a quorum; a disagreeing endpoint is
+    quarantined through its breaker on the spot.
 
     A transport instance models one logical connection; callers that
     analyze many subjects open one per subject (salted), which keeps
@@ -138,7 +143,10 @@ type endpoint_stats = {
 }
 
 exception Rpc_error of Chain_rpc.error
-(** Raised by {!call_batch_exn} on the first failed entry. *)
+(** A request failed for good: its retries ran out or the node rejected
+    it.  Raised by callers that treat any failed request as fatal for
+    the operation (Algorithm 1); the analyzer dead-letters it with the
+    error's class. *)
 
 exception Budget_exhausted of { scope : string; budget : int; spent : int }
 (** A per-connection budget ran out; the engine classifies this as a
@@ -161,8 +169,7 @@ val direct : Chain.t -> t
 (** A pass-through connection: no faults, no budgets — behaviourally
     identical to calling {!Chain_rpc} directly. *)
 
-val call :
-  t -> meth:string -> params:string list -> (string, Chain_rpc.error) result
+val call : t -> 'a Chain_rpc.request -> ('a, Chain_rpc.error) result
 (** One request with retry/breaker/pool handling.  Transient failures
     are retried up to [policy.max_attempts] with backoff; within one
     attempt a quorum-1 pool fails over endpoint by endpoint in health
@@ -174,16 +181,11 @@ val call :
     streak. *)
 
 val call_batch :
-  t -> (string * string list) list -> (string, Chain_rpc.error) result list
+  t -> 'a Chain_rpc.request list -> ('a, Chain_rpc.error) result list
 (** Batch semantics with partial-failure recovery: each round retries
     only the entries that failed transiently, and responses always come
     back in request order.  Entries still failing when attempts run out
     surface their last [Transient] error in place. *)
-
-val call_batch_exn : t -> (string * string list) list -> string list
-(** Like {!call_batch} but raises {!Rpc_error} on the first failed entry
-    — the convenient form for callers that treat any exhausted or
-    permanent error as fatal for the operation (Algorithm 1). *)
 
 val head_height : t -> int
 (** The pool's confirmed head: the [quorum]-th largest height reported

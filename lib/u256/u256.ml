@@ -325,26 +325,56 @@ let to_bytes_be v =
       let limb = pos / 2 and off = pos mod 2 in
       Char.chr ((v.(limb) lsr (8 * off)) land 0xff))
 
+(* Digits go straight into the limbs.  The accepted inputs and errors are
+   those of padding an odd-length body with a leading '0' and decoding
+   the bytes with [Hexutil.of_hex]: each byte's digits are checked in its
+   order, so a bad digit raises the same error, and only then is a string
+   of more than 32 bytes refused; a second "0x" after the first, or an
+   odd body that starts with 'x' (which the padding turns into one), is
+   skipped, as [Hexutil.of_hex] strips a prefix of its own. *)
 let of_hex s =
-  let s =
-    if String.length s >= 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X') then
-      String.sub s 2 (String.length s - 2)
-    else s
+  let is_x c = c = 'x' || c = 'X' in
+  let len = String.length s in
+  let off = if len >= 2 && s.[0] = '0' && is_x s.[1] then 2 else 0 in
+  let off, pad =
+    if (len - off) land 1 = 1 then
+      if is_x s.[off] then (off + 1, 0) else (off, 1)
+    else if len - off >= 2 && s.[off] = '0' && is_x s.[off + 1] then (off + 2, 0)
+    else (off, 0)
   in
-  let s = if String.length s mod 2 = 1 then "0" ^ s else s in
-  of_bytes_be (Hexutil.of_hex s)
+  let nbytes = (len - off + pad) / 2 in
+  let digit k = if k < pad then 0 else Hexutil.hex_digit s.[off + k - pad] in
+  let r = make_zero () in
+  for i = 0 to nbytes - 1 do
+    let lo = digit ((2 * i) + 1) in
+    let hi = digit (2 * i) in
+    (* Byte i from the big end lands at byte position nbytes-1-i. *)
+    let pos = nbytes - 1 - i in
+    if pos < 32 then
+      r.(pos / 2) <- r.(pos / 2) lor (((hi lsl 4) lor lo) lsl (8 * (pos land 1)))
+  done;
+  if nbytes > 32 then invalid_arg "U256.of_bytes_be: more than 32 bytes";
+  r
+
+let hex_digits = "0123456789abcdef"
+
+(* Hex digit [k] of [v], counting from the least significant. *)
+let nibble v k = (v.(k / 4) lsr (4 * (k land 3))) land 0xf
+
+(* "0x" and the low [ndigits] digits of [v], written once. *)
+let write_hex v ndigits =
+  let b = Bytes.create (2 + ndigits) in
+  Bytes.blit_string "0x" 0 b 0 2;
+  for i = 0 to ndigits - 1 do
+    Bytes.unsafe_set b (2 + i) hex_digits.[nibble v (ndigits - 1 - i)]
+  done;
+  Bytes.unsafe_to_string b
 
 let to_hex v =
-  let full = Hexutil.to_hex ~prefix:false (to_bytes_be v) in
-  let rec skip i =
-    if i >= String.length full - 1 then i
-    else if full.[i] = '0' then skip (i + 1)
-    else i
-  in
-  let i = skip 0 in
-  "0x" ^ String.sub full i (String.length full - i)
+  let rec top k = if k > 0 && nibble v k = 0 then top (k - 1) else k in
+  write_hex v (top 63 + 1)
 
-let to_hex_padded v = "0x" ^ Hexutil.to_hex ~prefix:false (to_bytes_be v)
+let to_hex_padded v = write_hex v 64
 
 let ten = of_int 10
 

@@ -157,6 +157,8 @@ let rigged_chain () =
 let storage_req a slot =
   ("eth_getStorageAt", [ Evm.Address.to_hex a; Printf.sprintf "0x%x" slot; "latest" ])
 
+let wire (meth, params) = Chain_rpc.request ~meth ~params
+
 let test_transport_retries_to_success () =
   let chain, a = rigged_chain () in
   (* Deterministic plan: the first two attempts hit a drop window, the
@@ -173,7 +175,7 @@ let test_transport_retries_to_success () =
   let direct = Chain_rpc.call chain ~meth ~params in
   Chain.reset_api_call_count chain;
   check_b "retried call returns the node's answer" true
-    (Transport.call t ~meth ~params = direct);
+    (Transport.call t (Chain_rpc.request ~meth ~params) = direct);
   (* The accounting identity: two injected faults consumed zero API
      calls; the one dispatch consumed exactly one. *)
   check_i "injected faults never reach the node" 1 (Chain.api_call_count chain);
@@ -209,7 +211,7 @@ let test_transport_gives_up () =
   in
   let t = Transport.create ~config:cfg ~chain () in
   let meth, params = storage_req a 0 in
-  (match Transport.call t ~meth ~params with
+  (match Transport.call t (Chain_rpc.request ~meth ~params) with
   | Error (Chain_rpc.Transient _) -> ()
   | _ -> Alcotest.fail "expected an exhausted transient");
   let s = Transport.stats t in
@@ -244,7 +246,7 @@ let test_transport_breaker_cycle () =
   in
   let meth, params = storage_req a 0 in
   check_b "call eventually lands past the window" true
-    (Result.is_ok (Transport.call t ~meth ~params));
+    (Result.is_ok (Transport.call t (Chain_rpc.request ~meth ~params)));
   (* Window (0,4) fails attempts 0..3: streak of 2 trips, then two
      half-open probes fail and re-trip, then attempt 4 recovers. *)
   check_i "circuit tripped three times" 3 !opened;
@@ -262,7 +264,7 @@ let test_batch_partial_failure_recovers () =
   in
   let t = Transport.create ~config:cfg ~chain () in
   check_b "moderate faults + full retry budget: batch equals direct calls" true
-    (Transport.call_batch t requests = direct);
+    (Transport.call_batch t (List.map wire requests) = direct);
   check_b "the run did hit injected faults" true
     ((Transport.stats t).Transport.faults_seen > 0)
 
@@ -281,7 +283,7 @@ let test_batch_partial_failure_order () =
       ()
   in
   let t = Transport.create ~config:cfg ~chain () in
-  let responses = Transport.call_batch t requests in
+  let responses = Transport.call_batch t (List.map wire requests) in
   check_i "response list keeps request arity" (List.length requests)
     (List.length responses);
   let oks = ref 0 and errs = ref 0 in
@@ -308,7 +310,9 @@ let test_permanent_errors_not_retried () =
   let chain, a = rigged_chain () in
   let t = Transport.create ~chain () in
   (match
-     Transport.call t ~meth:"eth_getCode" ~params:[ Evm.Address.to_hex a; "0x0" ]
+     Transport.call t
+       (Chain_rpc.request ~meth:"eth_getCode"
+          ~params:[ Evm.Address.to_hex a; "0x0" ])
    with
   | Error (Chain_rpc.Unsupported_height m) ->
       check_s "unsupported-height names the method" "eth_getCode" m
@@ -321,9 +325,9 @@ let test_call_budget_exhaustion () =
   let t = Transport.create ~config:(Transport.config ~call_budget:2 ()) ~chain () in
   let meth, params = storage_req a 0 in
   check_b "budgeted calls succeed" true
-    (Result.is_ok (Transport.call t ~meth ~params)
-    && Result.is_ok (Transport.call t ~meth ~params));
-  (match Transport.call t ~meth ~params with
+    (Result.is_ok (Transport.call t (Chain_rpc.request ~meth ~params))
+    && Result.is_ok (Transport.call t (Chain_rpc.request ~meth ~params)));
+  (match Transport.call t (Chain_rpc.request ~meth ~params) with
   | exception Transport.Budget_exhausted { scope; budget; spent } ->
       check_s "api-call scope" "api-calls" scope;
       check_i "declared budget" 2 budget;
@@ -335,6 +339,192 @@ let test_call_budget_exhaustion () =
   | exception Transport.Budget_exhausted { scope; _ } ->
       check_s "evm-step scope" "evm-steps" scope
   | () -> Alcotest.fail "expected step-budget exhaustion"
+
+(* {1 Typed reads equal the string facade} *)
+
+(* Two contracts whose slots change every few blocks, and an address that
+   holds nothing, so reads at different heights answer differently. *)
+let history_chain =
+  lazy
+    (let chain = Chain.create () in
+     let a = Chain.install_contract chain ~runtime:"\x00" () in
+     let b = Chain.install_contract chain ~runtime:"\x01" () in
+     for step = 1 to 6 do
+       Chain.advance_blocks chain 2;
+       Chain.set_storage_direct chain a
+         (U256.of_int (step mod 3))
+         (U256.of_int ((step * 0x10001) + 7));
+       Chain.set_storage_direct chain b
+         (U256.of_int ((step + 1) mod 3))
+         (U256.of_int (step * 0xabcdef))
+     done;
+     (chain, [| a; b; Evm.Address.of_hex "0x00000000000000000000000000000000000000ee" |]))
+
+type setting =
+  | Direct
+  | Faulty of { seed : int; percent : int; window : int }
+  | Budgeted of int
+  | Failover of int  (* plan seed *)
+  | Byzantine_quorum of int  (* plan and corruption seed *)
+
+let config_of = function
+  | Direct -> Transport.default_config
+  | Faulty { seed; percent; window } ->
+      Transport.config
+        ~plan:
+          (Fault_plan.spec ~seed
+             ~fault_rate:(float_of_int percent /. 100.0)
+             ~drop_windows:[ (window, 2) ] ())
+        ()
+  | Budgeted n -> Transport.config ~call_budget:n ()
+  | Failover seed ->
+      Transport.config
+        ~endpoints:
+          [
+            Transport.endpoint
+              ~plan:(Fault_plan.spec ~seed ~fault_rate:0.3 ~mean_latency:0.3 ())
+              "primary";
+            Transport.endpoint
+              ~plan:
+                (Fault_plan.spec ~seed:(seed + 1) ~fault_rate:0.2
+                   ~mean_latency:0.2 ())
+              "secondary";
+            Transport.endpoint "tertiary";
+          ]
+        ~hedge_after:0.25 ()
+  | Byzantine_quorum seed ->
+      Transport.config
+        ~endpoints:
+          [
+            Transport.endpoint "honest-1";
+            Transport.endpoint
+              ~plan:(Fault_plan.spec ~seed ~fault_rate:0.2 ())
+              "honest-2";
+            Transport.endpoint ~byzantine:0.5 ~byz_seed:seed "liar";
+          ]
+        ~quorum:2 ()
+
+let setting_to_string = function
+  | Direct -> "direct"
+  | Faulty { seed; percent; window } ->
+      Printf.sprintf "faulty seed=%d %d%% window=%d" seed percent window
+  | Budgeted n -> Printf.sprintf "budget %d" n
+  | Failover seed -> Printf.sprintf "failover+hedge seed=%d" seed
+  | Byzantine_quorum seed -> Printf.sprintf "quorum 2/3 byzantine seed=%d" seed
+
+(* Serve [requests] on a fresh view of [chain] through a transport built
+   from [config]: in one batch or one call at a time.  Returns the answers
+   (or the budget each call ran out of) with everything the transport and
+   the node counted. *)
+let serve_side chain config ~salt ~batched requests =
+  let view = Chain.worker_view chain in
+  let events = ref [] in
+  let t =
+    Transport.create ~config ~salt
+      ~on_event:(fun e -> events := e :: !events)
+      ~chain:view ()
+  in
+  let guard f =
+    match f () with
+    | answers -> Ok answers
+    | exception Transport.Budget_exhausted { scope; budget; spent } ->
+        Error (scope, budget, spent)
+  in
+  let answers =
+    if batched then [ guard (fun () -> Transport.call_batch t requests) ]
+    else List.map (fun r -> guard (fun () -> [ Transport.call t r ])) requests
+  in
+  ( answers,
+    Transport.stats t,
+    Transport.endpoint_stats t,
+    List.rev !events,
+    Chain.api_call_count view,
+    Chain.method_call_counts view )
+
+let test_typed_reads_equal_facade () =
+  let chain, addrs = Lazy.force history_chain in
+  let head = Chain.height chain in
+  let exercised = Hashtbl.create 8 in
+  let note what cond = if cond then Hashtbl.replace exercised what () in
+  let gen =
+    let open QCheck.Gen in
+    let setting =
+      oneof
+        [
+          return Direct;
+          map3
+            (fun seed percent window -> Faulty { seed; percent; window })
+            small_nat (int_range 5 30) (int_bound 8);
+          map (fun n -> Budgeted n) (int_range 1 10);
+          map (fun seed -> Failover seed) small_nat;
+          map (fun seed -> Byzantine_quorum seed) small_nat;
+        ]
+    in
+    let read =
+      triple (int_bound (Array.length addrs - 1)) (int_bound 3) (int_bound (head + 3))
+    in
+    quad setting (list_size (int_range 1 12) read) bool small_nat
+  in
+  let print (setting, reads, batched, salt) =
+    Printf.sprintf "%s, %s, salt %d, reads %s" (setting_to_string setting)
+      (if batched then "batched" else "one by one")
+      salt
+      (String.concat "; "
+         (List.map (fun (a, s, h) -> Printf.sprintf "(%d,%d,%d)" a s h) reads))
+  in
+  let prop (setting, reads, batched, salt) =
+    let config = config_of setting in
+    let typed =
+      List.map
+        (fun (a, s, height) -> Chain_rpc.storage_at addrs.(a) (U256.of_int s) ~height)
+        reads
+    in
+    let wire =
+      List.map
+        (fun (a, s, h) ->
+          Chain_rpc.request ~meth:"eth_getStorageAt"
+            ~params:
+              [
+                Evm.Address.to_hex addrs.(a);
+                U256.to_hex (U256.of_int s);
+                U256.to_hex (U256.of_int h);
+              ])
+        reads
+    in
+    let ta, ts, te, tev, tcalls, tmeths =
+      serve_side chain config ~salt ~batched typed
+    in
+    let wa, ws, we, wev, wcalls, wmeths =
+      serve_side chain config ~salt ~batched wire
+    in
+    let decoded = List.map (Result.map (List.map (Result.map U256.of_hex))) wa in
+    let same_answer a b =
+      match (a, b) with
+      | Ok x, Ok y -> U256.equal x y
+      | Error x, Error y -> x = y
+      | _ -> false
+    in
+    let same_call a b =
+      match (a, b) with
+      | Ok xs, Ok ys -> List.equal same_answer xs ys
+      | Error x, Error y -> x = y
+      | _ -> false
+    in
+    note "fault" (ts.Transport.faults_seen > 0);
+    note "hedge" (ts.Transport.hedges > 0);
+    note "disagreement" (ts.Transport.disagreements > 0);
+    note "budget" (List.exists Result.is_error ta);
+    note "beyond head" (List.exists (fun (_, _, h) -> h > head) reads);
+    List.equal same_call ta decoded
+    && ts = ws && te = we && tev = wev && tcalls = wcalls && tmeths = wmeths
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300
+       ~name:"typed reads equal the facade under every transport setting"
+       (QCheck.make ~print gen) prop);
+  List.iter
+    (fun what -> check_b (what ^ " exercised") true (Hashtbl.mem exercised what))
+    [ "fault"; "hedge"; "disagreement"; "budget"; "beyond head" ]
 
 (* {1 Generic engine: dead letters across a state hand-over, and requeue} *)
 
@@ -594,6 +784,8 @@ let suite =
       test_permanent_errors_not_retried;
     Alcotest.test_case "call and step budgets raise when exhausted" `Quick
       test_call_budget_exhaustion;
+    Alcotest.test_case "typed reads equal the facade under every transport setting"
+      `Quick test_typed_reads_equal_facade;
     Alcotest.test_case "dead letters survive checkpoint round-trips" `Quick
       test_dead_letter_checkpoint_roundtrip;
     Alcotest.test_case "chaos run is byte-identical once transients clear"

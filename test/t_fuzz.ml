@@ -88,7 +88,7 @@ let quorum_canonicality =
             [ Evm.Address.to_hex subject; Printf.sprintf "0x%x" slot; "latest" ]
           in
           let canonical = Chain_rpc.call chain ~meth ~params in
-          match Resilience.Transport.call t ~meth ~params with
+          match Resilience.Transport.call t (Chain_rpc.request ~meth ~params) with
           | Ok _ as got -> got = canonical
           | Error _ -> true)
         [ 0; 1; 2; 3 ])

@@ -80,7 +80,7 @@ let test_quorum_unanimous () =
   let direct = Chain_rpc.call chain ~meth ~params in
   Chain.reset_api_call_count chain;
   check_b "unanimous pool returns the canonical answer" true
-    (Transport.call t ~meth ~params = direct);
+    (Transport.call t (Chain_rpc.request ~meth ~params) = direct);
   (* The §6.1 accounting identity survives quorum fan-out: one logical
      request = one canonical API call, however many endpoints vote. *)
   check_i "one canonical API call despite 3 voters" 1
@@ -122,7 +122,7 @@ let test_byzantine_outvoted () =
     check_b
       (Printf.sprintf "slot %d: the liar never poisons the answer" slot)
       true
-      (Transport.call t ~meth ~params = direct)
+      (Transport.call t (Chain_rpc.request ~meth ~params) = direct)
   done;
   let s = Transport.stats t in
   check_b "disagreements were recorded" true (s.Transport.disagreements >= 1);

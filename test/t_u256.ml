@@ -151,6 +151,49 @@ let arb_u256 =
   QCheck.make ~print:U256.to_hex gen
 
 let prop name f = QCheck.Test.make ~name ~count:300 arb_u256 f
+
+(* The word codecs as they were before they wrote into one buffer: through
+   32 big-endian bytes and a second hex string. *)
+module Reference = struct
+  module H = T_hexutil.Reference
+
+  let of_hex s =
+    let s = H.strip_0x s in
+    let s = if String.length s mod 2 = 1 then "0" ^ s else s in
+    U256.of_bytes_be (H.of_hex s)
+
+  let to_hex v =
+    let full = H.to_hex ~prefix:false (U256.to_bytes_be v) in
+    let rec skip i =
+      if i >= String.length full - 1 then i
+      else if full.[i] = '0' then skip (i + 1)
+      else i
+    in
+    let i = skip 0 in
+    "0x" ^ String.sub full i (String.length full - i)
+
+  let to_hex_padded v = "0x" ^ H.to_hex ~prefix:false (U256.to_bytes_be v)
+end
+
+(* Words of every width: full ones, and ones with leading zero bytes. *)
+let arb_any_width =
+  QCheck.make ~print:U256.to_hex
+    QCheck.Gen.(
+      map U256.of_bytes_be (string_size ~gen:char (int_bound 32)))
+
+let qcheck_codecs =
+  [
+    QCheck.Test.make ~name:"to_hex and to_hex_padded write what the reference wrote"
+      ~count:500 arb_any_width (fun v ->
+        U256.to_hex v = Reference.to_hex v
+        && U256.to_hex_padded v = Reference.to_hex_padded v);
+    QCheck.Test.make ~name:"of_hex accepts and rejects as the reference did"
+      ~count:1000 T_hexutil.arb_hexish (fun s ->
+        match (T_hexutil.outcome U256.of_hex s, T_hexutil.outcome Reference.of_hex s) with
+        | Ok a, Ok b -> U256.equal a b
+        | Error a, Error b -> a = b
+        | _ -> false);
+  ]
 let prop2 name f =
   QCheck.Test.make ~name ~count:300 (QCheck.pair arb_u256 arb_u256) (fun (a, b) -> f a b)
 
@@ -201,4 +244,4 @@ let suite =
     Alcotest.test_case "byte_sign" `Quick test_byte_sign;
     Alcotest.test_case "compare" `Quick test_compare;
   ]
-  @ List.map QCheck_alcotest.to_alcotest qsuite
+  @ List.map QCheck_alcotest.to_alcotest (qsuite @ qcheck_codecs)
