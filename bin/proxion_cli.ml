@@ -149,7 +149,11 @@ let run_stream_scan chain faults telemetry stream_batch analysis =
                   sp.Dataset.Generate.sp_label.Dataset.Generate.l_address)
                 specs));
         Proxion.Analyzer.run analyzer;
-        let reports = Proxion.Analyzer.drain_results analyzer in
+        let reports =
+          List.map
+            (fun e -> e.Proxion.Analysis.e_report)
+            (Proxion.Analyzer.drain_results analyzer)
+        in
         Experiments.Stream_scan.absorb agg specs reports;
         let evicted = ref 0 in
         Array.iter

@@ -44,39 +44,46 @@ type report = { contracts : contract_report list; stats : stats }
 let is_proxy_report r = Proxy_detect.is_proxy r.r_detection
 let proxies report = List.filter is_proxy_report report.contracts
 
-let compute_stats ~dedup_hits ~unique_codes ~api_calls ~emulation_steps
-    contracts =
+type entry = { e_report : contract_report; e_api_calls : int }
+
+let report_of_entries ~unique_codes entries =
+  let contracts = List.map (fun e -> e.e_report) entries in
   let all_pairs = List.concat_map (fun r -> r.r_pairs) contracts in
   let count f l = List.length (List.filter f l) in
-  {
-    s_analyzed = List.length contracts;
-    s_proxies = count is_proxy_report contracts;
-    s_emulation_errors =
-      count
-        (fun r ->
-          match r.r_detection.Proxy_detect.verdict with
-          | Proxy_detect.Emulation_error _ -> true
-          | _ -> false)
-        contracts;
-    s_pairs = List.length all_pairs;
-    s_func_colliding_pairs =
-      count (fun p -> p.p_func_collisions <> []) all_pairs;
-    s_storage_colliding_pairs =
-      count (fun p -> p.p_storage_collisions <> []) all_pairs;
-    s_verified_storage_pairs =
-      count
-        (fun p ->
-          List.exists
-            (fun (c : Storage_collision.collision) ->
-              c.Storage_collision.verified)
-            p.p_storage_collisions)
-        all_pairs;
-    s_honeypot_pairs = count (fun p -> p.p_honeypot) all_pairs;
-    s_dedup_hits = dedup_hits;
-    s_unique_codes = unique_codes;
-    s_api_calls = api_calls;
-    s_emulation_steps = emulation_steps;
-  }
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  let stats =
+    {
+      s_analyzed = List.length contracts;
+      s_proxies = count is_proxy_report contracts;
+      s_emulation_errors =
+        count
+          (fun r ->
+            match r.r_detection.Proxy_detect.verdict with
+            | Proxy_detect.Emulation_error _ -> true
+            | _ -> false)
+          contracts;
+      s_pairs = List.length all_pairs;
+      s_func_colliding_pairs =
+        count (fun p -> p.p_func_collisions <> []) all_pairs;
+      s_storage_colliding_pairs =
+        count (fun p -> p.p_storage_collisions <> []) all_pairs;
+      s_verified_storage_pairs =
+        count
+          (fun p ->
+            List.exists
+              (fun (c : Storage_collision.collision) ->
+                c.Storage_collision.verified)
+              p.p_storage_collisions)
+          all_pairs;
+      s_honeypot_pairs = count (fun p -> p.p_honeypot) all_pairs;
+      s_dedup_hits = count (fun r -> r.r_dedup_hit) contracts;
+      s_unique_codes = unique_codes;
+      s_api_calls = sum (fun e -> e.e_api_calls) entries;
+      s_emulation_steps =
+        sum (fun r -> r.r_detection.Proxy_detect.steps) contracts;
+    }
+  in
+  { contracts; stats }
 
 module Config = struct
   type t = {

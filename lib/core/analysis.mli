@@ -1,8 +1,10 @@
 (** Shared vocabulary of the analysis layer: the per-contract and
-    per-pair report types every consumer reads, the aggregate statistics,
-    and the {!Config} record that replaced the retired [Pipeline.run]
-    entry point's optional arguments.  {!Pipeline} re-exports everything
-    here under its historical names; {!Analyzer} produces the values. *)
+    per-pair report types every consumer reads, the {!entry} that pairs a
+    contract's report with the archive calls it cost, the aggregate
+    statistics assembled from entries, and the {!Config} record that
+    replaced the retired [Pipeline.run] entry point's optional arguments.
+    {!Pipeline} re-exports the report types under their historical names;
+    {!Analyzer} produces the values. *)
 
 type source_lookup = Evm.Address.t -> Minisol.Ast.contract option
 (** The Etherscan stand-in: source for "verified" contracts, [None] for
@@ -55,15 +57,23 @@ type report = { contracts : contract_report list; stats : stats }
 val is_proxy_report : contract_report -> bool
 val proxies : report -> contract_report list
 
-val compute_stats :
-  dedup_hits:int ->
-  unique_codes:int ->
-  api_calls:int ->
-  emulation_steps:int ->
-  contract_report list ->
-  stats
-(** Aggregate the per-contract reports; the four counters come from the
-    engine run that produced them. *)
+type entry = {
+  e_report : contract_report;
+  e_api_calls : int;
+      (** Archive calls analyzing the contract cost: Algorithm 1's reads
+          and [resolve_slot]'s direct ones, which
+          [r_resolution]'s [api_calls] leaves out. *)
+}
+(** One analyzed contract with what it cost: the record the analyzer
+    returns, checkpoints and journals carry, and the daemon's store
+    holds.  Steps need no field: a probe's are its [r_detection]'s, and
+    a dedup hit runs none. *)
+
+val report_of_entries : unique_codes:int -> entry list -> report
+(** The report over [entries], in order.  Its statistics are read off
+    the entries: [s_dedup_hits] counts [r_dedup_hit], [s_api_calls] sums
+    [e_api_calls], [s_emulation_steps] sums the detections' steps, and
+    [unique_codes] comes from the dedup cache that produced them. *)
 
 (** Run configuration — one value threaded through the engine, the CLI,
     the benchmark harness and the experiments, replacing the optional

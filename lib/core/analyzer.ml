@@ -65,7 +65,7 @@ let trace_sample = 16
 type item_obs = { io_sampled : bool; io_frames : int ref }
 
 type t = {
-  engine : (Address.t, Analysis.contract_report) Engine.t;
+  engine : (Address.t, Analysis.entry) Engine.t;
   chain : Chain.t;
   source : Analysis.source_lookup;
   cfg : Config.t;
@@ -78,16 +78,12 @@ type t = {
          samples deltas against the view's running counters.  Cleared at
          the start of every [run], so each run sees the chain's current
          head and a mutated chain never leaks a stale view. *)
-  cache_lock : Mutex.t;
-  merge_lock : Mutex.t;
+  lock : Mutex.t;
   detection_cache : (string, cached_detection) Hashtbl.t;
   pair_cache :
     ( string * string,
       Func_collision.collision list * Storage_collision.collision list )
     Hashtbl.t;
-  dedup_hits : int ref;
-  steps_total : int ref;
-  api_calls : int ref;
   mutable telemetry : telemetry option;
   req_ctx : Obs.Trace.ctx option Atomic.t;
       (* Request-scoped trace context (daemon [query]/[advance]): while
@@ -102,20 +98,16 @@ type t = {
 }
 
 (* Per-item execution environment: the worker's private
-   {!Chain.worker_view} (own API-call counter, copy-on-write host) and
-   fresh counters that are folded into the analyzer's totals when the
-   item completes; int sums commute, so the totals at every batch barrier
-   are the same at every worker count. *)
+   {!Chain.worker_view} (own API-call counter, copy-on-write host) and the
+   item's step counter, which the step budget is checked against. *)
 type env = {
   e_chain : Chain.t;
   e_host : Evm.Host.t;
   e_steps : int ref;
-  e_dedup : int ref;
   e_transport : Resilience.Transport.t;
       (* One logical connection per item, salted by the subject address:
          fault injection and jitter depend only on (plan seed, subject,
          per-connection attempt index), never on scheduling. *)
-  e_steps0 : int; (* step-counter baseline at item start (step budget) *)
   e_fuel : Evm.Interp.fuel option;
       (* Live watchdog allowance shared by every probe emulation of the
          item; sized by the transport step budget.  The post-stage budget
@@ -130,11 +122,12 @@ type env = {
 let config t = t.cfg
 let engine t = t.engine
 
-(* The dedup caches are shared across workers; chains grouped by bytecode
-   hash (the engine key, [Chain.code_hash], which also keys both caches)
-   guarantee all accesses to any given key happen in input order, and
-   this lock makes the table mutations themselves safe. *)
-let with_caches t f = Mutex.protect t.cache_lock f
+(* The analyzer's one lock, over what workers share: the dedup caches and
+   the chain's archive-call counter.  Chains grouped by bytecode hash (the
+   engine key, [Chain.code_hash], which also keys both caches) guarantee
+   all accesses to any given cache key happen in input order, and this
+   lock makes the mutations themselves safe. *)
+let locked t f = Mutex.protect t.lock f
 
 (* ------------------------------------------------------------------ *)
 (* Stage bodies                                                        *)
@@ -160,8 +153,8 @@ let api_reader env () = Chain.api_call_count env.e_chain
 let steps_reader env () = !(env.e_steps)
 let retries_reader env () = Resilience.Transport.retries env.e_transport
 
-(* Every stage is bracketed by the engine timers and followed by a step
-   budget check against the item's baseline — exceeding it raises
+(* Every stage is bracketed by the engine timers and followed by a check
+   of the item's steps against the step budget — exceeding it raises
    [Transport.Budget_exhausted], which dead-letters the item as
    [Budget_exhausted] (recoverable by requeue with a larger budget). *)
 let timed ctx env ~stage ~subject f =
@@ -169,7 +162,7 @@ let timed ctx env ~stage ~subject f =
     ~steps:(steps_reader env) ~retries:(retries_reader env) (fun () ->
       let v = f () in
       Resilience.Transport.check_step_budget env.e_transport
-        ~steps:(!(env.e_steps) - env.e_steps0);
+        ~steps:!(env.e_steps);
       v)
 
 let fresh_probe t env addr code_hash =
@@ -184,7 +177,7 @@ let fresh_probe t env addr code_hash =
   (if t.cfg.Config.dedup then
      match d.Proxy_detect.verdict with
      | Proxy_detect.Proxy { source = Proxy_detect.Storage_slot slot; _ } ->
-         with_caches t (fun () ->
+         locked t (fun () ->
              Hashtbl.replace t.detection_cache code_hash (C_slot_proxy slot))
      | Proxy_detect.Proxy { source = Proxy_detect.Computed; _ }
        when t.cfg.Config.diamond_extension ->
@@ -192,13 +185,11 @@ let fresh_probe t env addr code_hash =
             code: unsafe to share across clones. *)
          ()
      | v ->
-         with_caches t (fun () ->
+         locked t (fun () ->
              Hashtbl.replace t.detection_cache code_hash (C_verdict v)));
   d
 
-let cached_detection t env addr cached =
-  ignore t;
-  env.e_dedup := !(env.e_dedup) + 1;
+let cached_detection env addr cached =
   let verdict =
     match cached with
     | C_verdict v -> v
@@ -223,7 +214,7 @@ let analyze_pair t env ctx ~proxy_addr ~logic_addr =
   in
   let cached =
     if t.cfg.Config.dedup then
-      with_caches t (fun () -> Hashtbl.find_opt t.pair_cache key)
+      locked t (fun () -> Hashtbl.find_opt t.pair_cache key)
     else None
   in
   let func_collisions, honeypot =
@@ -257,7 +248,7 @@ let analyze_pair t env ctx ~proxy_addr ~logic_addr =
                   ~logic:(side_for t env logic_addr)
               in
               if t.cfg.Config.dedup then
-                with_caches t (fun () ->
+                locked t (fun () ->
                     Hashtbl.replace t.pair_cache key (func_collisions, sc));
               sc
         in
@@ -286,8 +277,8 @@ let analyze_contract t env ctx addr =
         if not t.cfg.Config.dedup then None
         else
           Option.map
-            (cached_detection t env addr)
-            (with_caches t (fun () ->
+            (cached_detection env addr)
+            (locked t (fun () ->
                  Hashtbl.find_opt t.detection_cache code_hash)))
   in
   (* Stage 2: emulation probe (fresh bytecodes only). *)
@@ -473,16 +464,15 @@ let item_tracer t ctx obs =
 
 (* Record a completed item's observations.  Deterministic families
    (steps, fuel, frames, dedup hits, per-method counts) are recorded only
-   for completed items — mirroring the analyzer's own counters, so a
+   for completed items — as the report counts only them, so a
    dead-lettered item contributes nothing and a later requeue converges
    to the fault-free figures.  RPC-attempt counts are recorded live by
    the transport hook, whatever the outcome. *)
-let record_item_obs t env ~worker ~meth0 obs =
+let record_item_obs t env ~worker ~meth0 ~dedup_hit obs =
   match (t.telemetry, obs) with
   | Some tm, Some io ->
       Obs.Metrics.hobserve tm.tm_item_steps_h (float_of_int !(env.e_steps));
-      if !(env.e_dedup) > 0 then
-        Obs.Metrics.hinc ~by:(float_of_int !(env.e_dedup)) tm.tm_dedup_hits_h;
+      if dedup_hit then Obs.Metrics.hinc tm.tm_dedup_hits_h;
       if !(io.io_frames) > 0 then
         Obs.Metrics.hinc ~by:(float_of_int !(io.io_frames)) tm.tm_evm_frames_h;
       (match (env.e_fuel, t.resilience.Resilience.Transport.step_budget) with
@@ -536,25 +526,19 @@ let view_for t wid =
       t.views.(wid) <- Some vh;
       vh
 
-(* Fold an item's counts in.  The chain's counter takes the view's
-   archive calls whatever the outcome, so it reads the same at every
-   worker count; the analyzer's totals take only completed items, so a
-   dead-lettered item contributes nothing and a later requeue brings them
-   to exactly the fault-free figures. *)
-let merge_counts t env ~api0 ~ok =
+(* The item's archive calls, added to the chain's counter whatever the
+   outcome, so it reads the same at every worker count.  Only a completed
+   item's entry carries them: a dead-lettered item adds nothing to the
+   report, and a later requeue brings it to exactly the fault-free
+   figures. *)
+let merge_api_calls t env ~api0 =
   let calls = Chain.api_call_count env.e_chain - api0 in
-  Mutex.lock t.merge_lock;
-  Chain.add_api_calls t.chain calls;
-  if ok then begin
-    t.api_calls := !(t.api_calls) + calls;
-    t.steps_total := !(t.steps_total) + !(env.e_steps);
-    t.dedup_hits := !(t.dedup_hits) + !(env.e_dedup)
-  end;
-  Mutex.unlock t.merge_lock
+  locked t (fun () -> Chain.add_api_calls t.chain calls);
+  calls
 
-(* Every item runs on its worker's view, so stage deltas and the
-   Algorithm 1 accounting serialized into the report are the same at any
-   worker count. *)
+(* Every item runs on its worker's view, so stage deltas, the item's
+   archive calls and the Algorithm 1 accounting serialized into the
+   report are the same at any worker count. *)
 let process_item t ctx addr =
   let obs = item_obs_for t addr in
   let worker = Engine.worker_id ctx in
@@ -566,9 +550,7 @@ let process_item t ctx addr =
       e_chain = view;
       e_host = host;
       e_steps = ref 0;
-      e_dedup = ref 0;
       e_transport = make_transport t ctx addr view obs;
-      e_steps0 = 0;
       e_fuel =
         Option.map Evm.Interp.fuel
           t.resilience.Resilience.Transport.step_budget;
@@ -577,11 +559,12 @@ let process_item t ctx addr =
   in
   match analyze_contract t env ctx addr with
   | report ->
-      merge_counts t env ~api0 ~ok:true;
-      record_item_obs t env ~worker ~meth0 obs;
-      Ok report
+      let e_api_calls = merge_api_calls t env ~api0 in
+      record_item_obs t env ~worker ~meth0
+        ~dedup_hit:report.Analysis.r_dedup_hit obs;
+      Ok { Analysis.e_report = report; e_api_calls }
   | exception e ->
-      merge_counts t env ~api0 ~ok:false;
+      ignore (merge_api_calls t env ~api0);
       Error (skip_of_exn ctx env e)
 
 (* The one constructor: [create] starts it empty, [restore] from a
@@ -606,13 +589,9 @@ let make ~config ~resilience ?crash_plan ?state ~chain ~source () =
       cfg = config;
       resilience;
       views = Array.make (max 1 config.Config.domains) None;
-      cache_lock = Mutex.create ();
-      merge_lock = Mutex.create ();
+      lock = Mutex.create ();
       detection_cache = Hashtbl.create 256;
       pair_cache = Hashtbl.create 256;
-      dedup_hits = ref 0;
-      steps_total = ref 0;
-      api_calls = ref 0;
       telemetry = None;
       req_ctx = Atomic.make None;
       transport_obs = Atomic.make None;
@@ -778,22 +757,16 @@ let skipped t = Engine.skipped t.engine
 let skipped_pairs t = Engine.skipped_pairs t.engine
 let requeue ?classes t = Engine.requeue ?classes t.engine
 
-let report t =
-  let contracts = Engine.results t.engine in
-  let stats =
-    Analysis.compute_stats ~dedup_hits:!(t.dedup_hits)
-      ~unique_codes:(Hashtbl.length t.detection_cache)
-      ~api_calls:!(t.api_calls) ~emulation_steps:!(t.steps_total) contracts
-  in
-  { Analysis.contracts; stats }
-
-let drain_results t = Engine.drain_results t.engine
 let unique_codes t = Hashtbl.length t.detection_cache
 
+let report t =
+  Analysis.report_of_entries ~unique_codes:(unique_codes t)
+    (Engine.results t.engine)
+
+let drain_results t = Engine.drain_results t.engine
+
 let invalidate_code_hash t code_hash =
-  Mutex.lock t.cache_lock;
-  Hashtbl.remove t.detection_cache code_hash;
-  Mutex.unlock t.cache_lock
+  locked t (fun () -> Hashtbl.remove t.detection_cache code_hash)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)
@@ -861,14 +834,9 @@ let checkpoint ?landscape t =
                (fun a -> Json.String (Address.to_hex a))
                st.Engine.st_queue) );
         ( "results",
-          Json.List
-            (List.map Serialize.contract_report_to_json st.Engine.st_results)
-        );
+          Json.List (List.map Serialize.entry_to_json st.Engine.st_results) );
         ( "skipped",
           Json.List (List.map skip_record_to_json st.Engine.st_skipped) );
-        ("dedup_hits", Json.Int !(t.dedup_hits));
-        ("steps", Json.Int !(t.steps_total));
-        ("api_calls", Json.Int !(t.api_calls));
         ( "detection_cache",
           Json.List
             (List.map
@@ -953,13 +921,8 @@ let restore ?landscape ?batch_size ?(domains = 1)
   in
   let* st_batches = Json.int "batches_done" json in
   let* st_queue = Json.list "queue" Serialize.address_of_json json in
-  let* st_results =
-    Json.list "results" Serialize.contract_report_of_json json
-  in
+  let* st_results = Json.list "results" Serialize.entry_of_json json in
   let* st_skipped = Json.list "skipped" skip_record_of_json json in
-  let* dedup_hits = Json.int "dedup_hits" json in
-  let* steps = Json.int "steps" json in
-  let* api_calls = Json.int "api_calls" json in
   let* detections =
     Json.list "detection_cache" detection_cache_entry_of_json json
   in
@@ -969,9 +932,6 @@ let restore ?landscape ?batch_size ?(domains = 1)
       ~state:{ Engine.st_queue; st_results; st_skipped; st_batches }
       ~chain ~source ()
   in
-  t.dedup_hits := dedup_hits;
-  t.steps_total := steps;
-  t.api_calls := api_calls;
   List.iter (fun (k, v) -> Hashtbl.replace t.detection_cache k v) detections;
   List.iter (fun (k, v) -> Hashtbl.replace t.pair_cache k v) pairs;
   Ok t

@@ -19,12 +19,17 @@
     aborting the run; {!requeue} sends the recoverable ones
     around again.
 
+    Each completed contract yields one {!Analysis.entry}: its report and
+    the archive calls analyzing it cost.  The report's statistics, a
+    checkpoint's results and the daemon's store all read that record;
+    nothing counts a contract's cost a second time.
+
     Runs are interruptible and resumable: {!checkpoint} serializes the
-    pending queue, completed reports, the dead-letter list, both dedup
-    caches and the partial counters; {!restore} rebuilds the analyzer so
-    the finished report is byte-identical to an uninterrupted run over
-    the same chain.  This module owns that format: one flat document,
-    read back through the {!Report.Json} readers.  The resilience
+    pending queue, completed entries, the dead-letter list and both dedup
+    caches; {!restore} rebuilds the analyzer so the finished report is
+    byte-identical to an uninterrupted run over the same chain.  This
+    module owns that format: one flat document, read back through the
+    {!Report.Json} readers.  The resilience
     configuration and the worker count are execution parameters, not
     analysis state: they are never serialized, so a checkpoint's bytes
     do not depend on them, and one written under any fault plan or
@@ -48,7 +53,7 @@ val create :
     is handed to the engine (see {!Engine.create}). *)
 
 val config : t -> Analysis.Config.t
-val engine : t -> (Evm.Address.t, Analysis.contract_report) Engine.t
+val engine : t -> (Evm.Address.t, Analysis.entry) Engine.t
 (** The underlying engine, for direct access to scheduling state. *)
 
 val instrument :
@@ -125,16 +130,18 @@ val requeue : ?classes:Engine.skip_class list -> t -> int
 (** {1 Results} *)
 
 val report : t -> Analysis.report
-(** The report over everything completed so far.  After the queue
-    drains, this equals what {!Pipeline.analyze} returns for the same
-    addresses and configuration. *)
+(** {!Analysis.report_of_entries} over everything completed so far, with
+    {!unique_codes}.  After the queue drains, this equals what
+    {!Pipeline.analyze} returns for the same addresses and
+    configuration. *)
 
-val drain_results : t -> Analysis.contract_report list
-(** Completed per-contract reports since the previous drain, in
-    completion (= submission) order; clears the underlying engine's
-    result buffer so a long-lived analyzer — the query daemon reuses one
-    across increments — stays bounded and its {!checkpoint}s stay small.
-    {!report} called after a drain covers only undrained results. *)
+val drain_results : t -> Analysis.entry list
+(** Entries completed since the previous drain, in completion
+    (= submission) order; clears the underlying engine's result buffer so
+    a long-lived analyzer — the query daemon reuses one across
+    increments, moving each entry into its store — stays bounded and its
+    {!checkpoint}s stay small.  {!report} called after a drain covers
+    only undrained results. *)
 
 val unique_codes : t -> int
 (** Distinct code hashes the dedup cache currently holds (the
@@ -152,8 +159,8 @@ val invalidate_code_hash : t -> string -> unit
 val checkpoint : ?landscape:string -> t -> Report.Json.t
 (** One flat document: the configuration without [domains]
     ([verify_storage], [dedup], [diamond_extension], [batch_size]), the
-    engine state ([batches_done], [queue], [results], [skipped]), the
-    counters ([dedup_hits], [steps], [api_calls]) and both dedup caches.
+    engine state ([batches_done], [queue], [results] as
+    {!Serialize.entry_to_json} records, [skipped]) and both dedup caches.
     Its bytes are the same at any worker count.  With [landscape] (the
     fingerprint of the landscape being analyzed, e.g.
     [Dataset.Generate.fingerprint]) the document is schema-stamped with

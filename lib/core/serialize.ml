@@ -308,6 +308,18 @@ let contract_report_of_json json =
       r_dedup_hit;
     }
 
+let entry_to_json (e : Analysis.entry) =
+  Json.Obj
+    [
+      ("report", contract_report_to_json e.Analysis.e_report);
+      ("api_calls", Json.Int e.Analysis.e_api_calls);
+    ]
+
+let entry_of_json json =
+  let* e_report = Json.field "report" contract_report_of_json json in
+  let* e_api_calls = Json.int "api_calls" json in
+  Ok { Analysis.e_report; e_api_calls }
+
 let stats_to_json (s : Analysis.stats) =
   Json.Obj
     [

@@ -6,7 +6,7 @@
     uninterrupted one.  Raw byte strings (selectors, code hashes) are
     hex-encoded; addresses and 256-bit words use their canonical 0x-hex
     forms.  Decoders read through the {!Report.Json} readers and never
-    raise. *)
+    raise; a decoder ignores fields it does not know. *)
 
 val hex_of_json : Report.Json.t -> (string, string) result
 (** The raw bytes of a 0x-hex string. *)
@@ -46,6 +46,14 @@ val contract_report_to_json : Analysis.contract_report -> Report.Json.t
 
 val contract_report_of_json :
   Report.Json.t -> (Analysis.contract_report, string) result
+
+val entry_to_json : Analysis.entry -> Report.Json.t
+
+val entry_of_json : Report.Json.t -> (Analysis.entry, string) result
+(** One contract's report with its archive calls, as [report] and
+    [api_calls]: the one record format of a checkpoint's [results] and of
+    a daemon journal's [entries] and [upserted].  Both fields are
+    required. *)
 
 val stats_to_json : Analysis.stats -> Report.Json.t
 val stats_of_json : Report.Json.t -> (Analysis.stats, string) result

@@ -149,7 +149,6 @@ type event =
       start : float;
       elapsed : float;
     }
-  | Stage_started of { stage : stage; subject : string; worker : int }
   | Stage_finished of {
       stage : stage;
       subject : string;
@@ -323,8 +322,6 @@ let timed_stage ctx ~stage ~subject ?api_calls ?steps ?retries f =
   let sample = function Some reader -> reader () | None -> 0 in
   let worker = ctx.worker in
   ctx.last_stage <- Some stage;
-  if listening ctx then
-    emit_from ctx (Stage_started { stage; subject; worker });
   let api0 = sample api_calls
   and steps0 = sample steps
   and retries0 = sample retries in
@@ -883,7 +880,6 @@ module Telemetry = struct
           Obs.Metrics.hobserve batch_seconds_h elapsed;
           Obs.Metrics.hset crashes_h (float_of_int (crashes t));
           Obs.Metrics.hset processed_h (float_of_int t.processed)
-      | Stage_started _ -> ()
       | Stage_finished { stage; timing; _ } ->
           let runs_h, seconds_h, api_h, steps_h = handles_for stage in
           Obs.Metrics.hinc runs_h;
@@ -957,7 +953,6 @@ module Telemetry = struct
           opened := 0;
           closed := 0;
           lg Obs.Log.Info "batch finished" ~fields
-      | Stage_started _ -> ()
       | Stage_finished { stage; subject; timing; worker; _ } ->
           if Obs.Log.enabled log Obs.Log.Debug then
             lg Obs.Log.Debug "stage finished" ~subject

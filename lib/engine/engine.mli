@@ -155,7 +155,6 @@ type event =
       start : float;
       elapsed : float;
     }
-  | Stage_started of { stage : stage; subject : string; worker : int }
   | Stage_finished of {
       stage : stage;
       subject : string;
@@ -290,8 +289,8 @@ val timed_stage :
   ?retries:(unit -> int) ->
   (unit -> 'a) ->
   'a
-(** [timed_stage ctx ~stage ~subject f] runs [f] bracketed by
-    [Stage_started]/[Stage_finished] events.  [api_calls], [steps] and
+(** [timed_stage ctx ~stage ~subject f] runs [f] and, when it returns,
+    emits a [Stage_finished] event.  [api_calls], [steps] and
     [retries] are monotonic counter readers sampled before and after [f];
     their deltas land in the event's {!timing} and in the per-stage
     aggregates.  When [f] raises, a [Stage_errored] event is emitted and

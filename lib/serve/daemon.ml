@@ -168,7 +168,6 @@ type t = {
   fams : families;
   obs_lock : Mutex.t;
   advance_lock : Mutex.t;
-  counters : (string, int * int) Hashtbl.t;  (* subject hex -> api, steps *)
   mutable reorg_log : (int * Advance.reorg) list;
       (* newest first, guarded by advance_lock; rebuilt on warm start *)
   uc : int Atomic.t;  (* cached Analyzer.unique_codes *)
@@ -245,44 +244,11 @@ let note_shed t ~reason =
         Obs.Log.Warn "connection shed";
       Mutex.unlock t.obs_lock
 
-(* ------------------------------------------------------------------ *)
-(* Per-subject cost attribution                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Stage subjects are either "0xaddr" or "0xproxy->0xlogic"; costs of a
-   pair stage belong to the proxy. *)
-let subject_address s =
-  match String.index_opt s '-' with
-  | Some i when i + 1 < String.length s && s.[i + 1] = '>' -> String.sub s 0 i
-  | _ -> s
-
-let subscribe_counters daemon_counters analyzer =
-  Analyzer.subscribe analyzer (function
-    | Engine.Stage_finished { subject; timing; _ } ->
-        let key = subject_address subject in
-        let api0, steps0 =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt daemon_counters key)
-        in
-        Hashtbl.replace daemon_counters key
-          ( api0 + timing.Engine.t_api_calls,
-            steps0 + timing.Engine.t_steps )
-    | _ -> ())
-
-(* Move the analyzer's results into the store; returns the entries
-   upserted, in drain order. *)
+(* Move the analyzer's entries into the store; returns them, in drain
+   order. *)
 let drain_into_store t =
-  let entries =
-    List.map
-      (fun (r : Analysis.contract_report) ->
-        let key = Address.to_hex r.Analysis.r_address in
-        let api, steps =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt t.counters key)
-        in
-        { Store.e_report = r; e_api_calls = api; e_steps = steps })
-      (Analyzer.drain_results t.analyzer)
-  in
+  let entries = Analyzer.drain_results t.analyzer in
   List.iter (Store.upsert t.store) entries;
-  Hashtbl.reset t.counters;
   entries
 
 (* ------------------------------------------------------------------ *)
@@ -299,8 +265,8 @@ let base_payload t ~landscape =
             ("height", Json.Int (Chain.height t.landscape.Generate.chain));
             ("analyzer", Analyzer.checkpoint t.analyzer);
             ( "entries",
-              Json.List (List.map Store.entry_to_json (Store.entries t.store))
-            );
+              Json.List
+                (List.map Serialize.entry_to_json (Store.entries t.store)) );
           ]))
 
 (* What one advance changed: the orphans it removed, the entries it
@@ -315,7 +281,7 @@ let delta_payload t ~removed ~upserted =
             ( "removed",
               Json.List
                 (List.map (fun a -> Json.String (Address.to_hex a)) removed) );
-            ("upserted", Json.List (List.map Store.entry_to_json upserted));
+            ("upserted", Json.List (List.map Serialize.entry_to_json upserted));
             ("analyzer", Analyzer.checkpoint t.analyzer);
           ]))
 
@@ -442,7 +408,7 @@ let fold_journal ~landscape records =
       let* advances = Json.int "advances" base in
       let* height = Json.int "height" base in
       let* analyzer = Json.field "analyzer" Result.ok base in
-      let* entries = Json.list "entries" Store.entry_of_json base in
+      let* entries = Json.list "entries" Serialize.entry_of_json base in
       let store = Store.create () in
       List.iter (Store.upsert store) entries;
       let rec fold (rv : recovered) = function
@@ -465,7 +431,7 @@ let fold_journal ~landscape records =
               let* removed =
                 Json.list "removed" Serialize.address_of_json d
               in
-              let* upserted = Json.list "upserted" Store.entry_of_json d in
+              let* upserted = Json.list "upserted" Serialize.entry_of_json d in
               List.iter (fun a -> ignore (Store.remove store a)) removed;
               List.iter (Store.upsert store) upserted;
               fold
@@ -565,7 +531,6 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
         fams;
         obs_lock = Mutex.create ();
         advance_lock = Mutex.create ();
-        counters = Hashtbl.create 1024;
         reorg_log = [];
         uc = Atomic.make 0;
         inflight = Atomic.make 0;
@@ -629,7 +594,6 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
           Store.set_generation store advances;
           let t = finish analyzer store true in
           t.reorg_log <- !replayed_reorgs;
-          subscribe_counters t.counters analyzer;
           Analyzer.instrument ?trace t.registry analyzer;
           ignore (Analyzer.drain_results analyzer);
           logf t Obs.Log.Info
@@ -644,7 +608,6 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
       in
       let store = Store.create () in
       let t = finish analyzer store false in
-      subscribe_counters t.counters analyzer;
       Analyzer.instrument ?trace t.registry analyzer;
       Analyzer.submit_all analyzer;
       Analyzer.run analyzer;
@@ -861,7 +824,7 @@ let handle_ready t =
 
 let handle_is_proxy t params =
   let* addr, e = entry_for t params in
-  let r = e.Store.e_report in
+  let r = e.Analysis.e_report in
   Ok
     (Json.Obj
        [
@@ -879,7 +842,7 @@ let handle_is_proxy t params =
 
 let handle_logic_history t params =
   let* addr, e = entry_for t params in
-  let r = e.Store.e_report in
+  let r = e.Analysis.e_report in
   Ok
     (Json.Obj
        [
@@ -892,7 +855,7 @@ let handle_logic_history t params =
 
 let handle_collisions t params =
   let* addr, e = entry_for t params in
-  let r = e.Store.e_report in
+  let r = e.Analysis.e_report in
   Ok
     (Json.Obj
        [
@@ -1069,16 +1032,16 @@ let handle_query t ~deadline ?ctx params =
         Mutex.unlock t.advance_lock)
       (fun () ->
         Analyzer.invalidate_code_hash t.analyzer
-          e.Store.e_report.Analysis.r_code_hash;
+          e.Analysis.e_report.Analysis.r_code_hash;
         Analyzer.submit t.analyzer [ addr ];
         Analyzer.run t.analyzer;
         let fresh =
-          List.find_opt
-            (fun (r : Analysis.contract_report) ->
-              Address.equal r.Analysis.r_address addr)
+          List.find_map
+            (fun (e : Analysis.entry) ->
+              let r = e.Analysis.e_report in
+              if Address.equal r.Analysis.r_address addr then Some r else None)
             (Analyzer.drain_results t.analyzer)
         in
-        Hashtbl.reset t.counters;
         Atomic.set t.uc (Analyzer.unique_codes t.analyzer);
         match fresh with
         | None ->

@@ -1,21 +1,15 @@
 (** The daemon's hot result store.
 
-    Holds one {!entry} per analyzed subject — the per-contract report
-    plus the per-subject cost counters the analyzer's stage events
-    attributed to it — indexed by address, while preserving deployment
-    order so {!report} reconstructs exactly the document a cold batch
-    run would produce.  Incremental re-analysis {!upsert}s patched
-    entries in place; aggregates (the full report, the findings list)
-    are cached and recomputed lazily after any patch.
+    Holds one {!Proxion.Analysis.entry} per analyzed subject — the
+    per-contract report plus the archive calls analyzing it cost, as the
+    analyzer returned them — indexed by address, while preserving
+    deployment order so {!report} reconstructs exactly the document a
+    cold batch run would produce.  Incremental re-analysis {!upsert}s
+    patched entries in place; aggregates (the full report, the findings
+    list) are cached and recomputed lazily after any patch.
 
     All operations are serialized by an internal lock, so server worker
     domains may query while the coordinator patches. *)
-
-type entry = {
-  e_report : Proxion.Analysis.contract_report;
-  e_api_calls : int;  (** getStorageAt calls attributed to this subject. *)
-  e_steps : int;  (** EVM steps attributed to this subject. *)
-}
 
 type t
 
@@ -28,10 +22,10 @@ val generation : t -> int
 
 val bump_generation : t -> unit
 val set_generation : t -> int -> unit
-val find : t -> Evm.Address.t -> entry option
+val find : t -> Evm.Address.t -> Proxion.Analysis.entry option
 val mem : t -> Evm.Address.t -> bool
 
-val upsert : t -> entry -> unit
+val upsert : t -> Proxion.Analysis.entry -> unit
 (** Insert (appending to deployment order) or replace in place. *)
 
 val remove : t -> Evm.Address.t -> bool
@@ -42,20 +36,14 @@ val remove : t -> Evm.Address.t -> bool
 val reports : t -> Proxion.Analysis.contract_report list
 (** Per-contract reports in deployment order. *)
 
-val entries : t -> entry list
+val entries : t -> Proxion.Analysis.entry list
 (** Entries in deployment order (snapshot serialization). *)
 
 val report : t -> unique_codes:int -> Proxion.Analysis.report
-(** The full report: contracts in deployment order, statistics
-    recomputed from the stored counters ([unique_codes] comes from the
-    live analyzer's dedup cache).  Byte-identical to a cold full run
-    over the same chain state. *)
+(** The full report: {!Proxion.Analysis.report_of_entries} over the
+    entries in deployment order ([unique_codes] comes from the live
+    analyzer's dedup cache).  Byte-identical to a cold full run over the
+    same chain state. *)
 
 val findings : t -> unique_codes:int -> Proxion.Findings.finding list
 (** Severity-ordered findings over {!report}, cached per generation. *)
-
-(** {1 Snapshots} *)
-
-val entry_to_json : entry -> Report.Json.t
-val entry_of_json : Report.Json.t -> (entry, string) result
-(** Round-trip for journal snapshots. *)

@@ -325,23 +325,18 @@ let to_bytes_be v =
       let limb = pos / 2 and off = pos mod 2 in
       Char.chr ((v.(limb) lsr (8 * off)) land 0xff))
 
-(* Digits go straight into the limbs.  The accepted inputs and errors are
-   those of padding an odd-length body with a leading '0' and decoding
-   the bytes with [Hexutil.of_hex]: each byte's digits are checked in its
-   order, so a bad digit raises the same error, and only then is a string
-   of more than 32 bytes refused; a second "0x" after the first, or an
-   odd body that starts with 'x' (which the padding turns into one), is
-   skipped, as [Hexutil.of_hex] strips a prefix of its own. *)
+(* Digits go straight into the limbs.  One "0x" or "0X" is stripped, an
+   odd-length body is padded with a leading '0', and its bytes are
+   decoded as [Hexutil.of_hex] decodes a body, with the same errors: each
+   byte's digits are checked in its order, so a bad digit (the 'x' of a
+   second prefix too) raises the same error, and only then is a string
+   of more than 32 bytes refused. *)
 let of_hex s =
-  let is_x c = c = 'x' || c = 'X' in
   let len = String.length s in
-  let off = if len >= 2 && s.[0] = '0' && is_x s.[1] then 2 else 0 in
-  let off, pad =
-    if (len - off) land 1 = 1 then
-      if is_x s.[off] then (off + 1, 0) else (off, 1)
-    else if len - off >= 2 && s.[off] = '0' && is_x s.[off + 1] then (off + 2, 0)
-    else (off, 0)
+  let off =
+    if len >= 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X') then 2 else 0
   in
+  let pad = (len - off) land 1 in
   let nbytes = (len - off + pad) / 2 in
   let digit k = if k < pad then 0 else Hexutil.hex_digit s.[off + k - pad] in
   let r = make_zero () in

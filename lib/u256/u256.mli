@@ -35,7 +35,9 @@ val to_bytes_be : t -> string
 (** Always 32 bytes. *)
 
 val of_hex : string -> t
-(** Accepts an optional ["0x"] prefix and odd-length digit strings. *)
+(** Accepts at most one ["0x"] or ["0X"] prefix, then hex digits only, of
+    odd length too.  Raises [Invalid_argument] on anything else, or on
+    more than 32 bytes. *)
 
 val to_hex : t -> string
 (** Minimal-length lowercase hex with ["0x"] prefix (["0x0"] for zero). *)

@@ -273,6 +273,20 @@ let test_rpc_facade () =
      with
     | Error (Chain_rpc.Invalid_params _) -> true
     | _ -> false);
+  (* A quantity carries one "0x", as a node reads it. *)
+  List.iter
+    (fun (what, slot, block) ->
+      check_b what true
+        (match
+           Chain_rpc.call chain ~meth:"eth_getStorageAt"
+             ~params:[ Evm.Address.to_hex a; slot; block ]
+         with
+        | Error (Chain_rpc.Invalid_params _) -> true
+        | _ -> false))
+    [
+      ("doubled prefix on the slot", "0x0x00", "latest");
+      ("doubled prefix on the block", "0x0", "0x0x05");
+    ];
   (* Historical tags on latest-only methods: a valid past height is a
      distinct, named, non-retryable error — not Invalid_params, and never
      classified transient (the resilient transport must not retry it). *)

@@ -587,8 +587,6 @@ let chaos_config = { Generate.quick_config with Generate.total = 240; seed = 31 
 let report_string r = Report.Json.to_string (Proxion.Serialize.report_to_json r)
 
 let skeleton = function
-  | Engine.Stage_started { stage; subject; _ } ->
-      Some (Printf.sprintf "start %s %s" (Engine.stage_name stage) subject)
   | Engine.Stage_finished { stage; subject; _ } ->
       Some (Printf.sprintf "finish %s %s" (Engine.stage_name stage) subject)
   | Engine.Stage_errored { stage; subject; _ } ->

@@ -530,6 +530,49 @@ let test_of_json_truncation_sweep () =
                 (Printexc.to_string e))
         [ ("dropped", dropped); ("nulled", nulled) ])
     kvs;
+  (* the same for each field of one result entry: an entry without its
+     report or its archive calls is refused, never read as 0 *)
+  let entry_kvs =
+    match List.assoc_opt "results" kvs with
+    | Some (Report.Json.List (Report.Json.Obj e :: _)) -> e
+    | _ -> Alcotest.fail "checkpoint has no result entry"
+  in
+  check_b "an entry is a report and its archive calls" true
+    (List.map fst entry_kvs = [ "report"; "api_calls" ]);
+  let with_first_entry entry =
+    Report.Json.Obj
+      (List.map
+         (fun (k, v) ->
+           match (k, v) with
+           | "results", Report.Json.List (_ :: rest) ->
+               (k, Report.Json.List (entry :: rest))
+           | _ -> (k, v))
+         kvs)
+  in
+  List.iter
+    (fun (victim, _) ->
+      List.iter
+        (fun (label, entry) ->
+          match hardening_restore fixture (with_first_entry entry) with
+          | Ok _ ->
+              Alcotest.failf "result entry without %S accepted (%s)" victim
+                label
+          | Error _ -> ()
+          | exception e ->
+              Alcotest.failf "restore raised on entry %s %S: %s" label victim
+                (Printexc.to_string e))
+        [
+          ( "dropped",
+            Report.Json.Obj (List.filter (fun (k, _) -> k <> victim) entry_kvs)
+          );
+          ( "nulled",
+            Report.Json.Obj
+              (List.map
+                 (fun (k, v) ->
+                   if k = victim then (k, Report.Json.Null) else (k, v))
+                 entry_kvs) );
+        ])
+    entry_kvs;
   (* the full text still round-trips *)
   (match Report.Json.parse text with
   | Error e -> Alcotest.failf "valid checkpoint failed to parse: %s" e
@@ -620,8 +663,6 @@ let report_string r =
   Report.Json.to_string (Proxion.Serialize.report_to_json r)
 
 let skeleton = function
-  | Engine.Stage_started { stage; subject; _ } ->
-      Some (Printf.sprintf "start %s %s" (Engine.stage_name stage) subject)
   | Engine.Stage_finished { stage; subject; _ } ->
       Some (Printf.sprintf "finish %s %s" (Engine.stage_name stage) subject)
   | Engine.Stage_errored { stage; subject; _ } ->

@@ -46,8 +46,6 @@ let event_skeleton = function
       Some (Printf.sprintf "batch-started %d %d" index size)
   | Engine.Batch_finished { index; size; _ } ->
       Some (Printf.sprintf "batch-finished %d %d" index size)
-  | Engine.Stage_started { stage; subject; _ } ->
-      Some (Printf.sprintf "start %s %s" (Engine.stage_name stage) subject)
   | Engine.Stage_finished { stage; subject; _ } ->
       Some (Printf.sprintf "finish %s %s" (Engine.stage_name stage) subject)
   | Engine.Stage_errored { stage; subject; _ } ->

@@ -20,12 +20,12 @@ let minor_words_ceiling = 2_576.0
 (* 400 generated deployments plus their shared logic contracts, analyzed
    at one domain, so the per-domain counters below see the whole pass
    whatever DOMAINS says. *)
-let scan_pass () =
+let scan_pass ?(dedup = true) () =
   let land_ =
     Generate.generate { Generate.default_config with total = 400; seed = 42 }
   in
   Proxion.Analyzer.create
-    ~config:Pipeline.Config.(default |> with_domains 1)
+    ~config:Pipeline.Config.(default |> with_domains 1 |> with_dedup dedup)
     ~chain:land_.Generate.chain ~source:land_.Generate.source_of ()
 
 let test_scan_counters () =
@@ -70,6 +70,20 @@ let test_scan_counters () =
   Alcotest.(check (option (float 0.0)))
     "eth_getStorageAt requests served" (Some 639.0) storage_requests
 
+(* The same contracts with dedup off, as the emulate benchmark runs them:
+   every contract is probed, so the steps are the pass's whole emulation
+   cost, while the archive calls, which dedup never saves, stay the
+   scan pass's. *)
+let test_emulate_counters () =
+  let t = scan_pass ~dedup:false () in
+  Proxion.Analyzer.submit_all t;
+  Proxion.Analyzer.run t;
+  let stats = (Proxion.Analyzer.report t).Pipeline.stats in
+  check_i "contracts" 459 stats.Pipeline.s_analyzed;
+  check_i "dedup hits" 0 stats.Pipeline.s_dedup_hits;
+  check_i "archive calls" 711 stats.Pipeline.s_api_calls;
+  check_i "EVM steps" 13_187 stats.Pipeline.s_emulation_steps
+
 (* What a journaled daemon writes: the base snapshot once, then per
    advance a delta of what it changed.  A 400-contract daemon (460
    subjects) makes three advances of the default script.  Each delta
@@ -77,7 +91,12 @@ let test_scan_counters () =
    quarter of the base, so a whole-store commit, which appends more than
    the base on every advance, fails here.  Each framed record costs 18
    bytes beyond its payload (a record and a commit header), the file's
-   header 9. *)
+   header 9.
+
+   Each advance also pins the work it caused: the archive calls on the
+   chain's counter and the subjects re-analyzed.  The tracker marks
+   every slot proxy dirty, so the last advance re-read every proxy's
+   history, and the store's archive calls equal that advance's. *)
 let test_commit_bytes () =
   let path = Filename.temp_file "proxion_ratchet" ".journal" in
   Sys.remove path;
@@ -100,23 +119,38 @@ let test_commit_bytes () =
         | Error e -> Alcotest.failf "daemon create failed: %s" e
       in
       let size () = (Unix.stat path).Unix.st_size in
+      let calls () = Chain.api_call_count land_.Generate.chain in
       let base = size () in
-      let appended =
+      let advances =
         List.init 3 (fun _ ->
-            let before = size () in
-            ignore (Serve.Daemon.advance d);
-            size () - before)
+            let bytes0 = size () and calls0 = calls () in
+            let r = Serve.Daemon.advance d in
+            (size () - bytes0, calls () - calls0, r.Serve.Daemon.adv_dirty))
+      in
+      let stats =
+        (Serve.Store.report (Serve.Daemon.store d)
+           ~unique_codes:(Serve.Daemon.unique_codes d))
+          .Pipeline.stats
       in
       Serve.Daemon.stop d;
-      check_i "journal after the base snapshot" 319_803 base;
+      check_i "journal after the base snapshot" 314_743 base;
       List.iter2
-        (fun (i, want) n ->
-          check_i (Printf.sprintf "bytes appended by advance %d" i) want n)
-        [ (1, 79_761); (2, 82_818); (3, 85_875) ]
-        appended)
+        (fun (i, bytes, api, dirty) (n, calls, dirtied) ->
+          check_i (Printf.sprintf "bytes appended by advance %d" i) bytes n;
+          check_i (Printf.sprintf "archive calls of advance %d" i) api calls;
+          check_i
+            (Printf.sprintf "dirty subjects of advance %d" i)
+            dirty dirtied)
+        [
+          (1, 79_244, 774, 36); (2, 82_289, 783, 37); (3, 85_334, 858, 38);
+        ]
+        advances;
+      check_i "store archive calls" 858 stats.Pipeline.s_api_calls;
+      check_i "store EVM steps" 3_602 stats.Pipeline.s_emulation_steps)
 
 let suite =
   [
     Alcotest.test_case "scan pass counters" `Quick test_scan_counters;
     Alcotest.test_case "watch advance commit bytes" `Quick test_commit_bytes;
+    Alcotest.test_case "emulate pass counters" `Quick test_emulate_counters;
   ]

@@ -157,10 +157,12 @@ let prop name f = QCheck.Test.make ~name ~count:300 arb_u256 f
 module Reference = struct
   module H = T_hexutil.Reference
 
+  (* One prefix is stripped: [H.of_hex] strips the "0x" put back in front
+     of the padded body, never a second one the input carried. *)
   let of_hex s =
     let s = H.strip_0x s in
     let s = if String.length s mod 2 = 1 then "0" ^ s else s in
-    U256.of_bytes_be (H.of_hex s)
+    U256.of_bytes_be (H.of_hex ("0x" ^ s))
 
   let to_hex v =
     let full = H.to_hex ~prefix:false (U256.to_bytes_be v) in
