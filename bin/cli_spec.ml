@@ -328,7 +328,7 @@ module Analysis_spec = struct
       $ batch_size $ domains)
 
   let config t =
-    let module C = Proxion.Pipeline.Config in
+    let module C = Proxion.Analysis.Config in
     C.default
     |> (match t.batch_size with Some b -> C.with_batch_size b | None -> Fun.id)
     |> (match t.domains with Some d -> C.with_domains d | None -> Fun.id)

@@ -84,30 +84,6 @@ let landscape_config total seed =
    leaving stdout to the figures.  [--log-json] switches the same stream
    to JSONL. *)
 
-let print_landscape t findings =
-  print_string (Experiments.Landscape.summary t);
-  print_newline ();
-  print_string (Experiments.Landscape.fig2 t);
-  print_newline ();
-  print_string (Experiments.Landscape.fig4 t);
-  print_newline ();
-  print_string (Experiments.Landscape.table3 t);
-  print_newline ();
-  print_string (Experiments.Landscape.fig5 t);
-  print_newline ();
-  print_string (Experiments.Landscape.table4 t);
-  print_newline ();
-  print_string (Experiments.Landscape.fig6 t);
-  print_newline ();
-  print_string (Experiments.Landscape.upgrade_authority t);
-  (if findings > 0 then begin
-     print_newline ();
-     print_string
-       (Proxion.Findings.render ~limit:findings
-          (Proxion.Findings.of_report t.Experiments.Landscape.report))
-   end);
-  0
-
 exception Journal_write_error of string
 
 (* The bounded-RSS path: drain the dataset stream batch-by-batch, analyze
@@ -384,11 +360,11 @@ let run_scan chain faults telemetry journal_path journal_fsync findings
           else begin
             if telemetry.Telemetry_spec.progress then
               prerr_string (Proxion.Analyzer.stage_totals_table analyzer);
-            let t =
-              Experiments.Landscape.of_parts land_
-                (Proxion.Analyzer.report analyzer)
-            in
-            print_landscape t findings
+            print_string
+              (Experiments.Landscape.render ~findings
+                 (Experiments.Landscape.of_parts land_
+                    (Proxion.Analyzer.report analyzer)));
+            0
           end)
 
 let scan_cmd =

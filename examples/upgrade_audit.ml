@@ -48,28 +48,28 @@ let () =
   Chain.set_storage_direct chain planted U256.one
     (Evm.Address.to_u256 planted_logic);
   let report =
-    Proxion.Pipeline.analyze ~chain ~source:land_.Dataset.Generate.source_of ()
+    Proxion.Analyzer.analyze ~chain ~source:land_.Dataset.Generate.source_of ()
   in
   Printf.printf "detected %d proxies; auditing upgrade authority...\n\n%!"
-    report.Proxion.Pipeline.stats.Proxion.Pipeline.s_proxies;
+    report.Proxion.Analysis.stats.Proxion.Analysis.s_proxies;
   let totals = Hashtbl.create 4 in
   let open_ones = ref [] in
   List.iter
     (fun r ->
-      match r.Proxion.Pipeline.r_detection.Proxion.Proxy_detect.verdict with
+      match r.Proxion.Analysis.r_detection.Proxion.Proxy_detect.verdict with
       | Proxion.Proxy_detect.Proxy { source; _ } ->
           let auth =
-            Proxion.Upgrade_auth.analyze chain r.Proxion.Pipeline.r_address source
+            Proxion.Upgrade_auth.analyze chain r.Proxion.Analysis.r_address source
           in
           let key = Proxion.Upgrade_auth.to_string auth in
           Hashtbl.replace totals key
             (1 + Option.value ~default:0 (Hashtbl.find_opt totals key));
           (match auth with
           | Proxion.Upgrade_auth.Open_to_anyone sel ->
-              open_ones := (r.Proxion.Pipeline.r_address, sel) :: !open_ones
+              open_ones := (r.Proxion.Analysis.r_address, sel) :: !open_ones
           | _ -> ())
       | _ -> ())
-    report.Proxion.Pipeline.contracts;
+    report.Proxion.Analysis.contracts;
   Report.print_table ~title:"Upgrade authority"
     ~header:[ "authority"; "# proxies" ]
     (Hashtbl.fold (fun k v acc -> [ k; string_of_int v ] :: acc) totals []

@@ -42,7 +42,6 @@ type stats = {
 type report = { contracts : contract_report list; stats : stats }
 
 let is_proxy_report r = Proxy_detect.is_proxy r.r_detection
-let proxies report = List.filter is_proxy_report report.contracts
 
 type entry = { e_report : contract_report; e_api_calls : int }
 
@@ -103,9 +102,7 @@ module Config = struct
       domains = 1;
     }
 
-  let with_verify_storage verify_storage t = { t with verify_storage }
   let with_dedup dedup t = { t with dedup }
-  let with_diamond_extension diamond_extension t = { t with diamond_extension }
   let with_batch_size batch_size t = { t with batch_size }
   let with_domains domains t = { t with domains }
 

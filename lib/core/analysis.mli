@@ -1,10 +1,9 @@
-(** Shared vocabulary of the analysis layer: the per-contract and
-    per-pair report types every consumer reads, the {!entry} that pairs a
-    contract's report with the archive calls it cost, the aggregate
-    statistics assembled from entries, and the {!Config} record that
-    replaced the retired [Pipeline.run] entry point's optional arguments.
-    {!Pipeline} re-exports the report types under their historical names;
-    {!Analyzer} produces the values. *)
+(** The analysis layer's report model, defined once: the per-contract
+    and per-pair report types every consumer reads, the {!entry} that
+    pairs a contract's report with the archive calls it cost, the
+    aggregate statistics assembled from entries, and the {!Config}
+    record one analysis runs under.  {!Analyzer} produces the values;
+    {!Findings} distils them into severity-ranked findings. *)
 
 type source_lookup = Evm.Address.t -> Minisol.Ast.contract option
 (** The Etherscan stand-in: source for "verified" contracts, [None] for
@@ -48,21 +47,20 @@ type stats = {
   s_honeypot_pairs : int;  (** Function-colliding pairs with honeypot shape. *)
   s_dedup_hits : int;
   s_unique_codes : int;
-  s_api_calls : int;  (** getStorageAt calls spent by Algorithm 1. *)
+  s_api_calls : int;  (** Archive calls: the entries' [e_api_calls]. *)
   s_emulation_steps : int;  (** EVM instructions interpreted by probes. *)
 }
 
 type report = { contracts : contract_report list; stats : stats }
 
 val is_proxy_report : contract_report -> bool
-val proxies : report -> contract_report list
 
 type entry = {
   e_report : contract_report;
   e_api_calls : int;
-      (** Archive calls analyzing the contract cost: Algorithm 1's reads
-          and [resolve_slot]'s direct ones, which
-          [r_resolution]'s [api_calls] leaves out. *)
+      (** Archive calls analyzing the contract cost, counted on the
+          chain view it was analyzed on: Algorithm 1's reads and
+          [resolve_slot]'s head read. *)
 }
 (** One analyzed contract with what it cost: the record the analyzer
     returns, checkpoints and journals carry, and the daemon's store
@@ -76,8 +74,8 @@ val report_of_entries : unique_codes:int -> entry list -> report
     [unique_codes] comes from the dedup cache that produced them. *)
 
 (** Run configuration — one value threaded through the engine, the CLI,
-    the benchmark harness and the experiments, replacing the optional
-    argument soup of the retired [Pipeline.run] entry point. *)
+    the daemon, the benchmark harness and the experiments.  Build one
+    from {!default} with the [with_*] setters or a record update. *)
 module Config : sig
   type t = {
     verify_storage : bool;
@@ -100,9 +98,7 @@ module Config : sig
   }
 
   val default : t
-  val with_verify_storage : bool -> t -> t
   val with_dedup : bool -> t -> t
-  val with_diamond_extension : bool -> t -> t
   val with_batch_size : int -> t -> t
   val with_domains : int -> t -> t
 

@@ -119,7 +119,6 @@ type env = {
          items.  [Interp.no_tracer] when telemetry is off. *)
 }
 
-let config t = t.cfg
 let engine t = t.engine
 
 (* The analyzer's one lock, over what workers share: the dedup caches and
@@ -754,7 +753,6 @@ let pending t = Engine.pending t.engine
 let subscribe t f = Engine.subscribe t.engine f
 let stage_totals_table t = Engine.stage_totals_table t.engine
 let skipped t = Engine.skipped t.engine
-let skipped_pairs t = Engine.skipped_pairs t.engine
 let requeue ?classes t = Engine.requeue ?classes t.engine
 
 let unique_codes t = Hashtbl.length t.detection_cache
@@ -762,6 +760,13 @@ let unique_codes t = Hashtbl.length t.detection_cache
 let report t =
   Analysis.report_of_entries ~unique_codes:(unique_codes t)
     (Engine.results t.engine)
+
+let analyze ?config ?addresses ~chain ~source () =
+  Chain.reset_api_call_count chain;
+  let t = create ?config ~chain ~source () in
+  (match addresses with Some l -> submit t l | None -> submit_all t);
+  run t;
+  report t
 
 let drain_results t = Engine.drain_results t.engine
 

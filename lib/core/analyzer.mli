@@ -52,7 +52,6 @@ val create :
     the emulation probes (see {!Evm.Interp.guard_fuel}).  [crash_plan]
     is handed to the engine (see {!Engine.create}). *)
 
-val config : t -> Analysis.Config.t
 val engine : t -> (Evm.Address.t, Analysis.entry) Engine.t
 (** The underlying engine, for direct access to scheduling state. *)
 
@@ -118,9 +117,6 @@ val skipped : t -> Evm.Address.t Engine.skip_record list
 (** The dead-letter list: every contract dropped by error isolation with
     its classification, failing stage and attempt count. *)
 
-val skipped_pairs : t -> (string * string) list
-(** [(subject, message)] projection of {!skipped}. *)
-
 val requeue : ?classes:Engine.skip_class list -> t -> int
 (** Push dead-letter entries of the given classes (default: the
     recoverable [Transient], [Budget_exhausted] and [Worker_crashed])
@@ -132,8 +128,22 @@ val requeue : ?classes:Engine.skip_class list -> t -> int
 val report : t -> Analysis.report
 (** {!Analysis.report_of_entries} over everything completed so far, with
     {!unique_codes}.  After the queue drains, this equals what
-    {!Pipeline.analyze} returns for the same addresses and
-    configuration. *)
+    {!analyze} returns for the same addresses and configuration. *)
+
+val analyze :
+  ?config:Analysis.Config.t ->
+  ?addresses:Evm.Address.t list ->
+  chain:Chain.t ->
+  source:Analysis.source_lookup ->
+  unit ->
+  Analysis.report
+(** The one-shot analysis: zero the chain's {!Chain.api_call_count},
+    {!create} an analyzer under [config] (default
+    {!Analysis.Config.default}), {!submit} [addresses] (default: every
+    contract on the chain, in deployment order), {!run} the queue dry and
+    return its {!report}.  Use the analyzer itself for batching,
+    progress events, interruption, dead-letter requeue or
+    checkpoint/resume. *)
 
 val drain_results : t -> Analysis.entry list
 (** Entries completed since the previous drain, in completion

@@ -8,7 +8,13 @@ let severity_to_string = function
   | Medium -> "MEDIUM"
   | Info -> "INFO"
 
-let severity_rank = function Critical -> 0 | High -> 1 | Medium -> 2 | Info -> 3
+let severity_of_string s =
+  match String.uppercase_ascii s with
+  | "CRITICAL" -> Some Critical
+  | "HIGH" -> Some High
+  | "MEDIUM" -> Some Medium
+  | "INFO" -> Some Info
+  | _ -> None
 
 type finding = {
   f_severity : severity;
@@ -24,7 +30,7 @@ let region_str (r : Storage_collision.region) =
     (if r.Storage_collision.g_writes then ", written" else "")
     (if r.Storage_collision.g_guards_caller then ", access-control" else "")
 
-let storage_findings (p : Pipeline.pair_report) =
+let storage_findings (p : Analysis.pair_report) =
   List.map
     (fun (c : Storage_collision.collision) ->
       let detail =
@@ -44,14 +50,14 @@ let storage_findings (p : Pipeline.pair_report) =
       {
         f_severity = severity;
         f_title = "storage collision";
-        f_proxy = p.Pipeline.p_proxy;
-        f_logic = p.Pipeline.p_logic;
+        f_proxy = p.Analysis.p_proxy;
+        f_logic = p.Analysis.p_logic;
         f_detail = detail;
       })
-    p.Pipeline.p_storage_collisions
+    p.Analysis.p_storage_collisions
 
-let func_findings (p : Pipeline.pair_report) =
-  match p.Pipeline.p_func_collisions with
+let func_findings (p : Analysis.pair_report) =
+  match p.Analysis.p_func_collisions with
   | [] -> []
   | collisions ->
       let selectors =
@@ -67,36 +73,34 @@ let func_findings (p : Pipeline.pair_report) =
       in
       [
         {
-          f_severity = (if p.Pipeline.p_honeypot then High else Info);
+          f_severity = (if p.Analysis.p_honeypot then High else Info);
           f_title =
-            (if p.Pipeline.p_honeypot then "honeypot function collision"
+            (if p.Analysis.p_honeypot then "honeypot function collision"
              else "function collision");
-          f_proxy = p.Pipeline.p_proxy;
-          f_logic = p.Pipeline.p_logic;
+          f_proxy = p.Analysis.p_proxy;
+          f_logic = p.Analysis.p_logic;
           f_detail =
             Printf.sprintf
               "colliding selector%s %s: calls meant for the logic are captured \
                by the proxy%s"
               (if List.length collisions > 1 then "s" else "")
               selectors
-              (if p.Pipeline.p_honeypot then
+              (if p.Analysis.p_honeypot then
                  "; the logic baits the caller while the proxy moves assets"
                else "");
         };
       ]
 
-let of_report (report : Pipeline.report) =
+let of_report (report : Analysis.report) =
   let all =
     List.concat_map
       (fun r ->
         List.concat_map
           (fun p -> storage_findings p @ func_findings p)
-          r.Pipeline.r_pairs)
-      report.Pipeline.contracts
+          r.Analysis.r_pairs)
+      report.Analysis.contracts
   in
-  List.stable_sort
-    (fun a b -> compare (severity_rank a.f_severity) (severity_rank b.f_severity))
-    all
+  List.stable_sort (fun a b -> compare a.f_severity b.f_severity) all
 
 let render ?limit findings =
   let shown =

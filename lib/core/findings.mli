@@ -1,5 +1,5 @@
-(** Human-readable security findings distilled from a pipeline report —
-    the audit-tool face of ProxioN.
+(** Human-readable security findings distilled from an
+    {!Analysis.report} — the audit-tool face of ProxioN.
 
     Each finding carries the contracts involved, the evidence the analysis
     produced (colliding selectors, slot typings, verification outcome),
@@ -9,8 +9,16 @@
     function collisions are informational. *)
 
 type severity = Critical | High | Medium | Info
+(** Declared most severe first, so [compare] ranks severities: [compare
+    a b < 0] when [a] is the more severe.  The findings sort and the
+    daemon's [min_severity] filter both order by it. *)
 
 val severity_to_string : severity -> string
+(** ["CRITICAL"], ["HIGH"], ["MEDIUM"] or ["INFO"]. *)
+
+val severity_of_string : string -> severity option
+(** The inverse of {!severity_to_string}, in any letter case; [None] for
+    any other string. *)
 
 type finding = {
   f_severity : severity;
@@ -20,7 +28,7 @@ type finding = {
   f_detail : string;
 }
 
-val of_report : Pipeline.report -> finding list
+val of_report : Analysis.report -> finding list
 (** Findings sorted most-severe first:
     - [Critical]: storage collision with a verified exploit transaction;
     - [High]: honeypot-shaped function collision;

@@ -19,9 +19,13 @@ type resolution = {
    of adjacent ranges, so the set of heights fetched (and hence the
    API-call count the paper reports in §6.1) is identical to the
    sequential recursion: every endpoint of every range in the recursion
-   tree, each exactly once. *)
-let algorithm1 ?transport chain address ~slot ~lower ~upper =
-  if lower > upper then U256.Set.empty
+   tree, each exactly once.
+
+   Each found value maps to the lowest endpoint of the ranges found to
+   hold it.  Those ranges tile [lower, upper], so that endpoint is the
+   first height in [lower, upper] at which the slot held the value. *)
+let partition ?transport chain address ~slot ~lower ~upper =
+  if lower > upper then U256.Map.empty
   else begin
     let transport =
       match transport with
@@ -55,7 +59,10 @@ let algorithm1 ?transport chain address ~slot ~lower ~upper =
               (fun (next, acc) (l, u) ->
                 let v_l = Hashtbl.find memo l in
                 let v_u = Hashtbl.find memo u in
-                if U256.equal v_l v_u then (next, U256.Set.add v_l acc)
+                if U256.equal v_l v_u then
+                  match U256.Map.find_opt v_l acc with
+                  | Some h when h <= l -> (next, acc)
+                  | _ -> (next, U256.Map.add v_l l acc)
                 else
                   let mid = (l + u) / 2 in
                   ((mid + 1, u) :: (l, mid) :: next, acc))
@@ -63,37 +70,31 @@ let algorithm1 ?transport chain address ~slot ~lower ~upper =
           in
           loop (List.rev next) acc
     in
-    loop [ (lower, upper) ] U256.Set.empty
+    loop [ (lower, upper) ] U256.Map.empty
   end
+
+let algorithm1 ?transport chain address ~slot ~lower ~upper =
+  U256.Map.fold
+    (fun v _ acc -> U256.Set.add v acc)
+    (partition ?transport chain address ~slot ~lower ~upper)
+    U256.Set.empty
 
 let resolve_slot ?transport chain address ~slot =
   let before = Chain.api_call_count chain in
   let upper = Chain.height chain in
-  let values = algorithm1 ?transport chain address ~slot ~lower:0 ~upper in
+  let first = partition ?transport chain address ~slot ~lower:0 ~upper in
   let api_calls = Chain.api_call_count chain - before in
   let address_of v =
     let a = Address.of_u256 v in
     if Address.equal a Address.zero then None else Some a
   in
-  (* Order the found values by first appearance: walk the (small) set and
-     sort by the height of first occurrence via the recorded change list. *)
-  let change_heights = Chain.storage_change_heights chain address slot in
-  let first_height v =
-    (* Find the first recorded change whose value matches; the archive
-       answers point queries, so check each change height. *)
-    let rec scan = function
-      | [] -> max_int
-      | h :: rest ->
-          if U256.equal (Chain.get_storage_at chain address slot ~height:h) v
-          then h
-          else scan rest
-    in
-    scan change_heights
-  in
+  (* Oldest first, by the height at which Algorithm 1 first saw each
+     value. *)
   let historical =
-    U256.Set.elements values
-    |> List.filter_map (fun v -> Option.map (fun a -> (first_height v, a)) (address_of v))
-    |> List.sort (fun (h1, _) (h2, _) -> compare h1 h2)
+    U256.Map.bindings first
+    |> List.filter_map (fun (v, h) ->
+           Option.map (fun a -> (h, a)) (address_of v))
+    |> List.sort (fun (h1, _) (h2, _) -> Int.compare h1 h2)
     |> List.map snd
   in
   let current_value = Chain.get_storage_at chain address slot ~height:upper in

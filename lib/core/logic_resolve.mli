@@ -12,7 +12,8 @@ type resolution = {
   current : Evm.Address.t option;  (** Logic at head height (None if unset). *)
   historical : Evm.Address.t list;
       (** Every non-zero address ever stored, oldest first. *)
-  api_calls : int;  (** getStorageAt calls Algorithm 1 spent. *)
+  api_calls : int;
+      (** getStorageAt calls spent: Algorithm 1's and the head read. *)
   upgrade_count : int;
       (** Number of logic-address changes after the first assignment
           (Figure 6's per-proxy upgrade count). *)
@@ -33,7 +34,10 @@ val resolve_slot :
   ?transport:Resilience.Transport.t ->
   Chain.t -> Evm.Address.t -> slot:U256.t -> resolution
 (** Run Algorithm 1 over the whole chain and order the found addresses by
-    their first appearance. *)
+    their first appearance: the lowest height at which Algorithm 1's own
+    reads saw each, which is exact when values are not reused.  The one
+    read beyond Algorithm 1's is the slot at the head, for [current]; it
+    is counted in [api_calls]. *)
 
 val resolve :
   ?transport:Resilience.Transport.t ->

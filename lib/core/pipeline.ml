@@ -1,66 +1,3 @@
-(* The historical entry point of the ProxioN system, now a thin
-   compatibility facade over the staged {!Analyzer} engine.  All types are
-   re-exported from {!Analysis} so existing consumers keep compiling and
-   producing identical reports. *)
-
 module Config = Analysis.Config
 
-type source_lookup = Analysis.source_lookup
-
-type analysis_method = Analysis.analysis_method =
-  | Source_source
-  | Mixed
-  | Bytecode_bytecode
-
-type pair_report = Analysis.pair_report = {
-  p_proxy : Evm.Address.t;
-  p_logic : Evm.Address.t;
-  p_method : analysis_method;
-  p_func_collisions : Func_collision.collision list;
-  p_storage_collisions : Storage_collision.collision list;
-  p_honeypot : bool;
-}
-
-type contract_report = Analysis.contract_report = {
-  r_address : Evm.Address.t;
-  r_code_hash : string;
-  r_detection : Proxy_detect.t;
-  r_standard : Standard_classify.standard option;
-  r_resolution : Logic_resolve.resolution option;
-  r_pairs : pair_report list;
-  r_dedup_hit : bool;
-}
-
-type stats = Analysis.stats = {
-  s_analyzed : int;
-  s_proxies : int;
-  s_emulation_errors : int;
-  s_pairs : int;
-  s_func_colliding_pairs : int;
-  s_storage_colliding_pairs : int;
-  s_verified_storage_pairs : int;
-  s_honeypot_pairs : int;
-  s_dedup_hits : int;
-  s_unique_codes : int;
-  s_api_calls : int;
-  s_emulation_steps : int;
-}
-
-type report = Analysis.report = {
-  contracts : contract_report list;
-  stats : stats;
-}
-
-let is_proxy_report = Analysis.is_proxy_report
-let proxies = Analysis.proxies
-
-let analyze ?(config = Config.default) ?addresses ~chain ~source () =
-  (* Preserve the historical side effect: the chain's API counter starts
-     from zero for each full-pipeline invocation. *)
-  Chain.reset_api_call_count chain;
-  let t = Analyzer.create ~config ~chain ~source () in
-  (match addresses with
-  | Some l -> Analyzer.submit t l
-  | None -> Analyzer.submit_all t);
-  Analyzer.run t;
-  Analyzer.report t
+let analyze = Analyzer.analyze

@@ -1,80 +1,17 @@
-(** The full ProxioN pipeline over a chain: proxy detection with
-    bytecode-hash deduplication, logic resolution, standard classification,
-    and per-pair function and storage collision checks with the analysis
-    method chosen by source availability — the end-to-end system the paper
-    evaluates in §6 and §7.
-
-    This module is a thin facade over the staged {!Analyzer} engine:
-    {!analyze} is the one-shot entry point, and all result types are
-    re-exported from {!Analysis}.  Callers that need batching, progress
-    events, interruption, dead-letter requeue or checkpoint/resume
-    should use {!Analyzer} directly. *)
+(** The two names the benchmark harness (proxbench/) still uses for the
+    analysis layer: its {!Config} and its one-shot {!analyze}.  Both are
+    aliases; the definitions are {!Analysis.Config} and
+    {!Analyzer.analyze}, and every report type is {!Analysis}'s.  This
+    module goes with the next change to the benchmark (ROADMAP item 4),
+    which renames those call sites. *)
 
 module Config = Analysis.Config
-(** Run configuration; see {!Analysis.Config}. *)
-
-type source_lookup = Analysis.source_lookup
-(** The Etherscan stand-in: source for "verified" contracts, [None] for the
-    hidden ones. *)
-
-type analysis_method = Analysis.analysis_method =
-  | Source_source  (** Both sides verified: the Slither path. *)
-  | Mixed  (** One side bytecode-only: the paper's novel coverage. *)
-  | Bytecode_bytecode  (** Both hidden. *)
-
-type pair_report = Analysis.pair_report = {
-  p_proxy : Evm.Address.t;
-  p_logic : Evm.Address.t;
-  p_method : analysis_method;
-  p_func_collisions : Func_collision.collision list;
-  p_storage_collisions : Storage_collision.collision list;
-  p_honeypot : bool;
-      (** The function collision classifies as a honeypot (§2.3): the
-          logic's colliding function baits the caller while the proxy's
-          twin moves assets. *)
-}
-
-type contract_report = Analysis.contract_report = {
-  r_address : Evm.Address.t;
-  r_code_hash : string;
-  r_detection : Proxy_detect.t;
-  r_standard : Standard_classify.standard option;  (** Proxies only. *)
-  r_resolution : Logic_resolve.resolution option;  (** Proxies only. *)
-  r_pairs : pair_report list;
-  r_dedup_hit : bool;  (** Detection reused from an identical bytecode. *)
-}
-
-type stats = Analysis.stats = {
-  s_analyzed : int;
-  s_proxies : int;
-  s_emulation_errors : int;
-  s_pairs : int;
-  s_func_colliding_pairs : int;
-  s_storage_colliding_pairs : int;
-  s_verified_storage_pairs : int;
-  s_honeypot_pairs : int;  (** Function-colliding pairs with honeypot shape. *)
-  s_dedup_hits : int;
-  s_unique_codes : int;
-  s_api_calls : int;  (** getStorageAt calls spent by Algorithm 1. *)
-  s_emulation_steps : int;  (** EVM instructions interpreted by probes. *)
-}
-
-type report = Analysis.report = {
-  contracts : contract_report list;
-  stats : stats;
-}
 
 val analyze :
   ?config:Config.t ->
   ?addresses:Evm.Address.t list ->
   chain:Chain.t ->
-  source:source_lookup ->
+  source:Analysis.source_lookup ->
   unit ->
-  report
-(** Analyze [addresses] (default: every contract on the chain, in
-    deployment order) under [config] (default {!Config.default}) by
-    driving the staged engine to completion.  Equivalent to building an
-    {!Analyzer}, submitting the addresses and draining the queue. *)
-
-val proxies : report -> contract_report list
-val is_proxy_report : contract_report -> bool
+  Analysis.report
+(** {!Analyzer.analyze}. *)

@@ -281,9 +281,6 @@ let profile code =
 let reads accesses = List.filter (fun a -> a.a_kind = Read) accesses
 let writes accesses = List.filter (fun a -> a.a_kind = Write) accesses
 
-let accesses_of_slot accesses slot =
-  List.filter (fun a -> slot_id_compare a.a_slot slot = 0) accesses
-
 let slots accesses =
   let seen = ref [] in
   List.iter

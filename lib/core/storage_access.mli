@@ -35,6 +35,5 @@ val profile : string -> access list
 val reads : access list -> access list
 val writes : access list -> access list
 
-val accesses_of_slot : access list -> slot_id -> access list
 val slots : access list -> slot_id list
 (** Distinct slots touched, in first-touch order. *)

@@ -15,7 +15,7 @@ type pair_label = {
 type corpus = {
   chain : Chain.t;
   pairs : pair_label list;
-  source_of : Proxion.Pipeline.source_lookup;
+  source_of : Proxion.Analysis.source_lookup;
 }
 
 let eoa i =

@@ -30,7 +30,7 @@ type pair_label = {
 type corpus = {
   chain : Chain.t;
   pairs : pair_label list;
-  source_of : Proxion.Pipeline.source_lookup;
+  source_of : Proxion.Analysis.source_lookup;
 }
 
 val build : ?seed:int -> ?size_factor:int -> unit -> corpus

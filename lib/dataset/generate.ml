@@ -70,7 +70,7 @@ let quick_config = { default_config with total = 2_000; storage_boost = 400.0 }
 type t = {
   chain : Chain.t;
   labels : label list;
-  source_of : Proxion.Pipeline.source_lookup;
+  source_of : Proxion.Analysis.source_lookup;
   config : config;
 }
 

@@ -69,7 +69,7 @@ val quick_config : config
 type t = {
   chain : Chain.t;
   labels : label list;  (** Deployment order. *)
-  source_of : Proxion.Pipeline.source_lookup;
+  source_of : Proxion.Analysis.source_lookup;
   config : config;
 }
 
@@ -117,7 +117,7 @@ val next_batch : stream -> batch:int -> spec array option
 
 val stream_chain : stream -> Chain.t
 val stream_config : stream -> config
-val stream_source_of : stream -> Proxion.Pipeline.source_lookup
+val stream_source_of : stream -> Proxion.Analysis.source_lookup
 val stream_emitted : stream -> int
 (** Specs returned so far — monotonically approaches roughly
     [config.total]. *)

@@ -363,10 +363,6 @@ let drain_results t =
 
 let skipped t = List.rev t.skipped_rev
 
-let skipped_pairs t =
-  List.rev_map (fun r -> (r.sk_subject, r.sk_message)) t.skipped_rev
-  |> List.rev
-
 let crashes t = t.crashes
 
 let state t =

@@ -336,10 +336,6 @@ val skipped : ('item, 'res) t -> 'item skip_record list
 (** Every item dropped by error isolation, in occurrence order, with its
     classification and the original item. *)
 
-val skipped_pairs : ('item, 'res) t -> (string * string) list
-(** [(subject, message)] projection of {!skipped} — the compact form
-    reports print. *)
-
 val crashes : ('item, 'res) t -> int
 (** How many worker deaths the supervisor has absorbed (injected kills,
     stack overflows...) since this engine was created.  Not part of

@@ -1,5 +1,5 @@
 module Generate = Dataset.Generate
-module Pipeline = Proxion.Pipeline
+module Analysis = Proxion.Analysis
 module Address = Evm.Address
 
 type sanctuary = {
@@ -44,7 +44,7 @@ let run_sanctuary ?(config = Generate.quick_config) () =
               if is_proxy then incr uschunt_proxies))
     verified;
   let addresses = List.map (fun l -> l.Generate.l_address) verified in
-  let report = Pipeline.analyze ~addresses ~chain ~source () in
+  let report = Proxion.Analyzer.analyze ~addresses ~chain ~source () in
   (* Function collisions USCHunt misses: pairs whose proxy failed to
      compile or was not detected. *)
   let uschunt_sees addr =
@@ -62,24 +62,24 @@ let run_sanctuary ?(config = Generate.quick_config) () =
         + List.length
             (List.filter
                (fun p ->
-                 p.Pipeline.p_func_collisions <> []
-                 && not (uschunt_sees p.Pipeline.p_proxy))
-               r.Pipeline.r_pairs))
-      0 report.Pipeline.contracts
+                 p.Analysis.p_func_collisions <> []
+                 && not (uschunt_sees p.Analysis.p_proxy))
+               r.Analysis.r_pairs))
+      0 report.Analysis.contracts
   in
   {
     sa_contracts = List.length verified;
     sa_uschunt_failures = !uschunt_failures;
     sa_uschunt_proxies = !uschunt_proxies;
-    sa_proxion_proxies = report.Pipeline.stats.Pipeline.s_proxies;
-    sa_proxion_errors = report.Pipeline.stats.Pipeline.s_emulation_errors;
+    sa_proxion_proxies = report.Analysis.stats.Analysis.s_proxies;
+    sa_proxion_errors = report.Analysis.stats.Analysis.s_emulation_errors;
     sa_collisions_proxion_only = proxion_only;
   }
 
 let run_crush ?(config = Generate.quick_config) () =
   let land_ = Generate.generate config in
   let chain = land_.Generate.chain in
-  let report = Pipeline.analyze ~chain ~source:land_.Generate.source_of () in
+  let report = Proxion.Analyzer.analyze ~chain ~source:land_.Generate.source_of () in
   let crush_proxies = Baselines.Crush_like.detected_proxies chain in
   let label_of =
     let table = Hashtbl.create 1024 in
@@ -101,9 +101,9 @@ let run_crush ?(config = Generate.quick_config) () =
     List.length
       (List.filter
          (fun r ->
-           Pipeline.is_proxy_report r
-           && not (Hashtbl.mem crush_set r.Pipeline.r_address))
-         report.Pipeline.contracts)
+           Analysis.is_proxy_report r
+           && not (Hashtbl.mem crush_set r.Analysis.r_address))
+         report.Analysis.contracts)
   in
   (* Storage collisions each tool reports on its own pair set. *)
   let crush_storage =
@@ -118,11 +118,11 @@ let run_crush ?(config = Generate.quick_config) () =
     cr_contracts = List.length land_.Generate.labels;
     cr_crush_proxies = List.length crush_proxies;
     cr_crush_library_fps = library_fps;
-    cr_proxion_proxies = report.Pipeline.stats.Pipeline.s_proxies;
+    cr_proxion_proxies = report.Analysis.stats.Analysis.s_proxies;
     cr_proxion_only = proxion_only;
     cr_crush_storage_pairs = crush_storage;
     cr_proxion_storage_pairs =
-      report.Pipeline.stats.Pipeline.s_storage_colliding_pairs;
+      report.Analysis.stats.Analysis.s_storage_colliding_pairs;
   }
 
 let render_sanctuary s =

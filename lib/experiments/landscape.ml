@@ -1,20 +1,19 @@
 module Generate = Dataset.Generate
 module Spec = Dataset.Spec
-module Pipeline = Proxion.Pipeline
+module Analysis = Proxion.Analysis
 module Address = Evm.Address
 
 type t = {
   land_ : Generate.t;
-  report : Pipeline.report;
+  report : Analysis.report;
 }
 
 let of_parts land_ report = { land_; report }
 
-let prepare ?(config = Generate.default_config)
-    ?(pipeline = Pipeline.Config.default) () =
+let prepare ?(config = Generate.default_config) () =
   let land_ = Generate.generate config in
   let report =
-    Pipeline.analyze ~config:pipeline ~chain:land_.Generate.chain
+    Proxion.Analyzer.analyze ~chain:land_.Generate.chain
       ~source:land_.Generate.source_of ()
   in
   of_parts land_ report
@@ -77,8 +76,8 @@ let fig4 t =
     | None -> None
   in
   let pair_class p =
-    let proxy_src = source p.Pipeline.p_proxy <> None in
-    let logic_src = source p.Pipeline.p_logic <> None in
+    let proxy_src = source p.Analysis.p_proxy <> None in
+    let logic_src = source p.Analysis.p_logic <> None in
     match (proxy_src, logic_src) with
     | true, true -> 0
     | false, true -> 1
@@ -93,10 +92,10 @@ let fig4 t =
           (fun r ->
             List.iter
               (fun p ->
-                if year_of p.Pipeline.p_proxy = Some year then
+                if year_of p.Analysis.p_proxy = Some year then
                   counts.(pair_class p) <- counts.(pair_class p) + 1)
-              r.Pipeline.r_pairs)
-          t.report.Pipeline.contracts;
+              r.Analysis.r_pairs)
+          t.report.Analysis.contracts;
         (year, counts))
       (Generate.by_year t.land_)
   in
@@ -125,17 +124,17 @@ let table3 t =
     let func = ref 0 and storage = ref 0 in
     List.iter
       (fun r ->
-        match Hashtbl.find_opt labels r.Pipeline.r_address with
+        match Hashtbl.find_opt labels r.Analysis.r_address with
         | Some l when l.Generate.l_year = year ->
-            if List.exists (fun p -> p.Pipeline.p_func_collisions <> []) r.Pipeline.r_pairs
+            if List.exists (fun p -> p.Analysis.p_func_collisions <> []) r.Analysis.r_pairs
             then incr func;
             if
               List.exists
-                (fun p -> p.Pipeline.p_storage_collisions <> [])
-                r.Pipeline.r_pairs
+                (fun p -> p.Analysis.p_storage_collisions <> [])
+                r.Analysis.r_pairs
             then incr storage
         | _ -> ())
-      t.report.Pipeline.contracts;
+      t.report.Analysis.contracts;
     (!func, !storage)
   in
   let rows =
@@ -164,13 +163,13 @@ let fig5 t =
   let proxies =
     List.filter_map
       (fun r ->
-        if Pipeline.is_proxy_report r then Some r.Pipeline.r_address else None)
-      t.report.Pipeline.contracts
+        if Analysis.is_proxy_report r then Some r.Analysis.r_address else None)
+      t.report.Analysis.contracts
   in
   let logics =
     List.concat_map
-      (fun r -> List.map (fun p -> p.Pipeline.p_logic) r.Pipeline.r_pairs)
-      t.report.Pipeline.contracts
+      (fun r -> List.map (fun p -> p.Analysis.p_logic) r.Analysis.r_pairs)
+      t.report.Analysis.contracts
     |> List.sort_uniq Address.compare
   in
   let dist addrs =
@@ -195,8 +194,8 @@ let table4 t =
   in
   List.iter
     (fun r ->
-      match r.Pipeline.r_standard with Some std -> bump std | None -> ())
-    t.report.Pipeline.contracts;
+      match r.Analysis.r_standard with Some std -> bump std | None -> ())
+    t.report.Analysis.contracts;
   let total =
     Hashtbl.fold (fun _ c acc -> c + acc) counts 0
   in
@@ -221,13 +220,13 @@ let fig6 t =
   let buckets = Hashtbl.create 8 in
   List.iter
     (fun r ->
-      match r.Pipeline.r_resolution with
+      match r.Analysis.r_resolution with
       | Some res ->
           let u = res.Proxion.Logic_resolve.upgrade_count in
           Hashtbl.replace buckets u
             (1 + Option.value ~default:0 (Hashtbl.find_opt buckets u))
       | None -> ())
-    t.report.Pipeline.contracts;
+    t.report.Analysis.contracts;
   let bins =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) buckets []
     |> List.sort compare
@@ -246,7 +245,7 @@ let fig6 t =
       (if upgraded = 0 then 0.0 else float_of_int events /. float_of_int upgraded)
 
 let summary t =
-  let stats = t.report.Pipeline.stats in
+  let stats = t.report.Analysis.stats in
   let labels = t.land_.Generate.labels in
   let total = List.length labels in
   let gt_proxies = List.length (Generate.proxies t.land_) in
@@ -263,40 +262,40 @@ let summary t =
     List.length
       (List.filter
          (fun r ->
-           Pipeline.is_proxy_report r
+           Analysis.is_proxy_report r
            &&
-           match Hashtbl.find_opt idx r.Pipeline.r_address with
+           match Hashtbl.find_opt idx r.Analysis.r_address with
            | Some l ->
                (not l.Generate.l_has_source) && not l.Generate.l_has_tx
            | None -> false)
-         t.report.Pipeline.contracts)
+         t.report.Analysis.contracts)
   in
   Report.table ~title:"Landscape summary (paper section 7.2)"
     ~header:[ "Metric"; "Value" ]
     [
-      [ "contracts analyzed"; string_of_int stats.Pipeline.s_analyzed ];
+      [ "contracts analyzed"; string_of_int stats.Analysis.s_analyzed ];
       [ "ground-truth proxies"; string_of_int gt_proxies ];
       [
         "detected proxies";
-        Printf.sprintf "%d (%s of all)" stats.Pipeline.s_proxies
-          (Report.pct (float_of_int stats.Pipeline.s_proxies /. float_of_int total));
+        Printf.sprintf "%d (%s of all)" stats.Analysis.s_proxies
+          (Report.pct (float_of_int stats.Analysis.s_proxies /. float_of_int total));
       ];
       [
         "emulation errors";
-        Printf.sprintf "%d (%s)" stats.Pipeline.s_emulation_errors
+        Printf.sprintf "%d (%s)" stats.Analysis.s_emulation_errors
           (Report.pct
-             (float_of_int stats.Pipeline.s_emulation_errors /. float_of_int total));
+             (float_of_int stats.Analysis.s_emulation_errors /. float_of_int total));
       ];
       [ "hidden proxies (no src, no tx)"; string_of_int hidden_proxies ];
       [ "hidden proxies detected"; string_of_int detected_hidden ];
-      [ "proxy/logic pairs"; string_of_int stats.Pipeline.s_pairs ];
-      [ "pairs with function collisions"; string_of_int stats.Pipeline.s_func_colliding_pairs ];
-      [ "pairs with storage collisions"; string_of_int stats.Pipeline.s_storage_colliding_pairs ];
-      [ "verified storage exploits"; string_of_int stats.Pipeline.s_verified_storage_pairs ];
-      [ "honeypot-shaped pairs"; string_of_int stats.Pipeline.s_honeypot_pairs ];
-      [ "unique bytecodes"; string_of_int stats.Pipeline.s_unique_codes ];
-      [ "dedup cache hits"; string_of_int stats.Pipeline.s_dedup_hits ];
-      [ "getStorageAt calls"; string_of_int stats.Pipeline.s_api_calls ];
+      [ "proxy/logic pairs"; string_of_int stats.Analysis.s_pairs ];
+      [ "pairs with function collisions"; string_of_int stats.Analysis.s_func_colliding_pairs ];
+      [ "pairs with storage collisions"; string_of_int stats.Analysis.s_storage_colliding_pairs ];
+      [ "verified storage exploits"; string_of_int stats.Analysis.s_verified_storage_pairs ];
+      [ "honeypot-shaped pairs"; string_of_int stats.Analysis.s_honeypot_pairs ];
+      [ "unique bytecodes"; string_of_int stats.Analysis.s_unique_codes ];
+      [ "dedup cache hits"; string_of_int stats.Analysis.s_dedup_hits ];
+      [ "getStorageAt calls"; string_of_int stats.Analysis.s_api_calls ];
     ]
 
 let upgrade_authority t =
@@ -307,15 +306,15 @@ let upgrade_authority t =
   in
   List.iter
     (fun r ->
-      match r.Pipeline.r_detection.Proxion.Proxy_detect.verdict with
+      match r.Analysis.r_detection.Proxion.Proxy_detect.verdict with
       | Proxion.Proxy_detect.Proxy { source; _ } -> (
-          match Proxion.Upgrade_auth.analyze chain r.Pipeline.r_address source with
+          match Proxion.Upgrade_auth.analyze chain r.Analysis.r_address source with
           | Proxion.Upgrade_auth.Immutable -> bump "immutable"
           | Proxion.Upgrade_auth.Gated -> bump "gated"
           | Proxion.Upgrade_auth.Open_to_anyone _ -> bump "OPEN to anyone"
           | Proxion.Upgrade_auth.No_upgrade_path -> bump "no visible path")
       | _ -> ())
-    t.report.Pipeline.contracts;
+    t.report.Analysis.contracts;
   let row key =
     [ key; string_of_int (Option.value ~default:0 (Hashtbl.find_opt counts key)) ]
   in
@@ -324,19 +323,21 @@ let upgrade_authority t =
     ~header:[ "Authority"; "# proxies" ]
     [ row "immutable"; row "gated"; row "OPEN to anyone"; row "no visible path" ]
 
-let summary_json t =
-  let stats = t.report.Pipeline.stats in
-  Report.Json.Obj
+let render ?(findings = 0) t =
+  let sections =
     [
-      ("contracts", Report.Json.Int stats.Pipeline.s_analyzed);
-      ("proxies", Report.Json.Int stats.Pipeline.s_proxies);
-      ("emulation_errors", Report.Json.Int stats.Pipeline.s_emulation_errors);
-      ("pairs", Report.Json.Int stats.Pipeline.s_pairs);
-      ("function_colliding_pairs", Report.Json.Int stats.Pipeline.s_func_colliding_pairs);
-      ("storage_colliding_pairs", Report.Json.Int stats.Pipeline.s_storage_colliding_pairs);
-      ("verified_storage_pairs", Report.Json.Int stats.Pipeline.s_verified_storage_pairs);
-      ("honeypot_pairs", Report.Json.Int stats.Pipeline.s_honeypot_pairs);
-      ("unique_bytecodes", Report.Json.Int stats.Pipeline.s_unique_codes);
-      ("dedup_hits", Report.Json.Int stats.Pipeline.s_dedup_hits);
-      ("get_storage_at_calls", Report.Json.Int stats.Pipeline.s_api_calls);
+      summary t;
+      fig2 t;
+      fig4 t;
+      table3 t;
+      fig5 t;
+      table4 t;
+      fig6 t;
+      upgrade_authority t;
     ]
+    @
+    if findings > 0 then
+      [ Proxion.Findings.render ~limit:findings (Proxion.Findings.of_report t.report) ]
+    else []
+  in
+  String.concat "\n" sections

@@ -1,28 +1,24 @@
 (** The §7 landscape experiments: Figure 2 (availability), Figure 4
     (proxy/logic pairs by source availability), Table 3 (collisions per
     year), Figure 5 (clone skew), Table 4 (standards), Figure 6
-    (upgrades).  All are computed by running the full ProxioN pipeline
-    over a generated landscape and aggregating its output against the
+    (upgrades).  All are computed by analyzing a generated landscape
+    with {!Proxion.Analyzer} and aggregating its report against the
     deployment-year labels. *)
 
 type t = {
   land_ : Dataset.Generate.t;
-  report : Proxion.Pipeline.report;
+  report : Proxion.Analysis.report;
 }
 
-val of_parts : Dataset.Generate.t -> Proxion.Pipeline.report -> t
-(** Pair a generated landscape with a pipeline report produced
+val of_parts : Dataset.Generate.t -> Proxion.Analysis.report -> t
+(** Pair a generated landscape with a report produced
     separately — e.g. by a checkpointed {!Proxion.Analyzer} run driven
     from the CLI — so every figure below can read from it. *)
 
-val prepare :
-  ?config:Dataset.Generate.config ->
-  ?pipeline:Proxion.Pipeline.Config.t ->
-  unit ->
-  t
+val prepare : ?config:Dataset.Generate.config -> unit -> t
 (** Generate the landscape (default {!Dataset.Generate.default_config})
-    and run the pipeline once under [pipeline] (default
-    {!Proxion.Pipeline.Config.default}); every figure below reads from
+    and analyze it once with {!Proxion.Analyzer.analyze} under
+    {!Proxion.Analysis.Config.default}; every figure below reads from
     this. *)
 
 val fig2 : t -> string
@@ -57,5 +53,9 @@ val upgrade_authority : t -> string
     proxies, access-gated upgrades, and the dangerous open-to-anyone
     setters the dataset injects. *)
 
-val summary_json : t -> Report.Json.t
-(** The summary headline numbers as JSON. *)
+val render : ?findings:int -> t -> string
+(** What [proxion scan] prints: {!summary}, {!fig2}, {!fig4}, {!table3},
+    {!fig5}, {!table4}, {!fig6} and {!upgrade_authority}, a blank line
+    apart, then, when [findings] (default 0) is positive, the top
+    [findings] of {!Proxion.Findings.render}.  [test/golden/paper/scan.txt]
+    holds it for the default [scan]. *)

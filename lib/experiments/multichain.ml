@@ -1,5 +1,5 @@
 module Generate = Dataset.Generate
-module Pipeline = Proxion.Pipeline
+module Analysis = Proxion.Analysis
 
 type chain_row = {
   mc_name : string;
@@ -39,10 +39,10 @@ let run ?(base_total = 1_200) ?(seed = 42) () =
       in
       let land_ = Generate.generate config in
       let report =
-        Pipeline.analyze ~chain:land_.Generate.chain
+        Proxion.Analyzer.analyze ~chain:land_.Generate.chain
           ~source:land_.Generate.source_of ()
       in
-      let stats = report.Pipeline.stats in
+      let stats = report.Analysis.stats in
       let hidden_detected =
         let idx = Hashtbl.create 256 in
         List.iter
@@ -51,22 +51,22 @@ let run ?(base_total = 1_200) ?(seed = 42) () =
         List.length
           (List.filter
              (fun r ->
-               Pipeline.is_proxy_report r
+               Analysis.is_proxy_report r
                &&
-               match Hashtbl.find_opt idx r.Pipeline.r_address with
+               match Hashtbl.find_opt idx r.Analysis.r_address with
                | Some l -> (not l.Generate.l_has_source) && not l.Generate.l_has_tx
                | None -> false)
-             report.Pipeline.contracts)
+             report.Analysis.contracts)
       in
       {
         mc_name = name;
         mc_chain_id = chain_id;
-        mc_contracts = stats.Pipeline.s_analyzed;
-        mc_proxies = stats.Pipeline.s_proxies;
+        mc_contracts = stats.Analysis.s_analyzed;
+        mc_proxies = stats.Analysis.s_proxies;
         mc_proxy_share =
-          float_of_int stats.Pipeline.s_proxies /. float_of_int stats.Pipeline.s_analyzed;
-        mc_func_collisions = stats.Pipeline.s_func_colliding_pairs;
-        mc_storage_collisions = stats.Pipeline.s_storage_colliding_pairs;
+          float_of_int stats.Analysis.s_proxies /. float_of_int stats.Analysis.s_analyzed;
+        mc_func_collisions = stats.Analysis.s_func_colliding_pairs;
+        mc_storage_collisions = stats.Analysis.s_storage_colliding_pairs;
         mc_hidden_detected = hidden_detected;
       })
     chains

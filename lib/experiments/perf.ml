@@ -1,5 +1,5 @@
 module Generate = Dataset.Generate
-module Pipeline = Proxion.Pipeline
+module Analysis = Proxion.Analysis
 
 type numbers = {
   contracts_checked : int;
@@ -93,13 +93,13 @@ let run ?(config = Generate.quick_config) ?(clock = Obs.Clock.real) () =
   (* Full pipeline, with and without dedup (the §6.1 bottleneck fix). *)
   let _, with_dedup =
     time (fun () ->
-        ignore (Pipeline.analyze ~chain ~source:land_.Generate.source_of ()))
+        ignore (Proxion.Analyzer.analyze ~chain ~source:land_.Generate.source_of ()))
   in
-  let no_dedup = Pipeline.Config.(default |> with_dedup false) in
+  let no_dedup = Analysis.Config.(default |> with_dedup false) in
   let _, without_dedup =
     time (fun () ->
         ignore
-          (Pipeline.analyze ~config:no_dedup ~chain
+          (Proxion.Analyzer.analyze ~config:no_dedup ~chain
              ~source:land_.Generate.source_of ()))
   in
   {

@@ -1,5 +1,5 @@
 module Generate = Dataset.Generate
-module Pipeline = Proxion.Pipeline
+module Analysis = Proxion.Analysis
 module Address = Evm.Address
 
 type t = {
@@ -40,7 +40,7 @@ let create () =
   }
 
 let absorb t (specs : Generate.spec array)
-    (reports : Pipeline.contract_report list) =
+    (reports : Analysis.contract_report list) =
   t.sc_batches <- t.sc_batches + 1;
   t.sc_drained <- t.sc_drained + Array.length specs;
   let by_addr = Hashtbl.create (2 * Array.length specs) in
@@ -56,26 +56,26 @@ let absorb t (specs : Generate.spec array)
       end)
     specs;
   List.iter
-    (fun (r : Pipeline.contract_report) ->
+    (fun (r : Analysis.contract_report) ->
       t.sc_analyzed <- t.sc_analyzed + 1;
-      if r.Pipeline.r_dedup_hit then t.sc_dedup_hits <- t.sc_dedup_hits + 1;
-      if Pipeline.is_proxy_report r then begin
+      if r.Analysis.r_dedup_hit then t.sc_dedup_hits <- t.sc_dedup_hits + 1;
+      if Analysis.is_proxy_report r then begin
         t.sc_detected_proxies <- t.sc_detected_proxies + 1;
-        (match Hashtbl.find_opt by_addr r.Pipeline.r_address with
+        (match Hashtbl.find_opt by_addr r.Analysis.r_address with
         | Some l
           when (not l.Generate.l_has_source) && not l.Generate.l_has_tx ->
             t.sc_detected_hidden <- t.sc_detected_hidden + 1
         | _ -> ())
       end;
       List.iter
-        (fun (p : Pipeline.pair_report) ->
+        (fun (p : Analysis.pair_report) ->
           t.sc_pairs <- t.sc_pairs + 1;
-          if p.Pipeline.p_func_collisions <> [] then
+          if p.Analysis.p_func_collisions <> [] then
             t.sc_func_colliding <- t.sc_func_colliding + 1;
-          if p.Pipeline.p_storage_collisions <> [] then
+          if p.Analysis.p_storage_collisions <> [] then
             t.sc_storage_colliding <- t.sc_storage_colliding + 1;
-          if p.Pipeline.p_honeypot then t.sc_honeypots <- t.sc_honeypots + 1)
-        r.Pipeline.r_pairs)
+          if p.Analysis.p_honeypot then t.sc_honeypots <- t.sc_honeypots + 1)
+        r.Analysis.r_pairs)
     reports
 
 let note_evicted t n = t.sc_evicted <- t.sc_evicted + n
@@ -104,9 +104,6 @@ let summary t =
   Report.table ~title:"Streamed scan summary"
     ~header:[ "Metric"; "Value" ]
     (List.map (fun (k, v) -> [ k; string_of_int v ]) (rows t))
-
-let summary_json t =
-  Report.Json.Obj (List.map (fun (k, v) -> (k, Report.Json.Int v)) (rows t))
 
 (* Peak resident set size self-report: VmHWM from /proc/self/status.
    Linux-only by construction; callers treat [None] as "unsupported". *)

@@ -21,7 +21,7 @@ type t
 val create : unit -> t
 
 val absorb :
-  t -> Dataset.Generate.spec array -> Proxion.Pipeline.contract_report list ->
+  t -> Dataset.Generate.spec array -> Proxion.Analysis.contract_report list ->
   unit
 (** Fold one batch: the specs drained from the stream and the per-contract
     reports the analyzer completed for them.  Commutative counters only, so
@@ -32,8 +32,6 @@ val note_skipped : t -> int -> unit
 
 val summary : t -> string
 (** Rendered metric table (deterministic; safe to diff across runs). *)
-
-val summary_json : t -> Report.Json.t
 
 val peak_rss_kb : unit -> int option
 (** This process's peak resident set size (VmHWM) in KiB, from

@@ -1,6 +1,6 @@
 (** The shared configuration-validation vocabulary.
 
-    Every configuration record with invariants — [Pipeline.Config],
+    Every configuration record with invariants — [Analysis.Config],
     [Transport.config], [Serve.Config] — validates through this one
     error type, so the batch and server paths report misconfiguration
     the same way and cannot drift.  Builders stay total ([default |>

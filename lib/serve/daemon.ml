@@ -32,7 +32,7 @@ module Config = struct
     journal_fsync : bool;
     advance_seed : int;
     advance_spec : Advance.spec;
-    analysis : Proxion.Pipeline.Config.t;
+    analysis : Proxion.Analysis.Config.t;
     resilience : Resilience.Transport.config;
     slow_ms : int option;
     flight_capacity : int;
@@ -57,7 +57,7 @@ module Config = struct
       journal_fsync = true;
       advance_seed = 7;
       advance_spec = Advance.default_spec;
-      analysis = Proxion.Pipeline.Config.default;
+      analysis = Proxion.Analysis.Config.default;
       resilience = Resilience.Transport.default_config;
       slow_ms = None;
       flight_capacity = 256;
@@ -121,7 +121,7 @@ module Config = struct
         match Resilience.Transport.validate_config t.resilience with
         | Error e -> Error e
         | Ok _ -> (
-            match Proxion.Pipeline.Config.validate t.analysis with
+            match Proxion.Analysis.Config.validate t.analysis with
             | Ok _ -> Ok t
             | Error e -> Error e))
     | Error e -> Error e
@@ -751,26 +751,11 @@ let entry_for t params =
           message = "address not in the analyzed population";
         }
 
-let severity_of_string s =
-  let open Findings in
-  match String.lowercase_ascii s with
-  | "critical" -> Some Critical
-  | "high" -> Some High
-  | "medium" -> Some Medium
-  | "info" -> Some Info
-  | _ -> None
-
-let severity_rank = function
-  | Findings.Critical -> 3
-  | Findings.High -> 2
-  | Findings.Medium -> 1
-  | Findings.Info -> 0
-
 (* The severity level param [name], when present. *)
 let severity_param params name =
   param
     (let* level = Json.optional Json.string name params in
-     match Option.map severity_of_string level with
+     match Option.map Findings.severity_of_string level with
      | None -> Ok None
      | Some (Some _ as sev) -> Ok sev
      | Some None -> Error (name ^ " must be critical|high|medium|info"))
@@ -879,8 +864,7 @@ let handle_list_findings t params =
         let* least = severity_param params "min_severity" in
         Ok
           (Option.map
-             (fun sev f ->
-               severity_rank f.Findings.f_severity >= severity_rank sev)
+             (fun sev f -> compare f.Findings.f_severity sev <= 0)
              least)
   in
   let all = Store.findings t.store ~unique_codes:(unique_codes t) in

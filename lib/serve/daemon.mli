@@ -91,7 +91,7 @@ module Config : sig
             recorded in the journal header. *)
     advance_seed : int;
     advance_spec : Advance.spec;
-    analysis : Proxion.Pipeline.Config.t;
+    analysis : Proxion.Analysis.Config.t;
         (** Resident analyzer config.  Its [batch_size] and [domains]
             also govern a warm start: neither comes from the journal. *)
     resilience : Resilience.Transport.config;
@@ -129,7 +129,7 @@ module Config : sig
   val with_journal_fsync : bool -> t -> t
   val with_advance_seed : int -> t -> t
   val with_advance_spec : Advance.spec -> t -> t
-  val with_analysis : Proxion.Pipeline.Config.t -> t -> t
+  val with_analysis : Proxion.Analysis.Config.t -> t -> t
   val with_resilience : Resilience.Transport.config -> t -> t
   val with_slow_ms : int option -> t -> t
   val with_flight_capacity : int -> t -> t

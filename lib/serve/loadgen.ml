@@ -305,9 +305,9 @@ let attack_round ~host ~port prng persona =
                     | _ -> R_cut
                     | exception Unix.Unix_error _ -> R_cut))
             | Never_reads ->
-                (* Pipeline requests without ever reading a response:
-                   the server's reply buffer fills and its write
-                   deadline must cut us, not wedge the worker. *)
+                (* Send requests back to back without ever reading a
+                   response: the server's reply buffer fills and its
+                   write deadline must cut us, not wedge the worker. *)
                 let s =
                   Wire.encode_frame
                     (Wire.request_to_string ~id:1 ~meth:"report" ~params:[] ())

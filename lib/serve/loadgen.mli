@@ -54,7 +54,7 @@ val to_json : stats -> Report.Json.t
 type persona =
   | Slow_writer  (** Valid frame, trickled one byte at a time. *)
   | Half_open  (** Declares a frame, sends a fragment, goes silent. *)
-  | Never_reads  (** Pipelines requests, never reads a response. *)
+  | Never_reads  (** Sends requests back to back, never reads a response. *)
   | Oversized_flooder  (** Declares frames beyond the ceiling. *)
   | Connect_idle  (** Occupies a connection slot and says nothing. *)
 

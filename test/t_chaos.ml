@@ -2,7 +2,7 @@
 
    Unit level — the retry policy, fault plans, the circuit breaker and
    the transport (including partial batch failure and budgets) are each
-   pinned to their deterministic contracts.  Pipeline level — a full
+   pinned to their deterministic contracts.  Analyzer level — a full
    landscape run under an injected fault plan must come out byte-identical
    to the fault-free run once every transient is retried to success (at
    any worker count), and a plan harsh enough to exhaust the retry budget
@@ -600,11 +600,11 @@ let skeleton = function
   | Engine.Item_skipped { subject; _ } -> Some ("skip " ^ subject)
   | _ -> None
 
-let run_landscape ?(gen = chaos_config) ?(config = Proxion.Pipeline.Config.default)
+let run_landscape ?(gen = chaos_config) ?(config = Proxion.Analysis.Config.default)
     ?(resilience = Transport.default_config) ~domains () =
   let land_ = Generate.generate gen in
   let config =
-    Proxion.Pipeline.Config.(config |> with_batch_size 16 |> with_domains domains)
+    Proxion.Analysis.Config.(config |> with_batch_size 16 |> with_domains domains)
   in
   let t =
     Proxion.Analyzer.create ~config ~resilience ~chain:land_.Generate.chain
@@ -662,7 +662,7 @@ let test_chaos_transient_identity () =
    off: a casualty may have seeded the detection cache before dying, and
    this test compares against a run where it never existed. *)
 let test_chaos_degrade_and_requeue () =
-  let no_dedup = Proxion.Pipeline.Config.(default |> with_dedup false) in
+  let no_dedup = Proxion.Analysis.Config.(default |> with_dedup false) in
   let reference, _ = run_landscape ~config:no_dedup ~domains:1 () in
   let ref_report = Proxion.Analyzer.report reference in
   let harsh =
@@ -702,15 +702,15 @@ let test_chaos_degrade_and_requeue () =
     (List.length (Proxion.Analyzer.skipped resumed));
   let final = Proxion.Analyzer.report resumed in
   check_s "stats recover to the fault-free figures"
-    (Report.Json.to_string (Proxion.Serialize.stats_to_json ref_report.Proxion.Pipeline.stats))
-    (Report.Json.to_string (Proxion.Serialize.stats_to_json final.Proxion.Pipeline.stats));
+    (Report.Json.to_string (Proxion.Serialize.stats_to_json ref_report.Proxion.Analysis.stats))
+    (Report.Json.to_string (Proxion.Serialize.stats_to_json final.Proxion.Analysis.stats));
   (* Requeued contracts complete out of submission order; compare the
      per-contract reports address-sorted. *)
   let sorted_contracts r =
     List.sort compare
       (List.map
          (fun c -> Report.Json.to_string (Proxion.Serialize.contract_report_to_json c))
-         r.Proxion.Pipeline.contracts)
+         r.Proxion.Analysis.contracts)
   in
   check_sl "per-contract reports recover to the fault-free figures"
     (sorted_contracts ref_report) (sorted_contracts final)
@@ -720,7 +720,7 @@ let test_chaos_degrade_and_requeue () =
    requeue classes cover it once the budget is lifted. *)
 let test_chaos_step_budget_degrade () =
   let gen = { Generate.quick_config with Generate.total = 60; seed = 31 } in
-  let no_dedup = Proxion.Pipeline.Config.(default |> with_dedup false) in
+  let no_dedup = Proxion.Analysis.Config.(default |> with_dedup false) in
   let starved = Transport.config ~step_budget:10 () in
   let t, _ = run_landscape ~gen ~config:no_dedup ~resilience:starved ~domains:1 () in
   let dead = Proxion.Analyzer.skipped t in
@@ -756,7 +756,7 @@ let test_chaos_step_budget_degrade () =
     (List.length (Proxion.Analyzer.skipped resumed));
   check_i "nothing left pending" 0 (Proxion.Analyzer.pending resumed);
   check_i "every contract reported" universe
-    (List.length (Proxion.Analyzer.report resumed).Proxion.Pipeline.contracts)
+    (List.length (Proxion.Analyzer.report resumed).Proxion.Analysis.contracts)
 
 let suite =
   [

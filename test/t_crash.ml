@@ -10,7 +10,7 @@
    (the supervisor respawns and the batch completes) and recoverable
    (requeue converges to the fault-free figures).  Checkpoint level —
    no truncation or corruption of an analyzer checkpoint makes its
-   restore raise.  Pipeline level — a journaled run killed between
+   restore raise.  Analyzer level — a journaled run killed between
    batches must resume to a byte-identical report with at most one
    batch re-executed.
 
@@ -478,7 +478,7 @@ let hardening_restore (chain, source, _) json =
 let hardening_checkpoint (chain, source, subjects) =
   let t =
     Proxion.Analyzer.create
-      ~config:Proxion.Pipeline.Config.(default |> with_batch_size 2)
+      ~config:Proxion.Analysis.Config.(default |> with_batch_size 2)
       ~chain ~source ()
   in
   Proxion.Analyzer.submit t subjects;
@@ -671,10 +671,10 @@ let skeleton = function
   | _ -> None
 
 let run_landscape ?(gen = crash_gen)
-    ?(config = Proxion.Pipeline.Config.default) ?crash_plan ~domains () =
+    ?(config = Proxion.Analysis.Config.default) ?crash_plan ~domains () =
   let land_ = Generate.generate gen in
   let config =
-    Proxion.Pipeline.Config.(
+    Proxion.Analysis.Config.(
       config |> with_batch_size 16 |> with_domains domains)
   in
   let t =
@@ -726,7 +726,7 @@ let test_pipeline_crash_determinism () =
    contract completes after its clones, which would flip the dedup-hit
    flags relative to the fault-free ordering. *)
 let test_pipeline_crash_requeue_to_fault_free () =
-  let no_dedup = Proxion.Pipeline.Config.(default |> with_dedup false) in
+  let no_dedup = Proxion.Analysis.Config.(default |> with_dedup false) in
   let reference, _ = run_landscape ~config:no_dedup ~domains:1 () in
   let ref_report = Proxion.Analyzer.report reference in
   let plan = Engine.crash_plan ~seed:chaos_seed ~rate:0.08 () in
@@ -743,15 +743,15 @@ let test_pipeline_crash_requeue_to_fault_free () =
   let final = Proxion.Analyzer.report crashed in
   check_s "stats recover to the fault-free figures"
     (Report.Json.to_string
-       (Proxion.Serialize.stats_to_json ref_report.Proxion.Pipeline.stats))
+       (Proxion.Serialize.stats_to_json ref_report.Proxion.Analysis.stats))
     (Report.Json.to_string
-       (Proxion.Serialize.stats_to_json final.Proxion.Pipeline.stats));
+       (Proxion.Serialize.stats_to_json final.Proxion.Analysis.stats));
   let sorted_contracts r =
     List.sort compare
       (List.map
          (fun c ->
            Report.Json.to_string (Proxion.Serialize.contract_report_to_json c))
-         r.Proxion.Pipeline.contracts)
+         r.Proxion.Analysis.contracts)
   in
   check_sl "per-contract reports recover to the fault-free figures"
     (sorted_contracts ref_report) (sorted_contracts final)
@@ -774,7 +774,7 @@ let kill_and_resume ~domains () =
   let label = Printf.sprintf "domains %d" domains in
   let land_ = Generate.generate crash_gen in
   let config =
-    Proxion.Pipeline.Config.(
+    Proxion.Analysis.Config.(
       default |> with_batch_size 16 |> with_domains domains)
   in
   let t =
@@ -889,7 +889,7 @@ let test_scan_journal_refuses_other_landscape () =
   let landscape = Generate.fingerprint land_ in
   let t =
     Proxion.Analyzer.create
-      ~config:Proxion.Pipeline.Config.(default |> with_batch_size 16)
+      ~config:Proxion.Analysis.Config.(default |> with_batch_size 16)
       ~chain:land_.Generate.chain ~source:land_.Generate.source_of ()
   in
   let path = fresh_path () in
@@ -956,7 +956,7 @@ let delta_config path =
   Serve.Config.(
     default |> with_workers 1
     |> with_analysis
-         Proxion.Pipeline.Config.(
+         Proxion.Analysis.Config.(
            default |> with_batch_size 16 |> with_domains 1)
     |> with_advance_seed 22
     |> with_advance_spec

@@ -143,20 +143,20 @@ let test_injected_collisions_have_ground_truth () =
 let test_pipeline_recovers_ground_truth () =
   let l = Lazy.force land_ in
   let report =
-    Proxion.Pipeline.analyze ~chain:l.Generate.chain ~source:l.Generate.source_of
+    Proxion.Analyzer.analyze ~chain:l.Generate.chain ~source:l.Generate.source_of
       ()
   in
   let by_addr = Hashtbl.create 512 in
   List.iter
-    (fun r -> Hashtbl.replace by_addr r.Proxion.Pipeline.r_address r)
-    report.Proxion.Pipeline.contracts;
+    (fun r -> Hashtbl.replace by_addr r.Proxion.Analysis.r_address r)
+    report.Proxion.Analysis.contracts;
   let tp = ref 0 and fp = ref 0 and fn = ref 0 and diamond_misses = ref 0 in
   List.iter
     (fun lbl ->
       match Hashtbl.find_opt by_addr lbl.Generate.l_address with
       | None -> ()
       | Some r -> (
-          let detected = Proxion.Pipeline.is_proxy_report r in
+          let detected = Proxion.Analysis.is_proxy_report r in
           match (lbl.Generate.l_is_proxy, detected) with
           | true, true -> incr tp
           | true, false ->
@@ -176,26 +176,26 @@ let test_pipeline_recovers_ground_truth () =
     List.length
       (List.filter (fun x -> x.Generate.l_kind = Generate.K_honeypot_proxy) l.Generate.labels)
   in
-  let stats = report.Proxion.Pipeline.stats in
+  let stats = report.Proxion.Analysis.stats in
   check_b
     (Printf.sprintf "honeypot pairs %d vs injected %d (func-colliding %d)"
-       stats.Proxion.Pipeline.s_honeypot_pairs injected_honeypots
-       stats.Proxion.Pipeline.s_func_colliding_pairs)
+       stats.Proxion.Analysis.s_honeypot_pairs injected_honeypots
+       stats.Proxion.Analysis.s_func_colliding_pairs)
     true
-    (stats.Proxion.Pipeline.s_honeypot_pairs >= injected_honeypots
-    && stats.Proxion.Pipeline.s_honeypot_pairs
-       < stats.Proxion.Pipeline.s_func_colliding_pairs)
+    (stats.Proxion.Analysis.s_honeypot_pairs >= injected_honeypots
+    && stats.Proxion.Analysis.s_honeypot_pairs
+       < stats.Proxion.Analysis.s_func_colliding_pairs)
 
 let test_emulation_error_rate () =
   let l = Lazy.force land_ in
   let report =
-    Proxion.Pipeline.analyze
+    Proxion.Analyzer.analyze
       ~config:
-        { Proxion.Pipeline.Config.default with verify_storage = false }
+        { Proxion.Analysis.Config.default with verify_storage = false }
       ~chain:l.Generate.chain ~source:l.Generate.source_of ()
   in
-  let n = report.Proxion.Pipeline.stats.Proxion.Pipeline.s_analyzed in
-  let errors = report.Proxion.Pipeline.stats.Proxion.Pipeline.s_emulation_errors in
+  let n = report.Proxion.Analysis.stats.Proxion.Analysis.s_analyzed in
+  let errors = report.Proxion.Analysis.stats.Proxion.Analysis.s_emulation_errors in
   let rate = float_of_int errors /. float_of_int n in
   (* broken_rate is 1%; allow generous sampling noise at 800 contracts. *)
   check_b (Printf.sprintf "error rate %.3f near broken_rate" rate) true
@@ -203,15 +203,15 @@ let test_emulation_error_rate () =
   (* Every emulation error is a deliberately broken contract. *)
   List.iter
     (fun r ->
-      match r.Proxion.Pipeline.r_detection.Proxion.Proxy_detect.verdict with
+      match r.Proxion.Analysis.r_detection.Proxion.Proxy_detect.verdict with
       | Proxion.Proxy_detect.Emulation_error _ -> (
-          match Generate.label_of l r.Proxion.Pipeline.r_address with
+          match Generate.label_of l r.Proxion.Analysis.r_address with
           | Some lbl ->
               check_b "error contracts are the broken ones" true
                 (lbl.Generate.l_kind = Generate.K_broken)
           | None -> ())
       | _ -> ())
-    report.Proxion.Pipeline.contracts
+    report.Proxion.Analysis.contracts
 
 let test_year_partition () =
   let l = Lazy.force land_ in

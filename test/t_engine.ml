@@ -101,13 +101,13 @@ let test_checkpoint_resume_identical_report () =
   (* Reference: one uninterrupted run. *)
   let land_a = Generate.generate small_config in
   let reference =
-    Proxion.Pipeline.analyze ~chain:land_a.Generate.chain
+    Proxion.Analyzer.analyze ~chain:land_a.Generate.chain
       ~source:land_a.Generate.source_of ()
   in
   (* Interrupted run on an identically regenerated landscape. *)
   let land_b = Generate.generate small_config in
   let config =
-    Proxion.Pipeline.Config.with_batch_size 16 Proxion.Pipeline.Config.default
+    Proxion.Analysis.Config.with_batch_size 16 Proxion.Analysis.Config.default
   in
   let t =
     Proxion.Analyzer.create ~config ~chain:land_b.Generate.chain
@@ -163,18 +163,18 @@ let test_dedup_cache_across_runs () =
   Proxion.Analyzer.submit t [ p2 ];
   Proxion.Analyzer.run t;
   let report = Proxion.Analyzer.report t in
-  check_i "both analyzed" 2 report.Proxion.Pipeline.stats.Proxion.Pipeline.s_analyzed;
+  check_i "both analyzed" 2 report.Proxion.Analysis.stats.Proxion.Analysis.s_analyzed;
   check_i "clone hits the cache" 1
-    report.Proxion.Pipeline.stats.Proxion.Pipeline.s_dedup_hits;
+    report.Proxion.Analysis.stats.Proxion.Analysis.s_dedup_hits;
   let second =
     List.find
-      (fun r -> Evm.Address.equal r.Proxion.Pipeline.r_address p2)
-      report.Proxion.Pipeline.contracts
+      (fun r -> Evm.Address.equal r.Proxion.Analysis.r_address p2)
+      report.Proxion.Analysis.contracts
   in
   check_b "second contract flagged as dedup hit" true
-    second.Proxion.Pipeline.r_dedup_hit;
+    second.Proxion.Analysis.r_dedup_hit;
   check_b "still detected as proxy" true
-    (Proxion.Pipeline.is_proxy_report second)
+    (Proxion.Analysis.is_proxy_report second)
 
 (* ------------------------------------------------------------------ *)
 (* Analyzer: error isolation                                           *)
@@ -211,10 +211,10 @@ let test_error_isolation () =
   check_i "queue drained despite the failure" 0 (Proxion.Analyzer.pending t);
   let report = Proxion.Analyzer.report t in
   check_i "healthy contract still reported" 1
-    report.Proxion.Pipeline.stats.Proxion.Pipeline.s_analyzed;
+    report.Proxion.Analysis.stats.Proxion.Analysis.s_analyzed;
   check_s "healthy contract is the logic" (Evm.Address.to_hex logic)
     (Evm.Address.to_hex
-       (List.hd report.Proxion.Pipeline.contracts).Proxion.Pipeline.r_address);
+       (List.hd report.Proxion.Analysis.contracts).Proxion.Analysis.r_address);
   (match Proxion.Analyzer.skipped t with
   | [ r ] ->
       check_s "dead letter names the bad contract" (Evm.Address.to_hex bad)

@@ -155,6 +155,52 @@ let test_multichain_survey () =
   in
   check_b "chains differ" true (List.length shares > 1)
 
+(* The five paper runs, rebuilt in process and compared byte for byte
+   with their stdout checked in under test/golden/paper: `proxion scan`
+   (default -n 36000), `accuracy --size-factor 2`, `effectiveness -n
+   8000`, `multichain` and `coverage`.  A change that moves any paper
+   figure shows as a diff of one of these files. *)
+let test_paper_goldens () =
+  (* The CLI's print_and_exit: a text not ending in a newline gets one. *)
+  let printed s =
+    if s <> "" && s.[String.length s - 1] <> '\n' then s ^ "\n" else s
+  in
+  let landscape total =
+    { Dataset.Generate.default_config with Dataset.Generate.total; seed = 42 }
+  in
+  let golden file =
+    In_channel.with_open_text (Filename.concat "golden/paper" file)
+      In_channel.input_all
+  in
+  List.iter
+    (fun (file, text) -> Alcotest.(check string) file (golden file) (text ()))
+    [
+      ( "scan.txt",
+        fun () ->
+          Experiments.Landscape.render
+            (Experiments.Landscape.prepare ~config:(landscape 36_000) ()) );
+      ( "accuracy.txt",
+        fun () ->
+          printed
+            (Experiments.Table2.render (Experiments.Table2.run ~size_factor:2 ()))
+      );
+      ( "effectiveness.txt",
+        fun () ->
+          let config = landscape 8_000 in
+          Experiments.Effectiveness.render_sanctuary
+            (Experiments.Effectiveness.run_sanctuary ~config ())
+          ^ "\n"
+          ^ Experiments.Effectiveness.render_crush
+              (Experiments.Effectiveness.run_crush ~config ()) );
+      ( "multichain.txt",
+        fun () ->
+          printed (Experiments.Multichain.render (Experiments.Multichain.run ()))
+      );
+      ( "coverage.txt",
+        fun () ->
+          printed (Experiments.Table1.render (Experiments.Table1.run ())) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "json emitter" `Quick test_json_emitter;
@@ -164,4 +210,6 @@ let suite =
     Alcotest.test_case "effectiveness sanctuary" `Slow test_effectiveness_sanctuary;
     Alcotest.test_case "effectiveness crush" `Slow test_effectiveness_crush;
     Alcotest.test_case "landscape renders" `Slow test_landscape_renders;
+    Alcotest.test_case "paper figures match the goldens" `Slow
+      test_paper_goldens;
   ]

@@ -190,7 +190,7 @@ let small_config = { Generate.quick_config with Generate.total = 220; seed = 31 
 let instrumented_run ?(fault_rate = 0.0) ?trace ~domains () =
   let land_ = Generate.generate small_config in
   let config =
-    Proxion.Pipeline.Config.(
+    Proxion.Analysis.Config.(
       default |> with_batch_size 16 |> with_domains domains)
   in
   let resilience =

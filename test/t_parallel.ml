@@ -25,7 +25,7 @@ let report_string r = Report.Json.to_string (Proxion.Serialize.report_to_json r)
 let analyze ~domains ?max_batches () =
   let land_ = Generate.generate small_config in
   let config =
-    Proxion.Pipeline.Config.(
+    Proxion.Analysis.Config.(
       default |> with_batch_size 16 |> with_domains domains)
   in
   let t =
@@ -75,7 +75,7 @@ let test_parallel_report_identical () =
   let seq_ev_t =
     Proxion.Analyzer.create
       ~config:
-        Proxion.Pipeline.Config.(
+        Proxion.Analysis.Config.(
           default |> with_batch_size 16 |> with_domains 1)
       ~chain:land_seq.Generate.chain ~source:land_seq.Generate.source_of ()
   in
@@ -86,7 +86,7 @@ let test_parallel_report_identical () =
   let par =
     Proxion.Analyzer.create
       ~config:
-        Proxion.Pipeline.Config.(
+        Proxion.Analysis.Config.(
           default |> with_batch_size 16 |> with_domains domains_under_test)
       ~chain:land_par.Generate.chain ~source:land_par.Generate.source_of ()
   in
@@ -108,8 +108,8 @@ let test_parallel_report_identical () =
   check_i "the chain's API-call counter is the same at any worker count"
     (root_calls land_seq) (root_calls land_par);
   check_i "the chain's API-call counter agrees with the report"
-    (Proxion.Analyzer.report par).Proxion.Pipeline.stats
-      .Proxion.Pipeline.s_api_calls
+    (Proxion.Analyzer.report par).Proxion.Analysis.stats
+      .Proxion.Analysis.s_api_calls
     (root_calls land_par)
 
 let test_parallel_checkpoint_resume () =

@@ -172,15 +172,15 @@ let test_detect_beacon_proxy () =
     (List.map Evm.Address.to_hex res.Logic_resolve.historical);
   (* And the pipeline produces a pair for it. *)
   let report =
-    Pipeline.analyze ~chain ~source:(fun _ -> None)
+    Analyzer.analyze ~chain ~source:(fun _ -> None)
       ~addresses:[ proxy; logic; beacon ] ()
   in
   let pr =
     List.find
-      (fun r -> Evm.Address.equal r.Pipeline.r_address proxy)
-      report.Pipeline.contracts
+      (fun r -> Evm.Address.equal r.Analysis.r_address proxy)
+      report.Analysis.contracts
   in
-  check_i "one pair via probed target" 1 (List.length pr.Pipeline.r_pairs)
+  check_i "one pair via probed target" 1 (List.length pr.Analysis.r_pairs)
 
 (* The 8.2 extension: historical-selector probing recovers diamonds. *)
 let test_diamond_probe_extension () =
@@ -238,17 +238,17 @@ let test_pipeline_diamond_extension () =
     (call_fn chain ~from:alice ~to_:proxy "setFacet(uint256,address)"
        ~args:[ Evm.Abi.Uint sel_word; Evm.Abi.Addr facet ]);
   ignore (call_fn chain ~from:mallory ~to_:proxy "increment()");
-  let base = Pipeline.analyze ~chain ~source:(fun _ -> None) () in
+  let base = Analyzer.analyze ~chain ~source:(fun _ -> None) () in
   let ext =
-    Pipeline.analyze
-      ~config:{ Pipeline.Config.default with diamond_extension = true }
+    Analyzer.analyze
+      ~config:{ Analysis.Config.default with diamond_extension = true }
       ~chain ~source:(fun _ -> None) ()
   in
   let is_proxy report =
     List.exists
       (fun r ->
-        Evm.Address.equal r.Pipeline.r_address proxy && Pipeline.is_proxy_report r)
-      report.Pipeline.contracts
+        Evm.Address.equal r.Analysis.r_address proxy && Analysis.is_proxy_report r)
+      report.Analysis.contracts
   in
   check_b "baseline pipeline misses the diamond" false (is_proxy base);
   check_b "extended pipeline recovers it" true (is_proxy ext)
@@ -314,6 +314,49 @@ let test_algorithm1_static_slot () =
   let r = Logic_resolve.resolve_slot chain proxy ~slot:(U256.of_int 9) in
   check_i "no history" 0 (List.length r.Logic_resolve.historical);
   check_b "few api calls for unchanged slot" true (r.Logic_resolve.api_calls <= 4)
+
+(* Over random upgrade histories with no value reuse, [resolve_slot]'s
+   history, ordered by the heights its own reads saw each value at, is
+   the chain's recorded change list: every value written, oldest first.
+   [current] is the last value written. *)
+let qcheck_history_order =
+  QCheck.Test.make ~name:"resolve_slot history follows the recorded changes"
+    ~count:200
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 0 8) (int_range 0 400))
+        (int_range 0 400) (int_bound 0xffffff))
+    (fun (gaps, tail, salt) ->
+      let chain = Chain.create () in
+      let proxy = Chain.install_contract chain ~runtime:"\x00" () in
+      let slot = U256.zero in
+      (* Distinct, non-zero, and in no fixed order by value. *)
+      let logic i = U256.of_int (((i * 0x9e37) lxor salt) + 1) in
+      List.iteri
+        (fun i gap ->
+          Chain.advance_blocks chain gap;
+          Chain.set_storage_direct chain proxy slot (logic i))
+        gaps;
+      Chain.advance_blocks chain tail;
+      let changes =
+        List.map
+          (fun height ->
+            Evm.Address.of_u256 (Chain.get_storage_at chain proxy slot ~height))
+          (Chain.storage_change_heights chain proxy slot)
+      in
+      let last =
+        match gaps with
+        | [] -> None
+        | _ -> Some (Evm.Address.of_u256 (logic (List.length gaps - 1)))
+      in
+      let r = Logic_resolve.resolve_slot chain proxy ~slot in
+      let hex = List.map Evm.Address.to_hex in
+      if hex r.Logic_resolve.historical <> hex changes then
+        QCheck.Test.fail_reportf "historical [%s], changes [%s]"
+          (String.concat "; " (hex r.Logic_resolve.historical))
+          (String.concat "; " (hex changes));
+      Option.map Evm.Address.to_hex r.Logic_resolve.current
+      = Option.map Evm.Address.to_hex last)
 
 let test_resolve_minimal () =
   let chain = Chain.create () in
@@ -645,7 +688,7 @@ let test_findings_report () =
   let au_logic = deploy chain (Patterns.audius_logic ()) in
   let au_proxy = deploy chain ~from:alice (Patterns.audius_proxy ()) in
   Chain.set_storage_direct chain au_proxy U256.one (Evm.Address.to_u256 au_logic);
-  let report = Pipeline.analyze ~chain ~source:(fun _ -> None) () in
+  let report = Analyzer.analyze ~chain ~source:(fun _ -> None) () in
   let findings = Findings.of_report report in
   check_b "nonempty" true (findings <> []);
   (* Verified Audius exploit is critical; honeypot is high; sorted order. *)
@@ -718,8 +761,34 @@ let test_dedup_grouping () =
     (Dedup.duplicate_distribution ~hash_of:(Chain.code_hash chain)
        [ a1; a2; b ])
 
+(* A severity's printed name reads back in any letter case, and no other
+   string names a severity. *)
+let test_severity_names () =
+  let name = Alcotest.(option string) in
+  let show = Option.map Findings.severity_to_string in
+  List.iter
+    (fun (sev, mixed) ->
+      let s = Findings.severity_to_string sev in
+      List.iter
+        (fun spelling ->
+          Alcotest.check name spelling
+            (Some s)
+            (show (Findings.severity_of_string spelling)))
+        [ s; String.lowercase_ascii s; mixed ])
+    [
+      (Findings.Critical, "CriTical");
+      (Findings.High, "hIGH");
+      (Findings.Medium, "Medium");
+      (Findings.Info, "iNfO");
+    ];
+  List.iter
+    (fun other ->
+      Alcotest.check name (Printf.sprintf "%S" other) None
+        (show (Findings.severity_of_string other)))
+    [ ""; "crit"; "critical "; " high"; "urgent"; "INFO2"; "med"; "low" ]
+
 (* ------------------------------------------------------------------ *)
-(* Pipeline                                                            *)
+(* One-shot analysis                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_pipeline_end_to_end () =
@@ -753,37 +822,37 @@ let test_pipeline_end_to_end () =
       (fun (a, c) -> if Evm.Address.equal a addr then Some c else None)
       sources
   in
-  let report = Pipeline.analyze ~chain ~source () in
-  let stats = report.Pipeline.stats in
-  check_i "analyzed all" 9 stats.Pipeline.s_analyzed;
+  let report = Analyzer.analyze ~chain ~source () in
+  let stats = report.Analysis.stats in
+  check_i "analyzed all" 9 stats.Analysis.s_analyzed;
   (* Proxies: honeypot, audius, minimal. Library caller and plain ones no. *)
-  check_i "three proxies" 3 stats.Pipeline.s_proxies;
-  check_i "clone dedup hit" 1 stats.Pipeline.s_dedup_hits;
-  check_b "function collision found" true (stats.Pipeline.s_func_colliding_pairs >= 1);
-  check_b "storage collision found" true (stats.Pipeline.s_storage_colliding_pairs >= 1);
-  check_b "audius verified" true (stats.Pipeline.s_verified_storage_pairs >= 1);
+  check_i "three proxies" 3 stats.Analysis.s_proxies;
+  check_i "clone dedup hit" 1 stats.Analysis.s_dedup_hits;
+  check_b "function collision found" true (stats.Analysis.s_func_colliding_pairs >= 1);
+  check_b "storage collision found" true (stats.Analysis.s_storage_colliding_pairs >= 1);
+  check_b "audius verified" true (stats.Analysis.s_verified_storage_pairs >= 1);
   (* Per-contract checks. *)
   let find addr =
     List.find
-      (fun r -> Evm.Address.equal r.Pipeline.r_address addr)
-      report.Pipeline.contracts
+      (fun r -> Evm.Address.equal r.Analysis.r_address addr)
+      report.Analysis.contracts
   in
   check_b "minimal classified 1167" true
-    ((find minimal).Pipeline.r_standard = Some Standard_classify.Eip1167);
+    ((find minimal).Analysis.r_standard = Some Standard_classify.Eip1167);
   check_b "honeypot has func collision pair" true
     (List.exists
-       (fun p -> p.Pipeline.p_func_collisions <> [])
-       (find hp_proxy).Pipeline.r_pairs);
+       (fun p -> p.Analysis.p_func_collisions <> [])
+       (find hp_proxy).Analysis.r_pairs);
   check_b "honeypot pair is bytecode-bytecode" true
     (List.for_all
-       (fun p -> p.Pipeline.p_method = Pipeline.Bytecode_bytecode)
-       (find hp_proxy).Pipeline.r_pairs);
+       (fun p -> p.Analysis.p_method = Analysis.Bytecode_bytecode)
+       (find hp_proxy).Analysis.r_pairs);
   check_b "audius pair is source-source" true
     (List.for_all
-       (fun p -> p.Pipeline.p_method = Pipeline.Source_source)
-       (find au_proxy).Pipeline.r_pairs);
+       (fun p -> p.Analysis.p_method = Analysis.Source_source)
+       (find au_proxy).Analysis.r_pairs);
   check_b "library caller is not a proxy" true
-    (not (Pipeline.is_proxy_report (find lib_user)))
+    (not (Analysis.is_proxy_report (find lib_user)))
 
 let suite =
   [
@@ -830,4 +899,7 @@ let suite =
     Alcotest.test_case "dedup grouping" `Quick test_dedup_grouping;
     Alcotest.test_case "findings report" `Quick test_findings_report;
     Alcotest.test_case "pipeline end to end" `Quick test_pipeline_end_to_end;
+    QCheck_alcotest.to_alcotest qcheck_history_order;
+    Alcotest.test_case "severity names read back in any case" `Quick
+      test_severity_names;
   ]

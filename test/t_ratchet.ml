@@ -4,13 +4,13 @@
    moves a figure on purpose updates it and says why. *)
 
 module Generate = Dataset.Generate
-module Pipeline = Proxion.Pipeline
+module Analysis = Proxion.Analysis
 
 let check_i = Alcotest.(check int)
 
 (* Minor words allocated per contract.  A pass alone in its process
-   measures 2,500.8 (less once other tests have warmed the per-domain
-   caches); the ceiling leaves 3% of headroom.  A pass whose Algorithm 1
+   measures 2,508.4 (less once other tests have warmed the per-domain
+   caches); the ceiling leaves 2.7% of headroom.  A pass whose Algorithm 1
    read each word through a JSON-RPC hex string round trip measured
    2,753.4 (2,906.8 with hex codecs that built each string twice), and
    one that also re-hashed every code through a permutation that
@@ -25,7 +25,7 @@ let scan_pass ?(dedup = true) () =
     Generate.generate { Generate.default_config with total = 400; seed = 42 }
   in
   Proxion.Analyzer.create
-    ~config:Pipeline.Config.(default |> with_domains 1 |> with_dedup dedup)
+    ~config:Analysis.Config.(default |> with_domains 1 |> with_dedup dedup)
     ~chain:land_.Generate.chain ~source:land_.Generate.source_of ()
 
 let test_scan_counters () =
@@ -39,23 +39,24 @@ let test_scan_counters () =
   Proxion.Analyzer.run t;
   let words = Gc.minor_words () -. words0 in
   let perms = Keccak.permutations () - perms0 in
-  let stats = (Proxion.Analyzer.report t).Pipeline.stats in
-  check_i "contracts" 459 stats.Pipeline.s_analyzed;
-  check_i "archive calls (Algorithm 1)" 711 stats.Pipeline.s_api_calls;
-  check_i "EVM steps" 3_915 stats.Pipeline.s_emulation_steps;
-  check_i "dedup hits" 310 stats.Pipeline.s_dedup_hits;
+  let stats = (Proxion.Analyzer.report t).Analysis.stats in
+  check_i "contracts" 459 stats.Analysis.s_analyzed;
+  check_i "archive calls (Algorithm 1)" 675 stats.Analysis.s_api_calls;
+  check_i "EVM steps" 3_915 stats.Analysis.s_emulation_steps;
+  check_i "dedup hits" 310 stats.Analysis.s_dedup_hits;
   (* Probe calldata and selector-memo misses only: every code hash comes
      from [Chain.code_hash], which hashed each code at registration. *)
   check_i "Keccak-f permutations" 189 perms;
-  let per_contract = words /. float_of_int stats.Pipeline.s_analyzed in
+  let per_contract = words /. float_of_int stats.Analysis.s_analyzed in
   Printf.printf "minor words per contract: %.1f\n" per_contract;
   if per_contract > minor_words_ceiling then
     Alcotest.failf "%.1f minor words per contract, above the ceiling of %.0f"
       per_contract minor_words_ceiling;
   (* The same pass on an instrumented registry: the node counts each of
      Algorithm 1's reads as one [eth_getStorageAt] request, the series
-     watch's api_calls_per_contract reads.  The other 72 archive calls
-     are [resolve_slot]'s direct reads, which no request carries. *)
+     watch's api_calls_per_contract reads.  The other 36 archive calls
+     are [resolve_slot]'s head reads, one per slot proxy, which no
+     request carries. *)
   let registry = Obs.Metrics.create () in
   let t = scan_pass () in
   Proxion.Analyzer.instrument registry t;
@@ -65,8 +66,8 @@ let test_scan_counters () =
     Option.bind (Obs.Metrics.find registry "proxion_api_method_calls_total")
       (Obs.Metrics.value ~labels:[ ("method", "eth_getStorageAt") ] registry)
   in
-  check_i "archive calls, instrumented" 711
-    (Proxion.Analyzer.report t).Pipeline.stats.Pipeline.s_api_calls;
+  check_i "archive calls, instrumented" 675
+    (Proxion.Analyzer.report t).Analysis.stats.Analysis.s_api_calls;
   Alcotest.(check (option (float 0.0)))
     "eth_getStorageAt requests served" (Some 639.0) storage_requests
 
@@ -78,11 +79,11 @@ let test_emulate_counters () =
   let t = scan_pass ~dedup:false () in
   Proxion.Analyzer.submit_all t;
   Proxion.Analyzer.run t;
-  let stats = (Proxion.Analyzer.report t).Pipeline.stats in
-  check_i "contracts" 459 stats.Pipeline.s_analyzed;
-  check_i "dedup hits" 0 stats.Pipeline.s_dedup_hits;
-  check_i "archive calls" 711 stats.Pipeline.s_api_calls;
-  check_i "EVM steps" 13_187 stats.Pipeline.s_emulation_steps
+  let stats = (Proxion.Analyzer.report t).Analysis.stats in
+  check_i "contracts" 459 stats.Analysis.s_analyzed;
+  check_i "dedup hits" 0 stats.Analysis.s_dedup_hits;
+  check_i "archive calls" 675 stats.Analysis.s_api_calls;
+  check_i "EVM steps" 13_187 stats.Analysis.s_emulation_steps
 
 (* What a journaled daemon writes: the base snapshot once, then per
    advance a delta of what it changed.  A 400-contract daemon (460
@@ -109,7 +110,7 @@ let test_commit_bytes () =
       let config =
         Serve.Config.(
           default |> with_workers 1
-          |> with_analysis Pipeline.Config.(default |> with_domains 1)
+          |> with_analysis Analysis.Config.(default |> with_domains 1)
           |> with_journal (Some path)
           |> with_journal_fsync false)
       in
@@ -130,7 +131,7 @@ let test_commit_bytes () =
       let stats =
         (Serve.Store.report (Serve.Daemon.store d)
            ~unique_codes:(Serve.Daemon.unique_codes d))
-          .Pipeline.stats
+          .Analysis.stats
       in
       Serve.Daemon.stop d;
       check_i "journal after the base snapshot" 314_743 base;
@@ -142,11 +143,11 @@ let test_commit_bytes () =
             (Printf.sprintf "dirty subjects of advance %d" i)
             dirty dirtied)
         [
-          (1, 79_244, 774, 36); (2, 82_289, 783, 37); (3, 85_334, 858, 38);
+          (1, 79_244, 732, 36); (2, 82_289, 734, 37); (3, 85_334, 801, 38);
         ]
         advances;
-      check_i "store archive calls" 858 stats.Pipeline.s_api_calls;
-      check_i "store EVM steps" 3_602 stats.Pipeline.s_emulation_steps)
+      check_i "store archive calls" 801 stats.Analysis.s_api_calls;
+      check_i "store EVM steps" 3_602 stats.Analysis.s_emulation_steps)
 
 let suite =
   [

@@ -322,7 +322,7 @@ let small_config =
 let report_string r = Json.to_string (Proxion.Serialize.report_to_json r)
 
 let analysis_config domains =
-  Proxion.Pipeline.Config.(
+  Proxion.Analysis.Config.(
     default |> with_batch_size 16 |> with_domains domains)
 
 let cold_report ~domains (land_ : Generate.t) =

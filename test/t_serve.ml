@@ -18,7 +18,7 @@ let small_config =
 let report_string r = Json.to_string (Proxion.Serialize.report_to_json r)
 
 let analysis_config =
-  Proxion.Pipeline.Config.(default |> with_batch_size 16)
+  Proxion.Analysis.Config.(default |> with_batch_size 16)
 
 let cold_report (land_ : Generate.t) =
   let t =
@@ -339,6 +339,55 @@ let int_field name j =
   match field name j with
   | Json.Int n -> n
   | _ -> Alcotest.failf "field %s not an int" name
+
+(* list_findings's two severity filters over the store's findings, for
+   every level: [min_severity] answers the findings at or above it and
+   [severity] those at it, each in the store's order.  The rank table is
+   written out here, so a filter ranking severities the wrong way round
+   fails whichever levels the landscape holds. *)
+let test_severity_filters () =
+  let d, _ = make_daemon () in
+  let stored =
+    Serve.Store.findings (Daemon.store d) ~unique_codes:(Daemon.unique_codes d)
+  in
+  let rank = function
+    | Proxion.Findings.Critical -> 0
+    | Proxion.Findings.High -> 1
+    | Proxion.Findings.Medium -> 2
+    | Proxion.Findings.Info -> 3
+  in
+  let ranks = List.map (fun f -> rank f.Proxion.Findings.f_severity) stored in
+  check_b "store holds findings of several levels" true
+    (List.length (List.sort_uniq compare ranks) > 1);
+  check_b "store findings fit one page" true (List.length stored <= 500);
+  check_b "store findings most severe first" true
+    (ranks = List.stable_sort compare ranks);
+  let answered params =
+    Json.to_string
+      (field "findings"
+         (get_ok
+            (call_daemon d "list_findings" (("limit", Json.Int 500) :: params))))
+  in
+  let expected keep =
+    Json.to_string
+      (Proxion.Findings.to_json
+         (List.filter (fun f -> keep (rank f.Proxion.Findings.f_severity)) stored))
+  in
+  List.iter
+    (fun (level, name) ->
+      check_s ("min_severity " ^ name)
+        (expected (fun r -> r <= rank level))
+        (answered [ ("min_severity", Json.String name) ]);
+      check_s ("severity " ^ name)
+        (expected (fun r -> r = rank level))
+        (answered [ ("severity", Json.String name) ]))
+    [
+      (Proxion.Findings.Critical, "critical");
+      (Proxion.Findings.High, "HIGH");
+      (Proxion.Findings.Medium, "Medium");
+      (Proxion.Findings.Info, "info");
+    ];
+  Daemon.stop d
 
 let test_queries () =
   let d, land_ = make_daemon () in
@@ -1497,7 +1546,7 @@ let test_warm_daemon_takes_its_flags () =
       | Error e -> Alcotest.failf "cold start failed: %s" e);
       let trace = Obs.Trace.create () in
       let warm =
-        Proxion.Pipeline.Config.(default |> with_batch_size 8 |> with_domains 2)
+        Proxion.Analysis.Config.(default |> with_batch_size 8 |> with_domains 2)
       in
       match
         Daemon.create ~config:(config warm) ~trace (Generate.generate gen)
@@ -1618,4 +1667,6 @@ let suite =
     Alcotest.test_case
       "a bad escape over TCP gets -32700 and the connection serves on" `Quick
       test_bad_escape_over_tcp;
+    Alcotest.test_case "severity filters answer by rank, most severe first"
+      `Quick test_severity_filters;
   ]
