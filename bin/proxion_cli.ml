@@ -1067,8 +1067,10 @@ let perf_cmd =
   Cmd.v (Cmd.info "perf" ~doc)
     Term.(
       const (fun total seed ->
-          let config = landscape_config total seed in
-          print_and_exit (Experiments.Perf.render (Experiments.Perf.run ~config ()));
+          let p = Experiments.Perf.run ~config:(landscape_config total seed) () in
+          print_string (Experiments.Perf.render_archive_calls p);
+          print_newline ();
+          print_and_exit (Experiments.Perf.render_timings p);
           0)
       $ Arg.(
           value & opt int 2_000

@@ -6,7 +6,7 @@ type numbers = {
   probe_ms_per_contract : float;
   probe_contracts_per_sec : float;
   algo1_proxies : int;
-  algo1_avg_api_calls : float;
+  algo1_api_calls : int;
   naive_api_calls : int;
   func_check_ms : float;
   storage_check_ms : float;
@@ -45,17 +45,11 @@ let run ?(config = Generate.quick_config) ?(clock = Obs.Clock.real) () =
       detections
   in
   let api_calls =
-    List.map
-      (fun (addr, slot) ->
+    List.fold_left
+      (fun acc (addr, slot) ->
         let r = Proxion.Logic_resolve.resolve_slot chain addr ~slot in
-        r.Proxion.Logic_resolve.api_calls)
-      slot_proxies
-  in
-  let algo1_avg =
-    if api_calls = [] then 0.0
-    else
-      float_of_int (List.fold_left ( + ) 0 api_calls)
-      /. float_of_int (List.length api_calls)
+        acc + r.Proxion.Logic_resolve.api_calls)
+      0 slot_proxies
   in
   (* Collision-check latency on a representative pair set. *)
   let patterns_pairs =
@@ -107,7 +101,7 @@ let run ?(config = Generate.quick_config) ?(clock = Obs.Clock.real) () =
     probe_ms_per_contract = probe_elapsed /. float_of_int n *. 1000.0;
     probe_contracts_per_sec = float_of_int n /. probe_elapsed;
     algo1_proxies = List.length slot_proxies;
-    algo1_avg_api_calls = algo1_avg;
+    algo1_api_calls = api_calls;
     naive_api_calls = Chain.height chain;
     func_check_ms = func_elapsed /. float_of_int (reps * 2) *. 1000.0;
     storage_check_ms = storage_elapsed /. float_of_int (reps * 2) *. 1000.0;
@@ -115,7 +109,27 @@ let run ?(config = Generate.quick_config) ?(clock = Obs.Clock.real) () =
     pipeline_s_without_dedup = without_dedup;
   }
 
-let render p =
+(* The rows an archive-call count decides: the same on every run, so
+   they print as a table of their own, which test/golden/paper holds. *)
+let render_archive_calls p =
+  Report.table ~title:"Section 6.1: archive calls"
+    ~header:[ "Metric"; "Measured"; "Paper" ]
+    [
+      [
+        "getStorageAt per slot proxy (Algorithm 1)";
+        Printf.sprintf "%.1f calls (%d over %d proxies)"
+          (float_of_int p.algo1_api_calls /. float_of_int (max 1 p.algo1_proxies))
+          p.algo1_api_calls p.algo1_proxies;
+        "26 calls";
+      ];
+      [
+        "naive per-block scan would need";
+        Printf.sprintf "%d calls" p.naive_api_calls;
+        "15M blocks";
+      ];
+    ]
+
+let render_timings p =
   Report.table ~title:"Section 6.1: performance"
     ~header:[ "Metric"; "Measured"; "Paper" ]
     [
@@ -128,17 +142,6 @@ let render p =
         "proxy check throughput";
         Printf.sprintf "%.0f contracts/s" p.probe_contracts_per_sec;
         "156.3 contracts/s";
-      ];
-      [
-        "getStorageAt per slot proxy (Algorithm 1)";
-        Printf.sprintf "%.1f calls (over %d proxies)" p.algo1_avg_api_calls
-          p.algo1_proxies;
-        "26 calls";
-      ];
-      [
-        "naive per-block scan would need";
-        Printf.sprintf "%d calls" p.naive_api_calls;
-        "15M blocks";
       ];
       [
         "function collision check";

@@ -10,7 +10,7 @@ type numbers = {
   probe_ms_per_contract : float;
   probe_contracts_per_sec : float;
   algo1_proxies : int;
-  algo1_avg_api_calls : float;
+  algo1_api_calls : int;  (** Over all [algo1_proxies], head reads included. *)
   naive_api_calls : int;  (** One per block: the scan Algorithm 1 replaces. *)
   func_check_ms : float;
   storage_check_ms : float;
@@ -24,4 +24,11 @@ val run :
     wall-clock figure — a {!Obs.Clock.virtual_} clock makes the numbers
     deterministic for tests. *)
 
-val render : numbers -> string
+val render_archive_calls : numbers -> string
+(** The two rows an archive-call count decides — Algorithm 1's
+    [getStorageAt] calls per slot proxy and the naive per-block scan's —
+    as their own table.  They are the same on every run;
+    [test/golden/paper/perf.txt] holds them at [-n 4000]. *)
+
+val render_timings : numbers -> string
+(** The wall-clock rows, which change from run to run. *)

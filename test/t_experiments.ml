@@ -155,11 +155,13 @@ let test_multichain_survey () =
   in
   check_b "chains differ" true (List.length shares > 1)
 
-(* The five paper runs, rebuilt in process and compared byte for byte
-   with their stdout checked in under test/golden/paper: `proxion scan`
+(* The paper runs, rebuilt in process and compared byte for byte with
+   their stdout checked in under test/golden/paper: `proxion scan`
    (default -n 36000), `accuracy --size-factor 2`, `effectiveness -n
-   8000`, `multichain` and `coverage`.  A change that moves any paper
-   figure shows as a diff of one of these files. *)
+   8000`, `multichain`, `coverage`, and the archive-call table `perf -n
+   4000` prints first (its timing table is left out: it changes from run
+   to run).  A change that moves any paper figure shows as a diff of one
+   of these files. *)
 let test_paper_goldens () =
   (* The CLI's print_and_exit: a text not ending in a newline gets one. *)
   let printed s =
@@ -199,6 +201,10 @@ let test_paper_goldens () =
       ( "coverage.txt",
         fun () ->
           printed (Experiments.Table1.render (Experiments.Table1.run ())) );
+      ( "perf.txt",
+        fun () ->
+          Experiments.Perf.render_archive_calls
+            (Experiments.Perf.run ~config:(landscape 4_000) ()) );
     ]
 
 let suite =
