@@ -58,9 +58,12 @@ val is_proxy_report : contract_report -> bool
 type entry = {
   e_report : contract_report;
   e_api_calls : int;
-      (** Archive calls analyzing the contract cost, counted on the
-          chain view it was analyzed on: Algorithm 1's reads and
-          [resolve_slot]'s head read. *)
+      (** Archive calls analyzing the contract cost: the report's own
+          figure, its resolution's [api_calls] (Algorithm 1's reads and
+          [resolve_slot]'s head read), or 0 without one.  A resolution
+          replayed from its record reports what a cold run at that head
+          spends, so this is not the calls made; the chain's
+          {!Chain.api_call_count} counts those. *)
 }
 (** One analyzed contract with what it cost: the record the analyzer
     returns, checkpoints and journals carry, and the daemon's store

@@ -84,6 +84,10 @@ type t = {
     ( string * string,
       Func_collision.collision list * Storage_collision.collision list )
     Hashtbl.t;
+  records : (Address.t, Logic_resolve.record) Hashtbl.t;
+      (* Each slot proxy's Algorithm 1 record, from its last live
+         resolution; exact until its storage is written, which is when
+         the owner drops it ([drop_records]).  Never checkpointed. *)
   mutable telemetry : telemetry option;
   req_ctx : Obs.Trace.ctx option Atomic.t;
       (* Request-scoped trace context (daemon [query]/[advance]): while
@@ -117,15 +121,19 @@ type env = {
       (* Telemetry observer composed under the probe's own tracer:
          counts call frames, and records frame spans for sampled
          items.  [Interp.no_tracer] when telemetry is off. *)
+  mutable e_record : Logic_resolve.record option;
+      (* The Algorithm 1 record a live resolution took, kept in [records]
+         only once the item completes: a dead-lettered item leaves none
+         behind, so its requeue reads the archive as a cold run does. *)
 }
 
 let engine t = t.engine
 
-(* The analyzer's one lock, over what workers share: the dedup caches and
-   the chain's archive-call counter.  Chains grouped by bytecode hash (the
-   engine key, [Chain.code_hash], which also keys both caches) guarantee
-   all accesses to any given cache key happen in input order, and this
-   lock makes the mutations themselves safe. *)
+(* The analyzer's one lock, over what workers share: the dedup caches, the
+   Algorithm 1 records and the chain's archive-call counter.  Chains
+   grouped by bytecode hash (the engine key, [Chain.code_hash], which also
+   keys both caches) guarantee all accesses to any given cache key happen
+   in input order, and this lock makes the mutations themselves safe. *)
 let locked t f = Mutex.protect t.lock f
 
 (* ------------------------------------------------------------------ *)
@@ -265,6 +273,21 @@ let analyze_pair t env ctx ~proxy_addr ~logic_addr =
     p_honeypot = honeypot;
   }
 
+(* A slot proxy's logic history: replayed from its record when the
+   analyzer holds one for this slot, otherwise read from the archive and
+   recorded. *)
+let resolve_slot t env addr ~slot =
+  match locked t (fun () -> Hashtbl.find_opt t.records addr) with
+  | Some record when U256.equal record.Logic_resolve.slot slot ->
+      Logic_resolve.replay record ~head:(Chain.height env.e_chain)
+  | _ ->
+      let resolution, record =
+        Logic_resolve.resolve_slot ~transport:env.e_transport env.e_chain addr
+          ~slot
+      in
+      env.e_record <- Some record;
+      resolution
+
 let analyze_contract t env ctx addr =
   let subject = Address.to_hex addr in
   let stage s f = timed ctx env ~stage:s ~subject f in
@@ -293,8 +316,11 @@ let analyze_contract t env ctx addr =
       (* Stage 3: Algorithm 1 logic resolution. *)
       let resolution =
         stage Engine.Logic_resolve (fun () ->
-            Logic_resolve.resolve ~transport:env.e_transport ~probed:target
-              env.e_chain addr target_source)
+            match target_source with
+            | Proxy_detect.Storage_slot slot -> resolve_slot t env addr ~slot
+            | _ ->
+                Logic_resolve.resolve ~transport:env.e_transport ~probed:target
+                  env.e_chain addr target_source)
       in
       (* Stage 4: design-standard classification. *)
       let standard =
@@ -525,19 +551,20 @@ let view_for t wid =
       t.views.(wid) <- Some vh;
       vh
 
-(* The item's archive calls, added to the chain's counter whatever the
-   outcome, so it reads the same at every worker count.  Only a completed
-   item's entry carries them: a dead-lettered item adds nothing to the
-   report, and a later requeue brings it to exactly the fault-free
-   figures. *)
+(* The archive calls the item made, added to the chain's counter whatever
+   the outcome, so it counts the requests served and reads the same at
+   every worker count. *)
 let merge_api_calls t env ~api0 =
   let calls = Chain.api_call_count env.e_chain - api0 in
-  locked t (fun () -> Chain.add_api_calls t.chain calls);
-  calls
+  locked t (fun () -> Chain.add_api_calls t.chain calls)
 
-(* Every item runs on its worker's view, so stage deltas, the item's
-   archive calls and the Algorithm 1 accounting serialized into the
-   report are the same at any worker count. *)
+(* Every item runs on its worker's view, so stage deltas and the
+   Algorithm 1 accounting serialized into the report are the same at any
+   worker count.  An entry's archive calls are its report's own figure,
+   what a cold analysis at this head spends, whether its resolution read
+   the archive or replayed a record: a dead-lettered item adds nothing to
+   the report, and a later requeue brings it to exactly the fault-free
+   figures. *)
 let process_item t ctx addr =
   let obs = item_obs_for t addr in
   let worker = Engine.worker_id ctx in
@@ -554,16 +581,25 @@ let process_item t ctx addr =
         Option.map Evm.Interp.fuel
           t.resilience.Resilience.Transport.step_budget;
       e_tracer = item_tracer t ctx obs;
+      e_record = None;
     }
   in
   match analyze_contract t env ctx addr with
   | report ->
-      let e_api_calls = merge_api_calls t env ~api0 in
+      merge_api_calls t env ~api0;
+      (match env.e_record with
+      | Some record -> locked t (fun () -> Hashtbl.replace t.records addr record)
+      | None -> ());
       record_item_obs t env ~worker ~meth0
         ~dedup_hit:report.Analysis.r_dedup_hit obs;
+      let e_api_calls =
+        match report.Analysis.r_resolution with
+        | Some r -> r.Logic_resolve.api_calls
+        | None -> 0
+      in
       Ok { Analysis.e_report = report; e_api_calls }
   | exception e ->
-      ignore (merge_api_calls t env ~api0);
+      merge_api_calls t env ~api0;
       Error (skip_of_exn ctx env e)
 
 (* The one constructor: [create] starts it empty, [restore] from a
@@ -591,6 +627,7 @@ let make ~config ~resilience ?crash_plan ?state ~chain ~source () =
       lock = Mutex.create ();
       detection_cache = Hashtbl.create 256;
       pair_cache = Hashtbl.create 256;
+      records = Hashtbl.create 256;
       telemetry = None;
       req_ctx = Atomic.make None;
       transport_obs = Atomic.make None;
@@ -772,6 +809,9 @@ let drain_results t = Engine.drain_results t.engine
 
 let invalidate_code_hash t code_hash =
   locked t (fun () -> Hashtbl.remove t.detection_cache code_hash)
+
+let drop_records t addresses =
+  locked t (fun () -> List.iter (Hashtbl.remove t.records) addresses)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)

@@ -24,6 +24,19 @@
     checkpoint's results and the daemon's store all read that record;
     nothing counts a contract's cost a second time.
 
+    Beside the dedup caches the analyzer keeps one Algorithm 1
+    {!Logic_resolve.record} per slot proxy, taken by its last resolution
+    that read the archive and kept once the contract completes.  When a
+    contract's verdict names the slot its record holds, the logic-resolve
+    stage {!Logic_resolve.replay}s the record at the head instead of
+    reading the archive: the report, and so the entry, is what a cold
+    run gives, while the archive serves nothing.  Otherwise it reads
+    live and records.  A record is exact until the proxy's storage is
+    written; whoever writes it drops the record ({!drop_records}).  A
+    cold pass analyzes each address once, so it never replays.  Records
+    are not checkpointed: a restored analyzer reads live once per
+    proxy, and records again.
+
     Runs are interruptible and resumable: {!checkpoint} serializes the
     pending queue, completed entries, the dead-letter list and both dedup
     caches; {!restore} rebuilds the analyzer so the finished report is
@@ -107,7 +120,8 @@ val run : ?max_batches:int -> t -> unit
     run starts, so probes observe the block number and timestamp a fresh
     analyzer would, also after the chain advanced under a live one.  The
     views' archive calls are added to the chain's
-    {!Chain.api_call_count}. *)
+    {!Chain.api_call_count}, which so counts the requests actually
+    served: a replayed resolution adds none. *)
 
 val pending : t -> int
 val subscribe : t -> (Engine.event -> unit) -> unit
@@ -163,6 +177,13 @@ val invalidate_code_hash : t -> string -> unit
     fresh.  The daemon's incremental mode calls this for every hash
     whose cache {e owner} (the earliest deployed holder) is dirty, so
     re-analysis repopulates the cache exactly as a cold run would. *)
+
+val drop_records : t -> Evm.Address.t list -> unit
+(** Drop the Algorithm 1 records of [addresses], so their next
+    resolution reads the archive.  Call it for every address whose
+    storage was written since its record was taken — the daemon drops an
+    advance's writes, a reorg's reverted writes and its orphans — and
+    to make a resolution read the archive on purpose (a live [query]). *)
 
 (** {1 Checkpointing} *)
 

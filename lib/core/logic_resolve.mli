@@ -6,17 +6,37 @@
     block heights that only queries [getStorageAt] at range endpoints,
     splitting a range exactly when its endpoint values differ.  Against a
     15-million-block chain this takes tens of API calls instead of millions
-    (§6.1 reports an average of 26). *)
+    (§6.1 reports an average of 26).
+
+    A resolution that read the archive also yields its {!record}, the
+    slot's change points; {!replay} answers the same bisection from it
+    at a later head, with no archive call, for a proxy whose slot took
+    no write since. *)
 
 type resolution = {
   current : Evm.Address.t option;  (** Logic at head height (None if unset). *)
   historical : Evm.Address.t list;
       (** Every non-zero address ever stored, oldest first. *)
   api_calls : int;
-      (** getStorageAt calls spent: Algorithm 1's and the head read. *)
+      (** What a cold resolution at this head spends (§6.1): one
+          [getStorageAt] for each distinct height Algorithm 1 reads, plus
+          the head read.  A {!replay} reports the same figure without
+          making the calls, so this need not be the calls made. *)
   upgrade_count : int;
       (** Number of logic-address changes after the first assignment
           (Figure 6's per-proxy upgrade count). *)
+}
+
+(** The step function a resolution's reads pin: Algorithm 1 splits a
+    range until its endpoints agree, so two of its reads that differ
+    with none between them are one block apart, and the first height of
+    each run of equal values among its reads, sorted by height, is an
+    exact change point. *)
+type record = {
+  slot : U256.t;
+  changes : (int * U256.t) list;
+      (** [(height, value)] of each change point, ascending; the first
+          is at height 0. *)
 }
 
 val algorithm1 :
@@ -32,12 +52,28 @@ val algorithm1 :
 
 val resolve_slot :
   ?transport:Resilience.Transport.t ->
-  Chain.t -> Evm.Address.t -> slot:U256.t -> resolution
+  Chain.t -> Evm.Address.t -> slot:U256.t -> resolution * record
 (** Run Algorithm 1 over the whole chain and order the found addresses by
     their first appearance: the lowest height at which Algorithm 1's own
     reads saw each, which is exact when values are not reused.  The one
     read beyond Algorithm 1's is the slot at the head, for [current]; it
-    is counted in [api_calls]. *)
+    is counted in [api_calls].  Also returns the reads' {!record}. *)
+
+val replay : record -> head:int -> resolution
+(** The same bisection over [[0, head]], each height answered from the
+    record instead of the archive: no archive call is made, and
+    {!Chain.api_call_count} and {!Chain.method_call_counts} do not move.
+    It returns what {!resolve_slot} returns at [head] — [current],
+    [historical], [upgrade_count] and [api_calls] alike — when two
+    conditions hold.  The slot took no write since the recording: [head]
+    is later than the recording head with no write between, or earlier
+    but above every change point (a rewind that reverted no write).  And
+    no value change hides between two of the recording's reads that
+    agree, which is the assumption under which Algorithm 1 finds every
+    logic at all: values are not reused (§4.3).  [api_calls] counts the
+    distinct heights the bisection reads, plus the head read; by the
+    transport's accounting identity that is what the live run's counter
+    shows. *)
 
 val resolve :
   ?transport:Resilience.Transport.t ->

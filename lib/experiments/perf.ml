@@ -47,7 +47,7 @@ let run ?(config = Generate.quick_config) ?(clock = Obs.Clock.real) () =
   let api_calls =
     List.fold_left
       (fun acc (addr, slot) ->
-        let r = Proxion.Logic_resolve.resolve_slot chain addr ~slot in
+        let r, _ = Proxion.Logic_resolve.resolve_slot chain addr ~slot in
         acc + r.Proxion.Logic_resolve.api_calls)
       0 slot_proxies
   in

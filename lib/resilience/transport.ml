@@ -356,9 +356,11 @@ let check_step_budget t ~steps =
   | _ -> ()
 
 (* The node is dispatched once per logical request, no matter how many
-   endpoints answer it: every honest endpoint relays the same canonical
-   chain state, so per-call accounting (the §6.1 counter identity) is
-   one API call per served request even under quorum fan-out. *)
+   endpoints answer it or how many attempts it takes: every honest
+   endpoint relays the same canonical chain state, so per-call
+   accounting (the §6.1 counter identity) is one API call per served
+   request even under quorum fan-out, and a quorum that failed and is
+   retried asks the endpoints again, not the node. *)
 let canonical t req cache =
   match !cache with
   | Some r -> r
@@ -547,10 +549,11 @@ let attempt_quorum t ready (req : _ Chain_rpc.request) cache =
                    (match winner with Some (_, c) -> c | None -> 0)
                    t.quorum )))
 
-(* One attempt at [req] over the admitted endpoints [ready]. *)
-let one_attempt t ready req =
-  if t.quorum <= 1 then attempt_failover t ready req (ref None)
-  else attempt_quorum t ready req (ref None)
+(* One attempt at [req] over the admitted endpoints [ready]; [cache]
+   holds the node's answer across the request's attempts. *)
+let one_attempt t ready req cache =
+  if t.quorum <= 1 then attempt_failover t ready req cache
+  else attempt_quorum t ready req cache
 
 let backoff t ~attempt ~reason =
   let delay = Retry.delay t.cfg.policy ~seed:t.seed ~attempt in
@@ -559,8 +562,9 @@ let backoff t ~attempt ~reason =
   Obs.Clock.sleep t.clock delay
 
 let call t req =
+  let cache = ref None in
   let rec go attempt =
-    match one_attempt t (ensure_ready t) req with
+    match one_attempt t (ensure_ready t) req cache with
     | Error (Chain_rpc.Transient _ as e)
       when attempt < t.cfg.policy.Retry.max_attempts ->
         backoff t ~attempt ~reason:(Chain_rpc.error_to_string e);
@@ -579,6 +583,7 @@ let call_batch t requests =
   let reqs = Array.of_list requests in
   let n = Array.length reqs in
   let responses = Array.make n (Error (Chain_rpc.Invalid_params "unserved")) in
+  let caches = Array.init n (fun _ -> ref None) in
   (* Retry only the failed subset of each round, preserving response
      order by index — the JSON-RPC partial-batch-failure contract. *)
   let rec round attempt pending =
@@ -586,7 +591,7 @@ let call_batch t requests =
     let failed =
       List.filter
         (fun i ->
-          match one_attempt t ready reqs.(i) with
+          match one_attempt t ready reqs.(i) caches.(i) with
           | Error (Chain_rpc.Transient _ as e) ->
               responses.(i) <- Error e;
               true

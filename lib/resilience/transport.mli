@@ -17,9 +17,10 @@
     Accounting identity: faults are injected {e before} dispatching to
     the node, so an injected failure never consumes an API call, and
     the node is dispatched once per {e logical} request no matter how
-    many endpoints relay the answer — the per-call counters (the
-    paper's §6.1 metric) of a fault-injected run equal the fault-free
-    run's once every transient is retried to success.
+    many endpoints relay the answer or how many attempts a failed
+    quorum takes — the per-call counters (the paper's §6.1 metric) of a
+    fault-injected run equal the fault-free run's once every transient
+    is retried to success.
 
     Quorum safety: with [quorum >= 2] a returned answer always gathered
     at least [quorum] identical endpoint answers (equal typed values).

@@ -244,12 +244,20 @@ let note_shed t ~reason =
         Obs.Log.Warn "connection shed";
       Mutex.unlock t.obs_lock
 
-(* Move the analyzer's entries into the store; returns them, in drain
-   order. *)
+(* Move the analyzer's entries into the store, but for those equal to the
+   entry stored: upserting one would leave the store as it was.  Returns
+   the entries stored, in drain order — what a delta journals, so an
+   unchanged entry costs no journal bytes and recovery folds back the
+   same store. *)
 let drain_into_store t =
-  let entries = Analyzer.drain_results t.analyzer in
-  List.iter (Store.upsert t.store) entries;
-  entries
+  let changed =
+    List.filter
+      (fun (e : Analysis.entry) ->
+        Store.find t.store e.Analysis.e_report.Analysis.r_address <> Some e)
+      (Analyzer.drain_results t.analyzer)
+  in
+  List.iter (Store.upsert t.store) changed;
+  changed
 
 (* ------------------------------------------------------------------ *)
 (* Journal: a base snapshot, then one delta per advance                 *)
@@ -653,6 +661,9 @@ let advance ?ctx t =
       List.iter
         (Analyzer.invalidate_code_hash t.analyzer)
         (Tracker.invalidation_hashes ~dirty);
+      (* Every other slot proxy replays its Algorithm 1 record: only the
+         storage written here moved. *)
+      Analyzer.drop_records t.analyzer writes;
       (* Retract orphans: their deployments are no longer canonical.
          Findings retracted = the verdict-count delta of the removals. *)
       let retracted, removed =
@@ -996,10 +1007,11 @@ let handle_advance t ~deadline ?ctx params =
          ])
 
 (* Live re-analysis of one subject under the request's trace context.
-   The subject's dedup entry is dropped first so detection actually
-   re-runs — archive endpoint attempts (quorum votes, hedges) and EVM
-   frames all execute inside the request span instead of short-circuiting
-   on the cache.  The fresh report is returned to the caller and then
+   The subject's dedup entry and Algorithm 1 record are dropped first so
+   detection and resolution actually re-run — archive endpoint attempts
+   (quorum votes, hedges) and EVM frames all execute inside the request
+   span instead of short-circuiting on the cache or replaying the
+   record.  The fresh report is returned to the caller and then
    DISCARDED: the resident store must stay byte-identical to a daemon
    that never saw this query (a dedup twin's fresh report would
    otherwise flip its [r_dedup_hit]), so queries are observably
@@ -1017,6 +1029,7 @@ let handle_query t ~deadline ?ctx params =
       (fun () ->
         Analyzer.invalidate_code_hash t.analyzer
           e.Analysis.e_report.Analysis.r_code_hash;
+        Analyzer.drop_records t.analyzer [ addr ];
         Analyzer.submit t.analyzer [ addr ];
         Analyzer.run t.analyzer;
         let fresh =

@@ -13,9 +13,11 @@
       from Algorithm 1's binary search over [0, head] — its API-call
       accounting (and possibly its history) changes whenever the head
       moves, so slot-source proxies are dirty on {e every} advance.
-      [Computed]-source proxies (beacons, diamonds) read other
-      contracts' storage the report does not enumerate; they are
-      conservatively height-dirty too.
+      They are re-resolved from the analyzer's Algorithm 1 record
+      ({!Proxion.Analyzer.drop_records}), with no archive call unless
+      the advance wrote them.  [Computed]-source proxies (beacons,
+      diamonds) read other contracts' storage the report does not
+      enumerate; they are conservatively height-dirty too.
     - {b Own storage}: the emulation probe loads the subject's own
       slots, so any direct write to the subject dirties it — and,
       because probe verdicts are shared across identical bytecodes,

@@ -758,6 +758,98 @@ let test_chaos_step_budget_degrade () =
   check_i "every contract reported" universe
     (List.length (Proxion.Analyzer.report resumed).Proxion.Analysis.contracts)
 
+(* The accounting identity a replayed resolution counts by: a logical
+   request costs one archive call however many endpoints relay it, and
+   an injected fault costs none.  So under each transport setting, every
+   completed slot proxy's logic-resolve stage made exactly its
+   resolution's [api_calls] — the distinct heights Algorithm 1 read plus
+   the head read — as the stage's event counted them on the worker's
+   view.  Each setting must also have done what it exists for: retried
+   a fault, dead-lettered a contract over budget, hedged, or outvoted a
+   liar. *)
+type observed = {
+  retries : int;
+  over_budget : bool;
+  hedges : int;
+  disagreements : int;
+}
+
+let test_resolution_calls_identity () =
+  List.iter
+    (fun (setting, exercised) ->
+      List.iter
+        (fun domains ->
+          let label =
+            Printf.sprintf "%s at %d domains" (setting_to_string setting) domains
+          in
+          let land_ = Generate.generate chaos_config in
+          let t =
+            Proxion.Analyzer.create
+              ~config:
+                Proxion.Analysis.Config.(
+                  default |> with_batch_size 16 |> with_domains domains)
+              ~resilience:(config_of setting) ~chain:land_.Generate.chain
+              ~source:land_.Generate.source_of ()
+          in
+          let stage_calls = Hashtbl.create 64 in
+          let retries = ref 0 in
+          Proxion.Analyzer.subscribe t (function
+            | Engine.Stage_finished
+                { stage = Engine.Logic_resolve; subject; timing; _ } ->
+                Hashtbl.replace stage_calls subject timing.Engine.t_api_calls
+            | Engine.Retry_attempted _ -> incr retries
+            | _ -> ());
+          let hedges = Atomic.make 0 and disagreements = Atomic.make 0 in
+          Proxion.Analyzer.set_transport_observer t
+            (Some
+               (function
+               | Transport.Hedged _ -> Atomic.incr hedges
+               | Transport.Quorum_disagreement _ -> Atomic.incr disagreements
+               | _ -> ()));
+          Proxion.Analyzer.submit_all t;
+          Proxion.Analyzer.run t;
+          let slot_proxies =
+            List.filter_map
+              (fun (r : Proxion.Analysis.contract_report) ->
+                match
+                  ( r.Proxion.Analysis.r_detection.Proxion.Proxy_detect.verdict,
+                    r.Proxion.Analysis.r_resolution )
+                with
+                | ( Proxion.Proxy_detect.Proxy
+                      { source = Proxion.Proxy_detect.Storage_slot _; _ },
+                    Some res ) ->
+                    Some (Evm.Address.to_hex r.Proxion.Analysis.r_address, res)
+                | _ -> None)
+              (Proxion.Analyzer.report t).Proxion.Analysis.contracts
+          in
+          check_b (label ^ ": slot proxies completed") true (slot_proxies <> []);
+          List.iter
+            (fun (subject, res) ->
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s: %s's logic-resolve calls" label subject)
+                (Some res.Proxion.Logic_resolve.api_calls)
+                (Hashtbl.find_opt stage_calls subject))
+            slot_proxies;
+          check_b (label ^ ": exercised") true
+            (exercised
+               {
+                 retries = !retries;
+                 over_budget =
+                   List.exists
+                     (fun r -> r.Engine.sk_class = Engine.Budget_exhausted)
+                     (Proxion.Analyzer.skipped t);
+                 hedges = Atomic.get hedges;
+                 disagreements = Atomic.get disagreements;
+               }))
+        (List.sort_uniq Int.compare [ 1; domains_under_test ]))
+    [
+      ( Faulty { seed = chaos_seed; percent = 20; window = 3 },
+        fun o -> o.retries > 0 );
+      (Budgeted 16, fun o -> o.over_budget);
+      (Failover chaos_seed, fun o -> o.hedges > 0);
+      (Byzantine_quorum chaos_seed, fun o -> o.disagreements > 0);
+    ]
+
 let suite =
   [
     Alcotest.test_case "retry backoff is deterministic and capped" `Quick
@@ -792,4 +884,7 @@ let suite =
       `Quick test_chaos_degrade_and_requeue;
     Alcotest.test_case "step starvation dead-letters as budget-exhausted" `Quick
       test_chaos_step_budget_degrade;
+    Alcotest.test_case
+      "every slot proxy's resolution calls match its stage's under every plan"
+      `Quick test_resolution_calls_identity;
   ]

@@ -271,7 +271,7 @@ let test_algorithm1_recovers_history () =
   Chain.advance_blocks chain 2000;
   Chain.set_storage_direct chain proxy slot (Evm.Address.to_u256 logic3);
   Chain.advance_blocks chain 300;
-  let r = Logic_resolve.resolve_slot chain proxy ~slot in
+  let r, _ = Logic_resolve.resolve_slot chain proxy ~slot in
   Alcotest.(check (list string))
     "all three logics in order"
     (List.map Evm.Address.to_hex [ logic1; logic2; logic3 ])
@@ -299,7 +299,8 @@ let test_algorithm1_recovers_history () =
         Chain.set_storage_direct c proxy U256.zero (U256.of_int logic))
       [ 0x100; 0x200; 0x300 ];
     Chain.advance_blocks c (height - Chain.height c);
-    (Logic_resolve.resolve_slot c proxy ~slot:U256.zero).Logic_resolve.api_calls
+    (fst (Logic_resolve.resolve_slot c proxy ~slot:U256.zero))
+      .Logic_resolve.api_calls
   in
   List.iter
     (fun (height, calls) ->
@@ -311,9 +312,32 @@ let test_algorithm1_static_slot () =
   let chain = Chain.create () in
   let proxy = deploy chain (Patterns.slot_var_proxy ()) in
   Chain.advance_blocks chain 1000;
-  let r = Logic_resolve.resolve_slot chain proxy ~slot:(U256.of_int 9) in
+  let r, _ = Logic_resolve.resolve_slot chain proxy ~slot:(U256.of_int 9) in
   check_i "no history" 0 (List.length r.Logic_resolve.historical);
   check_b "few api calls for unchanged slot" true (r.Logic_resolve.api_calls <= 4)
+
+(* Random upgrade histories with no value reuse: gaps between the
+   writes, the blocks after the last, and a salt for the values. *)
+let upgrade_histories =
+  QCheck.(
+    triple
+      (list_of_size Gen.(int_range 0 8) (int_range 0 400))
+      (int_range 0 400) (int_bound 0xffffff))
+
+(* The chain such a history builds: a proxy whose slot 0 took write [i]
+   after gap [i], then [tail] blocks.  Its values are distinct, non-zero,
+   and in no fixed order by value. *)
+let history_chain (gaps, tail, salt) =
+  let chain = Chain.create () in
+  let proxy = Chain.install_contract chain ~runtime:"\x00" () in
+  let logic i = U256.of_int (((i * 0x9e37) lxor salt) + 1) in
+  List.iteri
+    (fun i gap ->
+      Chain.advance_blocks chain gap;
+      Chain.set_storage_direct chain proxy U256.zero (logic i))
+    gaps;
+  Chain.advance_blocks chain tail;
+  (chain, proxy, logic)
 
 (* Over random upgrade histories with no value reuse, [resolve_slot]'s
    history, ordered by the heights its own reads saw each value at, is
@@ -321,23 +345,10 @@ let test_algorithm1_static_slot () =
    [current] is the last value written. *)
 let qcheck_history_order =
   QCheck.Test.make ~name:"resolve_slot history follows the recorded changes"
-    ~count:200
-    QCheck.(
-      triple
-        (list_of_size Gen.(int_range 0 8) (int_range 0 400))
-        (int_range 0 400) (int_bound 0xffffff))
-    (fun (gaps, tail, salt) ->
-      let chain = Chain.create () in
-      let proxy = Chain.install_contract chain ~runtime:"\x00" () in
+    ~count:200 upgrade_histories
+    (fun ((gaps, _, _) as history) ->
+      let chain, proxy, logic = history_chain history in
       let slot = U256.zero in
-      (* Distinct, non-zero, and in no fixed order by value. *)
-      let logic i = U256.of_int (((i * 0x9e37) lxor salt) + 1) in
-      List.iteri
-        (fun i gap ->
-          Chain.advance_blocks chain gap;
-          Chain.set_storage_direct chain proxy slot (logic i))
-        gaps;
-      Chain.advance_blocks chain tail;
       let changes =
         List.map
           (fun height ->
@@ -349,7 +360,7 @@ let qcheck_history_order =
         | [] -> None
         | _ -> Some (Evm.Address.of_u256 (logic (List.length gaps - 1)))
       in
-      let r = Logic_resolve.resolve_slot chain proxy ~slot in
+      let r, _ = Logic_resolve.resolve_slot chain proxy ~slot in
       let hex = List.map Evm.Address.to_hex in
       if hex r.Logic_resolve.historical <> hex changes then
         QCheck.Test.fail_reportf "historical [%s], changes [%s]"
@@ -357,6 +368,58 @@ let qcheck_history_order =
           (String.concat "; " (hex changes));
       Option.map Evm.Address.to_hex r.Logic_resolve.current
       = Option.map Evm.Address.to_hex last)
+
+(* A record taken at one head replays to exactly the live resolution —
+   current, history, upgrade count and archive calls — at a later head
+   with no write in between, at the recording head itself, and at an
+   earlier head above the last change (a rewind that reverted no
+   write).  A replay makes no archive call: neither the chain's counter
+   nor its per-method counts move. *)
+let qcheck_replay_equals_live =
+  QCheck.Test.make
+    ~name:"a record replays to the live resolution at later and rewound heads"
+    ~count:200
+    (QCheck.pair upgrade_histories
+       QCheck.(pair (int_range 0 400) (int_bound 1000)))
+    (fun (history, (later, back)) ->
+      let chain, proxy, _ = history_chain history in
+      let slot = U256.zero in
+      let recorded_at = Chain.height chain in
+      let _, record = Logic_resolve.resolve_slot chain proxy ~slot in
+      let show (r : Logic_resolve.resolution) =
+        Printf.sprintf "current %s, historical [%s], %d calls, %d upgrades"
+          (Option.fold ~none:"-" ~some:Evm.Address.to_hex r.Logic_resolve.current)
+          (String.concat "; "
+             (List.map Evm.Address.to_hex r.Logic_resolve.historical))
+          r.Logic_resolve.api_calls r.Logic_resolve.upgrade_count
+      in
+      let replay_equals_live what =
+        let head = Chain.height chain in
+        let calls = Chain.api_call_count chain in
+        let methods = Chain.method_call_counts chain in
+        let replayed = Logic_resolve.replay record ~head in
+        if Chain.api_call_count chain <> calls then
+          QCheck.Test.fail_reportf "%s: the replay made archive calls" what;
+        if Chain.method_call_counts chain <> methods then
+          QCheck.Test.fail_reportf "%s: the replay sent requests" what;
+        let live, _ = Logic_resolve.resolve_slot chain proxy ~slot in
+        if replayed <> live then
+          QCheck.Test.fail_reportf "%s (head %d, recorded at %d): replay %s, live %s"
+            what head recorded_at (show replayed) (show live)
+      in
+      replay_equals_live "recording head";
+      Chain.advance_blocks chain later;
+      replay_equals_live "later head";
+      (* A write in block [h] leaves the head at [h + 1]: a rewind to
+         any head above the last write's block keeps every write. *)
+      let kept =
+        1 + List.fold_left max 0 (Chain.storage_change_heights chain proxy slot)
+      in
+      ignore
+        (Chain.rewind_to chain
+           ~height:(kept + (back * (recorded_at - kept) / 1000)));
+      replay_equals_live "rewound head";
+      true)
 
 let test_resolve_minimal () =
   let chain = Chain.create () in
@@ -900,6 +963,7 @@ let suite =
     Alcotest.test_case "findings report" `Quick test_findings_report;
     Alcotest.test_case "pipeline end to end" `Quick test_pipeline_end_to_end;
     QCheck_alcotest.to_alcotest qcheck_history_order;
+    QCheck_alcotest.to_alcotest qcheck_replay_equals_live;
     Alcotest.test_case "severity names read back in any case" `Quick
       test_severity_names;
   ]

@@ -9,12 +9,13 @@ module Analysis = Proxion.Analysis
 let check_i = Alcotest.(check int)
 
 (* Minor words allocated per contract.  A pass alone in its process
-   measures 2,508.4 (less once other tests have warmed the per-domain
-   caches); the ceiling leaves 2.7% of headroom.  A pass whose Algorithm 1
-   read each word through a JSON-RPC hex string round trip measured
-   2,753.4 (2,906.8 with hex codecs that built each string twice), and
-   one that also re-hashed every code through a permutation that
-   allocates measured 3,262. *)
+   measures 2,518.3 (less once other tests have warmed the per-domain
+   caches); the ceiling leaves 2.3% of headroom.  It measured 2,508.4
+   before the analyzer kept each slot proxy's Algorithm 1 record.  A
+   pass whose Algorithm 1 read each word through a JSON-RPC hex string
+   round trip measured 2,753.4 (2,906.8 with hex codecs that built each
+   string twice), and one that also re-hashed every code through a
+   permutation that allocates measured 3,262. *)
 let minor_words_ceiling = 2_576.0
 
 (* 400 generated deployments plus their shared logic contracts, analyzed
@@ -88,16 +89,22 @@ let test_emulate_counters () =
 (* What a journaled daemon writes: the base snapshot once, then per
    advance a delta of what it changed.  A 400-contract daemon (460
    subjects) makes three advances of the default script.  Each delta
-   holds the re-analyzed entries and the analyzer's checkpoint, about a
-   quarter of the base, so a whole-store commit, which appends more than
-   the base on every advance, fails here.  Each framed record costs 18
+   holds the re-analyzed entries that differ from the stored ones and
+   the analyzer's checkpoint, about a fifth of the base, so a
+   whole-store commit, which appends more than the base on every
+   advance, fails here, and so does one that journals every re-analyzed
+   entry (79,244 / 82,289 / 85,334 bytes).  Each framed record costs 18
    bytes beyond its payload (a record and a commit header), the file's
    header 9.
 
    Each advance also pins the work it caused: the archive calls on the
-   chain's counter and the subjects re-analyzed.  The tracker marks
-   every slot proxy dirty, so the last advance re-read every proxy's
-   history, and the store's archive calls equal that advance's. *)
+   chain's counter, the [eth_getStorageAt] requests the node served, and
+   the subjects re-analyzed.  The tracker marks every slot proxy dirty,
+   but only the proxies an advance wrote or deployed read the archive;
+   every other one replays its Algorithm 1 record.  So the archive calls
+   are those of the few live resolutions (each one's requests plus its
+   head read), where re-reading every proxy's history cost 732 / 734 /
+   801; the store still reports a cold run's 801. *)
 let test_commit_bytes () =
   let path = Filename.temp_file "proxion_ratchet" ".journal" in
   Sys.remove path;
@@ -121,12 +128,22 @@ let test_commit_bytes () =
       in
       let size () = (Unix.stat path).Unix.st_size in
       let calls () = Chain.api_call_count land_.Generate.chain in
+      let requests () =
+        let registry = Serve.Daemon.registry d in
+        Option.bind (Obs.Metrics.find registry "proxion_api_method_calls_total")
+          (Obs.Metrics.value ~labels:[ ("method", "eth_getStorageAt") ] registry)
+        |> Option.fold ~none:0 ~some:int_of_float
+      in
       let base = size () in
       let advances =
         List.init 3 (fun _ ->
             let bytes0 = size () and calls0 = calls () in
+            let requests0 = requests () in
             let r = Serve.Daemon.advance d in
-            (size () - bytes0, calls () - calls0, r.Serve.Daemon.adv_dirty))
+            ( size () - bytes0,
+              calls () - calls0,
+              requests () - requests0,
+              r.Serve.Daemon.adv_dirty ))
       in
       let stats =
         (Serve.Store.report (Serve.Daemon.store d)
@@ -136,14 +153,19 @@ let test_commit_bytes () =
       Serve.Daemon.stop d;
       check_i "journal after the base snapshot" 314_743 base;
       List.iter2
-        (fun (i, bytes, api, dirty) (n, calls, dirtied) ->
+        (fun (i, bytes, api, reqs, dirty) (n, calls, served, dirtied) ->
           check_i (Printf.sprintf "bytes appended by advance %d" i) bytes n;
           check_i (Printf.sprintf "archive calls of advance %d" i) api calls;
+          check_i
+            (Printf.sprintf "eth_getStorageAt requests of advance %d" i)
+            reqs served;
           check_i
             (Printf.sprintf "dirty subjects of advance %d" i)
             dirty dirtied)
         [
-          (1, 79_244, 732, 36); (2, 82_289, 734, 37); (3, 85_334, 801, 38);
+          (1, 61_092, 53, 51, 36);
+          (2, 65_319, 90, 87, 37);
+          (3, 68_188, 91, 88, 38);
         ]
         advances;
       check_i "store archive calls" 801 stats.Analysis.s_api_calls;

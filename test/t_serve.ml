@@ -577,6 +577,93 @@ let test_incremental_identity () =
       (report_string cold) (report_string warm)
   done
 
+(* An advance asks the archive only about the slot proxies it wrote or
+   deployed; a live query asks it always.  After one advance, a query of
+   a slot proxy that advance did not write serves exactly its
+   resolution's [api_calls - 1] eth_getStorageAt requests (the head read
+   is no request) and answers the stored report.  Its logic-resolve
+   stage, traced with the archive calls it made, cost nothing in the
+   advance before the query and nothing in the one after. *)
+let test_query_reads_the_archive () =
+  let trace = Obs.Trace.create () in
+  let d, _ = make_daemon ~trace () in
+  let registry = Daemon.registry d in
+  let requests () =
+    Option.bind (Obs.Metrics.find registry "proxion_api_method_calls_total")
+      (Obs.Metrics.value ~labels:[ ("method", "eth_getStorageAt") ] registry)
+    |> Option.fold ~none:0 ~some:int_of_float
+  in
+  let written (r : Daemon.advance_result) =
+    r.Daemon.adv_summary.Serve.Advance.a_writes
+    @ r.Daemon.adv_summary.Serve.Advance.a_new_contracts
+  in
+  let first = written (Daemon.advance d) in
+  let subject, resolution =
+    match
+      List.find_map
+        (fun (e : Proxion.Analysis.entry) ->
+          let r = e.Proxion.Analysis.e_report in
+          match
+            ( r.Proxion.Analysis.r_detection.Proxion.Proxy_detect.verdict,
+              r.Proxion.Analysis.r_resolution )
+          with
+          | ( Proxion.Proxy_detect.Proxy
+                { source = Proxion.Proxy_detect.Storage_slot _; _ },
+              Some res )
+            when (not r.Proxion.Analysis.r_dedup_hit)
+                 && not (List.mem r.Proxion.Analysis.r_address first) ->
+              Some (r, res)
+          | _ -> None)
+        (Serve.Store.entries (Daemon.store d))
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "no unwritten slot proxy after the advance"
+  in
+  let addr = subject.Proxion.Analysis.r_address in
+  let addr_hex = Evm.Address.to_hex addr in
+  let served0 = requests () in
+  let answer =
+    get_ok (call_daemon d "query" [ ("address", Json.String addr_hex) ])
+  in
+  check_i "eth_getStorageAt requests the query served"
+    (resolution.Proxion.Logic_resolve.api_calls - 1)
+    (requests () - served0);
+  check_s "the query answers the stored report"
+    (Json.to_string (Proxion.Serialize.contract_report_to_json subject))
+    (Json.to_string (field "report" answer));
+  check_b "the next advance leaves the subject unwritten" false
+    (List.mem addr (written (Daemon.advance d)));
+  let arg key ev =
+    match ev with
+    | Json.Obj kvs -> (
+        match List.assoc_opt "args" kvs with
+        | Some (Json.Obj args) -> List.assoc_opt key args
+        | _ -> None)
+    | _ -> None
+  in
+  let resolve_calls =
+    List.filter_map
+      (fun ev ->
+        match ev with
+        | Json.Obj kvs
+          when List.assoc_opt "name" kvs = Some (Json.String "logic-resolve")
+               && arg "subject" ev = Some (Json.String addr_hex) -> (
+            match arg "api_calls" ev with
+            | Some (Json.Int n) -> Some n
+            | _ -> Alcotest.fail "logic-resolve span without api_calls")
+        | _ -> None)
+      (trace_events trace)
+  in
+  match resolve_calls with
+  | [ _cold_start; advanced; queried; advanced_again ] ->
+      Alcotest.(check (list int))
+        "archive calls of the subject's resolutions: advance, query, advance"
+        [ 0; resolution.Proxion.Logic_resolve.api_calls; 0 ]
+        [ advanced; queried; advanced_again ]
+  | calls ->
+      Alcotest.failf "%d logic-resolve spans for the subject, expected 4"
+        (List.length calls)
+
 (* ------------------------------------------------------------------ *)
 (* Warm recovery                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1632,6 +1719,8 @@ let suite =
     Alcotest.test_case "query dispatch" `Quick test_queries;
     Alcotest.test_case "incremental = cold re-run" `Quick
       test_incremental_identity;
+    Alcotest.test_case "a query reads the archive, an advance replays" `Quick
+      test_query_reads_the_archive;
     Alcotest.test_case "warm recovery from journal" `Quick test_warm_recovery;
     Alcotest.test_case "concurrent clients over TCP" `Quick
       test_concurrent_clients;
